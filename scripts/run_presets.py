@@ -10,10 +10,9 @@ form complex, E_infinity sums against the total cohomology).
 import sys
 import time
 
-from cohom.cech import cech_cohomology, cech_hyper
+from cohom.cech import cech_cohomology
 from cohom.forms import derham_cohomology, pole_filtration_dims
-from cohom.presets import build_circle, build_p1, build_torus, p1_report, torus_report
-from cohom.spectral import certify_convergence
+from cohom.presets import build_circle, build_torus, p1_report, torus_report
 
 
 def main():
@@ -37,8 +36,7 @@ def main():
     print(f"p1 (window {rep.window}): dims {rep.dims}")
     print("  E_1 second filtration:", {pq: d for pq, d in rep.e1_second.items() if d})
     print("  H^2 generator:", rep.h2_representative)
-    nerve, sheaves, maps = build_p1(4)
-    cert = certify_convergence(cech_hyper(nerve, sheaves, maps).double)
+    cert = rep.hyper.certificate
     print("  degeneration pages:", cert.first_degeneration, cert.second_degeneration)
     print(f"done in {time.time() - t0:.2f}s")
     return 0

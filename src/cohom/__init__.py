@@ -13,6 +13,7 @@ from .linalg import (
     CohomError,
     ContainmentViolated,
     LabeledSpace,
+    LawViolation,
     LinearMap,
     Subspace,
     image_basis,

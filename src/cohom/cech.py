@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .complexes import CochainComplex, CohomologyReport, cohomology, validate
-from .grid import DoubleComplex, _assemble_block_matrix
+from .grid import DoubleComplex, _assemble_block_matrix, total
 from .linalg import (
     CohomError,
     LabeledSpace,
@@ -26,7 +26,7 @@ from .linalg import (
     matrix_from_json_shaped,
     matrix_to_json,
 )
-from .spectral import first_pages, second_pages
+from .spectral import ConvergenceCertificate, _analyse
 
 ZERO = Fraction(0)
 
@@ -234,9 +234,11 @@ def function_sheaf(points: Sequence) -> SheafOnCover:
 @dataclass(frozen=True)
 class HyperResult:
     double: DoubleComplex
+    total: CochainComplex
     report: CohomologyReport
     first: list
     second: list
+    certificate: ConvergenceCertificate
 
 
 def cech_sheaf_double_complex(nerve: CoverNerve, sheaves: Sequence[SheafOnCover],
@@ -303,14 +305,14 @@ def cech_hyper(nerve: CoverNerve, sheaves: Sequence[SheafOnCover],
     """Cech hypercohomology of a complex of sheaves on a cover.
 
     Returns the total cohomology of the Cech-sheaf double complex along
-    with both spectral sequences run out to the stable page.
+    with both spectral sequences run out to the stable page and their
+    convergence certificate, all from one total complex.
     """
-    from .grid import total
-
     dc = cech_sheaf_double_complex(nerve, sheaves, level_maps)
-    r_inf = max(dc.P, dc.Q) + 2
-    report = cohomology(total(dc))
-    return HyperResult(dc, report, first_pages(dc, r_inf), second_pages(dc, r_inf))
+    tot = total(dc)
+    report = cohomology(tot)
+    first, second, cert = _analyse(dc, tot, report.dims)
+    return HyperResult(dc, tot, report, first, second, cert)
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def cmd_cech(args) -> tuple[dict, list[str]]:
 def cmd_hyper(args) -> tuple[dict, list[str]]:
     nerve, sheaves, level_maps = hyper_from_json(_load_json(args.file))
     res = cech_hyper(nerve, sheaves, level_maps)
-    cert = certify_convergence(res.double)
+    cert = res.certificate
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "hyper",

@@ -14,6 +14,7 @@ from typing import Sequence
 from .linalg import (
     CohomError,
     LabeledSpace,
+    LawViolation,
     LinearMap,
     Subspace,
     ZERO_SPACE,
@@ -103,7 +104,8 @@ def cohomology(k: CochainComplex) -> CohomologyReport:
         d = k.diff(deg)
         for col in section.columns:
             if any(x != 0 for x in d.apply(col)):
-                raise AssertionError("representative is not a cocycle")
+                raise LawViolation("cohomology representatives are cocycles",
+                                   f"degree {deg}")
     return CohomologyReport(k.lo, k.hi, tuple(dims), tuple(reps))
 
 

@@ -24,6 +24,7 @@ from .complexes import CochainComplex
 from .linalg import (
     CohomError,
     LabeledSpace,
+    LawViolation,
     LinearMap,
     SpanBuilder,
     rank_of_rows,
@@ -370,7 +371,7 @@ def derham_cohomology(spec: TorusSpec) -> DerhamReport:
                     f"nonzero cohomology at multidegree {m}; enlarge the window")
         else:
             if not all(d.is_zero() for d in cx.diffs):
-                raise AssertionError("multidegree-zero differential must vanish")
+                raise LawViolation("the multidegree-zero differential vanishes")
             for q in range(spec.n + 1):
                 dims[q] += part[q]
     generators = tuple(tuple(itertools.combinations(range(1, spec.k + 1), q))
@@ -492,19 +493,19 @@ def pole_reduce(w: AlgebraicForm, spec: TorusSpec, axis: int):
 
     # the closedness relations forced by d w = 0
     if not exterior_derivative(a1).is_zero():
-        raise AssertionError("a1 is not closed")
+        raise LawViolation("pole reduction: a1 is closed")
     if not exterior_derivative(w0).is_zero():
-        raise AssertionError("w0 is not closed")
+        raise LawViolation("pole reduction: w0 is closed")
     for j in range(2, r + 2):
         aj = alphas.get(j, AlgebraicForm.zero(w.n, max(w.degree - 1, 0)))
         bprev = betas.get(j - 1, AlgebraicForm.zero(w.n, w.degree))
         if not (exterior_derivative(aj) + bprev.scale(j - 1)).is_zero():
-            raise AssertionError(f"polar relation fails at order {j}")
+            raise LawViolation("pole reduction: polar relation", f"order {j}")
 
     log_axis = log_form(w.n, (axis,))
     residue = w - w0 - wedge(log_axis, a1) - exterior_derivative(theta)
     if not residue.is_zero():
-        raise AssertionError("pole reduction identity fails")
+        raise LawViolation("pole reduction: w = w0 + dz/z ^ a1 + d(theta)")
     return w0, a1, theta
 
 
@@ -556,7 +557,7 @@ def log_representative(w: AlgebraicForm, spec: TorusSpec):
         else LogClassVector(spec.k, q, ())
     residue = w - vec.to_form(w.n) - exterior_derivative(xi)
     if not residue.is_zero():
-        raise AssertionError("log representative identity fails")
+        raise LawViolation("log representative: w = sum c_I w_I + d(xi)")
     return vec, xi
 
 

@@ -19,6 +19,14 @@ class CohomError(Exception):
     """Base class for mathematical-invariant errors in this package."""
 
 
+class LawViolation(CohomError):
+    """An internal self-check failed; `law` names the identity that broke."""
+
+    def __init__(self, law: str, detail: str = ""):
+        self.law = law
+        super().__init__(f"law '{law}' fails" + (f": {detail}" if detail else ""))
+
+
 class AmbientMismatch(CohomError):
     pass
 
@@ -54,8 +62,25 @@ def matrix_to_json(rows: Matrix) -> list[list[str]]:
     return [[rat_to_str(x) for x in row] for row in rows]
 
 
+def _rat_from_json(x, i: int, j: int) -> Fraction:
+    """A JSON integer or a string Fraction parses; floats and booleans are refused."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"entry at row {i}, column {j} is not an integer or a "
+                     f"'p/q' string: {x!r}")
+
+
 def matrix_from_json(rows: Sequence[Sequence[str]]) -> Matrix:
-    return tuple(tuple(rat_from_str(x) for x in row) for row in rows)
+    if not isinstance(rows, (list, tuple)) or \
+            not all(isinstance(row, (list, tuple)) for row in rows):
+        raise ValueError("a matrix must be a list of rows")
+    return tuple(tuple(_rat_from_json(x, i, j) for j, x in enumerate(row))
+                 for i, row in enumerate(rows))
 
 
 def matrix_from_json_shaped(rows: Sequence[Sequence[str]], nrows: int, ncols: int) -> Matrix:
@@ -356,14 +381,6 @@ def solve(m: LinearMap, target: Sequence[Fraction]) -> Optional[Vector]:
     for pc, row in zip(pivots, reduced):
         x[pc] = row[n]
     return tuple(x)
-
-
-def solve_in_span(vectors: Sequence[Vector], ambient_dim: int,
-                  target: Vector) -> Optional[Vector]:
-    """Coefficients expressing target in the span of vectors, or None."""
-    dom = LabeledSpace(tuple(("c", i) for i in range(len(vectors))))
-    cod = LabeledSpace(tuple(("a", i) for i in range(ambient_dim)))
-    return solve(LinearMap.from_columns(dom, cod, list(vectors)), target)
 
 
 def invert(m: LinearMap) -> LinearMap:

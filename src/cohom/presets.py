@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .cech import CoverNerve, HyperResult, SheafOnCover, cech_hyper
 from .forms import TorusSpec, WindowExhausted, truncated_de_rham_complex
-from .linalg import CohomError, LabeledSpace, LinearMap, solve
+from .linalg import CohomError, LabeledSpace, LawViolation, LinearMap, solve
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -165,11 +165,8 @@ def p1_report(weight_window: int = _W_DEFAULT) -> P1Report:
     label = ((0, 1), ((0, 1), "zdz", -1))
     idx = tot2.labels.index((1, 1, label))
     candidate = tuple(ONE if i == idx else ZERO for i in range(tot2.dim))
-    from .grid import total
-
-    tot = total(res.double)
-    if solve(tot.diff(1), candidate) is not None:
-        raise AssertionError("z^-1 dz bounds on the truncated cover")
+    if solve(res.total.diff(1), candidate) is not None:
+        raise LawViolation("z^-1 dz is not a coboundary", f"window {weight_window}")
     return P1Report(weight_window, tuple(res.report.dims), e1,
                     "z^-1 dz on U_01 (Cech degree 1, form level 1)", res)
 

@@ -1,14 +1,21 @@
 """Spectral sequences of a bounded first-quadrant double complex.
 
-Pages are computed from the filtration of the total complex by columns
-(first filtration) or rows (second filtration) using approximate cycles
+All pages come from one filtered column reduction of the total complex
+(the persistence view of a spectral sequence).  For each degree n the
+differential D : Tot^n -> Tot^{n+1} is reduced once, with columns and
+rows ordered by (-p, index) so that a column only ever receives columns
+from its own filtration step F_p = sum_{p' >= p} K^{p', n-p'}.  The
+result R = D V has unique lowest nonzero rows ("lows"), and every basis
+index of Tot^n is exactly one of
 
-    Z_r^{p,q} = { x in F_p Tot^{p+q} : D x in F_{p+r} },
-    E_r^{p,q} = Z_r^{p,q} / ( Z_{r-1}^{p+1,q-1} + D Z_{r-1}^{p-r+1,q+r-2} ),
+    an essential   R_j = 0 and j is not a low,
+    a source j     paired with its target low(R_j) at distance p_low - p_j,
+    a target       the low of some source in degree n - 1.
 
-with d_r induced by D on representatives.  Representatives are carried
-as explicit vectors of the total complex, so every page is reproducible
-and d_r is literally "apply D and project".
+E_r^{p,q} is spanned by the essentials at p plus the sources and targets
+at p whose pair distance is >= r; representatives are V_j for essentials
+and sources and R_j for the target of source j.  d_r sends each source
+to its target when their distance is exactly r and is zero otherwise.
 
 Second-filtration pages are computed on the transposed grid: entry
 (p, q) of a second page refers to cell (q, p) of the input complex, so
@@ -21,20 +28,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .complexes import cohomology
+from .complexes import CochainComplex, cohomology
 from .grid import DoubleComplex, total
 from .linalg import (
     CohomError,
     LabeledSpace,
+    LawViolation,
     LinearMap,
-    SpanBuilder,
     Subspace,
-    Vector,
     rank,
-    solve_in_span,
 )
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 class ConvergenceFailure(CohomError):
@@ -70,153 +76,94 @@ class ConvergenceCertificate:
     second_degeneration: int
 
 
-def _dot(pairs, vec) -> Fraction:
-    return sum((c * vec[i] for i, c in pairs if vec[i] != 0), ZERO)
+def _subtract(y: dict, c: Fraction, x: dict) -> None:
+    """y -= c * x on sparse vectors, dropping zeros."""
+    for i, xi in x.items():
+        t = y.get(i, ZERO) - c * xi
+        if t:
+            y[i] = t
+        else:
+            del y[i]
 
 
-class _Filtration:
-    """Column filtration data of one total complex."""
-
-    def __init__(self, dc: DoubleComplex):
-        self.dc = dc
-        self.tot = total(dc)
-        self.P, self.Q = dc.P, dc.Q
-        self.n_max = dc.P + dc.Q
-        # per degree: antidiagonal cells and the start offset of each block
-        self.cells = {}
-        self.block_start = {}
-        for n in range(self.n_max + 1):
-            cells = dc.antidiagonal(n)
-            self.cells[n] = cells
-            starts, off = {}, 0
-            for (p, q) in cells:
-                starts[p] = off
-                off += dc.cell(p, q).dim
-            self.block_start[n] = starts
-        self._zcache: dict = {}
-
-    def degree_dim(self, n: int) -> int:
-        if 0 <= n <= self.n_max:
-            return self.tot.space(n).dim
-        return 0
-
-    def filtration_offset(self, p: int, n: int) -> int:
-        """Start coordinate of F_p inside Tot^n."""
-        dim_n = self.degree_dim(n)
-        for (pp, qq) in self.cells.get(n, []):
-            if pp >= p:
-                return self.block_start[n][pp]
-        return dim_n
-
-    def z_spaces(self, p: int, n: int) -> list[list[Vector]]:
-        """Bases of {x in F_p Tot^n : D x in F_t Tot^{n+1}} for t = 0..P+1.
-
-        Entry t of the returned list is the basis for target filtration
-        level t; level P+1 means D x = 0.
-        """
-        key = (p, n)
-        if key in self._zcache:
-            return self._zcache[key]
-        dim_n = self.degree_dim(n)
-        start = self.filtration_offset(p, n)
-        basis: list[Vector] = []
-        for i in range(start, dim_n):
-            v = [ZERO] * dim_n
-            v[i] = Fraction(1)
-            basis.append(tuple(v))
-        snapshots = [list(basis)]
-        d = self.tot.diff(n) if n < self.n_max else None
-        rows_by_block: dict[int, list] = {}
-        if d is not None and n + 1 <= self.n_max:
-            labels = self.tot.space(n + 1).labels
-            for i, row in enumerate(d.matrix):
-                blk = labels[i][0]
-                rows_by_block.setdefault(blk, []).append(
-                    [(j, c) for j, c in enumerate(row) if c != 0])
-        for t in range(0, self.P + 1):
-            for pairs in rows_by_block.get(t, []):
-                vals = [_dot(pairs, b) for b in basis]
-                piv = next((i for i, v in enumerate(vals) if v != 0), None)
-                if piv is None:
-                    continue
-                pv = vals[piv]
-                pb = basis[piv]
-                new_basis = []
-                for i, b in enumerate(basis):
-                    if i == piv:
-                        continue
-                    if vals[i] == 0:
-                        new_basis.append(b)
-                    else:
-                        f = vals[i] / pv
-                        new_basis.append(tuple(x - f * y for x, y in zip(b, pb)))
-                basis = new_basis
-            snapshots.append(list(basis))
-        self._zcache[key] = snapshots
-        return snapshots
-
-    def z_basis(self, p: int, t: int, n: int) -> list[Vector]:
-        """Basis of {x in F_max(p,0) Tot^n : D x in F_min(t,P+1)}."""
-        if n < 0 or n > self.n_max:
-            return []
-        p = max(p, 0)
-        t = max(min(t, self.P + 1), 0)
-        if p > self.P:
-            return []
-        return self.z_spaces(p, n)[t]
-
-    def apply_d(self, n: int, v: Vector) -> Vector:
-        if n >= self.n_max:
-            return ()
-        return self.tot.diff(n).apply(v)
+def _dense(v: dict, dim: int) -> tuple:
+    return tuple(v.get(i, ZERO) for i in range(dim))
 
 
-def _compute_pages(filt: _Filtration, r_max: int) -> list[SpectralPage]:
-    P, Q = filt.P, filt.Q
-    pages = []
+def _pairs(tot: CochainComplex, n_max: int) -> tuple[list, list]:
+    """Filtration level of every total basis index, and its pairing.
+
+    Returns (level, gens): level[n][i] is the p of index i of Tot^n, and
+    gens[n][i] = (distance, representative, target) with distance None
+    for essentials and target the paired index of Tot^{n+1} for sources.
+    """
+    level = [[lab[0] for lab in tot.space(n).labels] for n in range(n_max + 1)]
+    gens: list[dict] = [{} for _ in range(n_max + 1)]
+    for n in range(n_max + 1):
+        p_of, p_row = level[n], level[n + 1] if n < n_max else []
+        cols: list[dict] = [{} for _ in p_of]
+        for i, row in enumerate(tot.diff(n).matrix):
+            for j, x in enumerate(row):
+                if x:
+                    cols[j][i] = x
+        reduced: dict = {}  # low -> (R, V) of the column that owns it
+        for j in sorted(range(len(p_of)), key=lambda i: (-p_of[i], i)):
+            if j in gens[n]:
+                continue  # a target: its column reduces to zero
+            r, v = cols[j], {j: ONE}
+            while r:
+                low = max(r, key=lambda i: (-p_row[i], i))
+                if low not in reduced:
+                    break
+                r_low, v_low = reduced[low]
+                c = r[low] / r_low[low]
+                _subtract(r, c, r_low)
+                _subtract(v, c, v_low)
+            rep = _dense(v, len(p_of))
+            if r:
+                reduced[low] = (r, v)
+                dist = p_row[low] - p_of[j]
+                gens[n][j] = (dist, rep, low)
+                gens[n + 1][low] = (dist, _dense(r, len(p_row)), None)
+            else:
+                gens[n][j] = (None, rep, None)
+    return level, gens
+
+
+def _compute_pages(dc: DoubleComplex, r_max: int,
+                   tot: Optional[CochainComplex] = None) -> list[SpectralPage]:
+    """Pages E_1..E_r_max of the column filtration; tot is total(dc) if given."""
+    tot = total(dc) if tot is None else tot
+    level, gens = _pairs(tot, dc.P + dc.Q)
+    pages: list[SpectralPage] = []
     for r in range(1, r_max + 1):
-        entries = {}
-        data = {}
-        for p in range(P + 1):
-            for q in range(Q + 1):
+        entries, alive = {}, {}
+        for p in range(dc.P + 1):
+            for q in range(dc.Q + 1):
                 n = p + q
-                znum = filt.z_basis(p, p + r, n)
-                den_vectors = list(filt.z_basis(p + 1, p + r, n))
-                for v in filt.z_basis(p - r + 1, p, n - 1):
-                    den_vectors.append(filt.apply_d(n - 1, v))
-                dim_n = filt.degree_dim(n)
-                builder = SpanBuilder(dim_n)
-                den_basis = []
-                for v in den_vectors:
-                    if builder.add(v):
-                        den_basis.append(v)
-                reps = []
-                for v in znum:
-                    if builder.add(v):
-                        reps.append(v)
-                amb = filt.tot.space(n)
-                rep_dom = LabeledSpace(tuple(("E", r, p, q, i) for i in range(len(reps))))
-                rep_map = LinearMap.from_columns(rep_dom, amb, reps)
-                entries[(p, q)] = PageEntry(len(reps), Subspace(amb, rep_map))
-                data[(p, q)] = (den_basis, reps, dim_n)
+                idx = [i for i, (dist, _, _) in sorted(gens[n].items())
+                       if level[n][i] == p and (dist is None or dist >= r)]
+                amb = tot.space(n)
+                dom = LabeledSpace(tuple(("E", r, p, q, k) for k in range(len(idx))))
+                reps = LinearMap.from_columns(dom, amb, [gens[n][i][1] for i in idx])
+                entries[(p, q)] = PageEntry(len(idx), Subspace(amb, reps))
+                alive[(p, q)] = idx
         diffs = {}
-        for p in range(P + 1):
-            for q in range(Q + 1):
-                tp, tq = p + r, q - r + 1
-                if not (0 <= tp <= P and 0 <= tq <= Q):
-                    continue
-                den_t, reps_t, dim_t = data[(tp, tq)]
-                src_reps = data[(p, q)][1]
-                cols = []
-                for x in src_reps:
-                    v = filt.apply_d(p + q, x)
-                    coeffs = solve_in_span(den_t + reps_t, dim_t, v)
-                    if coeffs is None:
-                        raise AssertionError("d_r image escapes the target page entry")
-                    cols.append(tuple(coeffs[len(den_t):]))
-                dom = entries[(p, q)].representatives.basis.domain
-                cod = entries[(tp, tq)].representatives.basis.domain
-                diffs[(p, q)] = LinearMap.from_columns(dom, cod, cols)
+        for (p, q), idx in alive.items():
+            cell = (p + r, q - r + 1)
+            if cell not in alive:
+                continue
+            pos = {i: k for k, i in enumerate(alive[cell])}
+            cols = []
+            for i in idx:
+                dist, _, target = gens[p + q][i]
+                col = [ZERO] * len(pos)
+                if target is not None and dist == r:
+                    col[pos[target]] = ONE
+                cols.append(tuple(col))
+            diffs[(p, q)] = LinearMap.from_columns(
+                entries[(p, q)].representatives.basis.domain,
+                entries[cell].representatives.basis.domain, cols)
         page = SpectralPage(r, entries, diffs)
         _check_page(page, pages[-1] if pages else None)
         pages.append(page)
@@ -228,7 +175,7 @@ def _check_page(page: SpectralPage, prev: Optional[SpectralPage]) -> None:
     for (p, q), d in page.differentials.items():
         nxt = page.differentials.get((p + page.r, q - page.r + 1))
         if nxt is not None and not nxt.compose(d).is_zero():
-            raise AssertionError(f"d_{page.r} squared is nonzero at {(p, q)}")
+            raise LawViolation("d_r squares to zero", f"page {page.r} at {(p, q)}")
     # dim E_{r+1} = dim ker d_r - dim im d_r, checked against the previous page
     if prev is not None:
         r = prev.r
@@ -238,15 +185,15 @@ def _check_page(page: SpectralPage, prev: Optional[SpectralPage]) -> None:
             inc = prev.differentials.get((p - r, q + r - 1))
             im = rank(inc) if inc else 0
             if entry.dim != ker - im:
-                raise AssertionError(
-                    f"page {page.r} entry {(p, q)} dims disagree with ker/im of d_{r}")
+                raise LawViolation("E_{r+1} = ker d_r / im d_r",
+                                   f"page {page.r} entry {(p, q)}")
 
 
 def first_pages(k: DoubleComplex, r_max: int) -> list[SpectralPage]:
     """Pages E_1..E_r_max of the column filtration (E_1 = vertical cohomology)."""
     if not 1 <= r_max <= k.P + k.Q + 2:
         raise ValueError("r_max out of range")
-    return _compute_pages(_Filtration(k), r_max)
+    return _compute_pages(k, r_max)
 
 
 def second_pages(k: DoubleComplex, r_max: int) -> list[SpectralPage]:
@@ -257,7 +204,7 @@ def second_pages(k: DoubleComplex, r_max: int) -> list[SpectralPage]:
     """
     if not 1 <= r_max <= k.P + k.Q + 2:
         raise ValueError("r_max out of range")
-    return _compute_pages(_Filtration(k.transpose()), r_max)
+    return _compute_pages(k.transpose(), r_max)
 
 
 def _einf_sums(pages: list[SpectralPage], P: int, Q: int) -> dict:
@@ -279,16 +226,18 @@ def _degeneration_page(pages: list[SpectralPage]) -> int:
     return r0
 
 
-def certify_convergence(k: DoubleComplex) -> ConvergenceCertificate:
-    """Check both filtrations' E_infinity against the total cohomology."""
+def _analyse(k: DoubleComplex, tot: CochainComplex, total_dims: tuple):
+    """Both page sequences out to E_inf, and their certificate against total_dims.
+
+    tot is total(k); total_dims come from cohomology(tot), a computation
+    independent of the page reduction, so the certificate cross-checks two.
+    """
     r_inf = max(k.P, k.Q) + 2
-    tot_report = cohomology(total(k))
-    first = _compute_pages(_Filtration(k), r_inf)
-    second = _compute_pages(_Filtration(k.transpose()), r_inf)
+    first = _compute_pages(k, r_inf, tot)
+    second = _compute_pages(k.transpose(), r_inf)
     first_sums = _einf_sums(first, k.P, k.Q)
     second_sums = _einf_sums(second, k.Q, k.P)
-    for deg in range(k.P + k.Q + 1):
-        h = tot_report.dim(deg)
+    for deg, h in enumerate(total_dims):
         s1 = sum(d for _, d in first_sums[deg])
         s2 = sum(d for _, d in second_sums[deg])
         if s1 != h:
@@ -297,13 +246,20 @@ def certify_convergence(k: DoubleComplex) -> ConvergenceCertificate:
         if s2 != h:
             raise ConvergenceFailure(
                 f"second filtration E_inf sum {s2} != dim H^{deg} = {h}")
-    return ConvergenceCertificate(
-        total_dims=tuple(tot_report.dims),
+    cert = ConvergenceCertificate(
+        total_dims=tuple(total_dims),
         first_einf=first_sums,
         second_einf=second_sums,
         first_degeneration=_degeneration_page(first),
         second_degeneration=_degeneration_page(second),
     )
+    return first, second, cert
+
+
+def certify_convergence(k: DoubleComplex) -> ConvergenceCertificate:
+    """Check both filtrations' E_infinity against the total cohomology."""
+    tot = total(k)
+    return _analyse(k, tot, cohomology(tot).dims)[2]
 
 
 def page_to_json(page: SpectralPage) -> dict:

@@ -8,11 +8,35 @@ and never go through the production assembly paths they are checking.
 from __future__ import annotations
 
 from fractions import Fraction
-
-from cohom.linalg import rank_of_rows
+from math import lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def rank_of_rows(rows) -> int:
+    """Exact rank by fraction-free (Bareiss) elimination over the integers.
+
+    Rows are scaled to integers first; every division below is exact
+    because each entry stays a minor of the scaled matrix.
+    """
+    m = []
+    for row in rows:
+        scale = lcm(*(Fraction(x).denominator for x in row))
+        m.append([int(Fraction(x) * scale) for x in row])
+    ncols = len(m[0]) if m else 0
+    rank, prev = 0, 1
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        top = m[rank]
+        for i in range(rank + 1, len(m)):
+            m[i] = [(top[col] * x - m[i][col] * y) // prev for x, y in zip(m[i], top)]
+        prev = top[col]
+        rank += 1
+    return rank
 
 
 def simplicial_cohomology_dims(faces) -> list[int]:

@@ -1,0 +1,132 @@
+"""Reference spectral pages from approximate cycles, for cross-checking.
+
+This is the span-and-solve page builder the engine used before it read
+pages off one filtered column reduction.  For the column filtration
+F_p Tot^n = sum_{p' >= p} K^{p', n-p'} it builds
+
+    Z_r^{p,q} = { x in F_p Tot^{p+q} : D x in F_{p+r} },
+    E_r^{p,q} = Z_r^{p,q} / ( Z_{r-1}^{p+1,q-1} + D Z_{r-1}^{p-r+1,q+r-2} ),
+
+and d_r by applying D to representatives and solving for coordinates
+in the target page entry.  It uses only `total` and the linalg types.
+Pass `dc.transpose()` for the row filtration.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from cohom.grid import DoubleComplex, total
+from cohom.linalg import LabeledSpace, LinearMap, SpanBuilder, rank, solve
+
+ZERO = Fraction(0)
+
+
+def _dot(pairs, vec) -> Fraction:
+    return sum((c * vec[i] for i, c in pairs if vec[i] != 0), ZERO)
+
+
+def _solve_in_span(vectors, ambient_dim, target):
+    """Coefficients expressing target in the span of vectors, or None."""
+    dom = LabeledSpace(tuple(("c", i) for i in range(len(vectors))))
+    cod = LabeledSpace(tuple(("a", i) for i in range(ambient_dim)))
+    return solve(LinearMap.from_columns(dom, cod, list(vectors)), target)
+
+
+class _Filtration:
+    """Column filtration data of one total complex."""
+
+    def __init__(self, dc: DoubleComplex):
+        self.tot = total(dc)
+        self.P, self.Q = dc.P, dc.Q
+        self.n_max = dc.P + dc.Q
+        self._zcache: dict = {}
+
+    def degree_dim(self, n: int) -> int:
+        return self.tot.space(n).dim if 0 <= n <= self.n_max else 0
+
+    def z_spaces(self, p: int, n: int) -> list:
+        """Bases of {x in F_p Tot^n : D x in F_t Tot^{n+1}} for t = 0..P+1."""
+        key = (p, n)
+        if key in self._zcache:
+            return self._zcache[key]
+        dim_n = self.degree_dim(n)
+        labels_n = self.tot.space(n).labels
+        start = next((i for i, lab in enumerate(labels_n) if lab[0] >= p), dim_n)
+        basis = []
+        for i in range(start, dim_n):
+            v = [ZERO] * dim_n
+            v[i] = Fraction(1)
+            basis.append(tuple(v))
+        snapshots = [list(basis)]
+        rows_by_block: dict = {}
+        if n < self.n_max:
+            labels = self.tot.space(n + 1).labels
+            for i, row in enumerate(self.tot.diff(n).matrix):
+                rows_by_block.setdefault(labels[i][0], []).append(
+                    [(j, c) for j, c in enumerate(row) if c != 0])
+        for t in range(0, self.P + 1):
+            for pairs in rows_by_block.get(t, []):
+                vals = [_dot(pairs, b) for b in basis]
+                piv = next((i for i, v in enumerate(vals) if v != 0), None)
+                if piv is None:
+                    continue
+                pv, pb = vals[piv], basis[piv]
+                new_basis = []
+                for i, b in enumerate(basis):
+                    if i == piv:
+                        continue
+                    if vals[i] == 0:
+                        new_basis.append(b)
+                    else:
+                        f = vals[i] / pv
+                        new_basis.append(tuple(x - f * y for x, y in zip(b, pb)))
+                basis = new_basis
+            snapshots.append(list(basis))
+        self._zcache[key] = snapshots
+        return snapshots
+
+    def z_basis(self, p: int, t: int, n: int) -> list:
+        """Basis of {x in F_max(p,0) Tot^n : D x in F_min(t,P+1)}."""
+        if n < 0 or n > self.n_max or p > self.P:
+            return []
+        return self.z_spaces(max(p, 0), n)[max(min(t, self.P + 1), 0)]
+
+    def apply_d(self, n: int, v):
+        return self.tot.diff(n).apply(v) if n < self.n_max else ()
+
+
+def oracle_pages(dc: DoubleComplex, r_max: int) -> list[dict]:
+    """Per page r = 1..r_max: {"dims": {(p, q): dim}, "ranks": {(p, q): rank d_r}}."""
+    filt = _Filtration(dc)
+    P, Q = dc.P, dc.Q
+    pages = []
+    for r in range(1, r_max + 1):
+        data = {}
+        for p in range(P + 1):
+            for q in range(Q + 1):
+                n = p + q
+                den_vectors = list(filt.z_basis(p + 1, p + r, n))
+                for v in filt.z_basis(p - r + 1, p, n - 1):
+                    den_vectors.append(filt.apply_d(n - 1, v))
+                builder = SpanBuilder(filt.degree_dim(n))
+                den_basis = [v for v in den_vectors if builder.add(v)]
+                reps = [v for v in filt.z_basis(p, p + r, n) if builder.add(v)]
+                data[(p, q)] = (den_basis, reps, filt.degree_dim(n))
+        ranks = {}
+        for p in range(P + 1):
+            for q in range(Q + 1):
+                tp, tq = p + r, q - r + 1
+                if not (0 <= tp <= P and 0 <= tq <= Q):
+                    continue
+                den_t, reps_t, dim_t = data[(tp, tq)]
+                cols = []
+                for x in data[(p, q)][1]:
+                    coeffs = _solve_in_span(den_t + reps_t, dim_t, filt.apply_d(p + q, x))
+                    assert coeffs is not None, "d_r image escapes the target page entry"
+                    cols.append(tuple(coeffs[len(den_t):]))
+                dom = LabeledSpace.make("s", len(cols))
+                cod = LabeledSpace.make("t", len(reps_t))
+                ranks[(p, q)] = rank(LinearMap.from_columns(dom, cod, cols))
+        pages.append({"dims": {pq: len(v[1]) for pq, v in data.items()}, "ranks": ranks})
+    return pages

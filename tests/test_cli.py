@@ -1,6 +1,8 @@
 import json
 import random
 
+import pytest
+
 from cohom.cech import cover_to_json
 from cohom.cli import main
 from cohom.complexes import complex_to_json
@@ -72,6 +74,26 @@ def test_schema_error_exit_code_1(tmp_path, capsys):
     code, _, err = run(capsys, "complex", path)
     assert code == 1
     assert "wrong shape" in err
+
+
+@pytest.mark.parametrize("entry", [0.1, True])
+def test_float_and_boolean_entries_are_malformed(tmp_path, capsys, entry):
+    data = {"lo": 0, "hi": 1, "dims": [1, 1], "diffs": [[[entry]]]}
+    path = write(tmp_path, "float.json", data)
+    code, out, err = run(capsys, "complex", path)
+    assert code == 1 and out == ""
+    assert "row 0, column 0" in err
+
+
+def test_failed_self_check_exits_2_naming_the_law(capsys, monkeypatch):
+    """A broken kernel makes the cocycle self-check fail: exit 2, no traceback."""
+    import cohom.complexes
+    from cohom.linalg import Subspace
+
+    monkeypatch.setattr(cohom.complexes, "kernel_basis", lambda m: Subspace.full(m.domain))
+    code, out, err = run(capsys, "preset", "circle")
+    assert code == 2 and out == ""
+    assert "law 'cohomology representatives are cocycles' fails" in err
 
 
 def test_invariant_violation_exit_code_2(tmp_path, capsys):

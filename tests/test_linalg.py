@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import rank_of_rows as oracle_rank
+
 from cohom.linalg import (
     AmbientMismatch,
     ContainmentViolated,
@@ -14,6 +16,7 @@ from cohom.linalg import (
     image_basis,
     invert,
     kernel_basis,
+    matrix_from_json,
     rank,
     rat_from_str,
     rat_to_str,
@@ -125,6 +128,16 @@ def test_rational_serialization():
     assert rat_from_str("-5") == F(-5)
 
 
+def test_matrix_from_json_accepts_integers_and_rational_strings():
+    assert matrix_from_json([[1, "-2/3"], ["4", 0]]) == ((F(1), F(-2, 3)), (F(4), F(0)))
+
+
+@pytest.mark.parametrize("bad", [0.1, True, False, None, "x", "1/0", [1]])
+def test_matrix_from_json_names_the_bad_entry(bad):
+    with pytest.raises(ValueError, match="row 1, column 0"):
+        matrix_from_json([["1", "2"], [bad, "3"]])
+
+
 small_fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
 
 
@@ -140,6 +153,12 @@ def matrices(draw, max_size=5):
 @settings(max_examples=100, deadline=None)
 def test_rank_nullity(m):
     assert rank(m) + kernel_basis(m).dim == m.domain.dim
+
+
+@given(matrices())
+@settings(max_examples=100, deadline=None)
+def test_rank_matches_independent_bareiss_rank(m):
+    assert rank(m) == oracle_rank(m.matrix)
 
 
 @given(matrices(), st.data())

@@ -251,42 +251,56 @@ def _two_column_complex(c, d, f_matrices):
     return dc
 
 
+def nullhomotopic_cone(rng):
+    """Cone of f = d g + g d between two random complexes: (dc, h(C), h(D))."""
+    from cohom.generators import random_cochain_complex
+
+    top = rng.randint(1, 3)
+    c, hc = random_cochain_complex(rng, max_top=top, max_dim=2)
+    d, hd = random_cochain_complex(rng, max_top=top, max_dim=2)
+    top = max(c.hi, d.hi)
+    # random homotopy g_q : C^q -> D^{q-1}
+    g = {}
+    for q in range(top + 2):
+        rows = [[F(rng.randint(-2, 2)) for _ in range(c.space(q).dim)]
+                for _ in range(d.space(q - 1).dim)]
+        g[q] = rows
+    f_matrices = []
+    for q in range(top + 1):
+        m = [[F(0)] * c.space(q).dim for _ in range(d.space(q).dim)]
+        # d_D . g_q
+        for i in range(d.space(q).dim):
+            for j in range(c.space(q).dim):
+                acc = F(0)
+                for t in range(d.space(q - 1).dim):
+                    acc += d.diff(q - 1).matrix[i][t] * g[q][t][j] if q - 1 >= 0 else 0
+                m[i][j] += acc
+        # g_{q+1} . d_C
+        for i in range(d.space(q).dim):
+            for j in range(c.space(q).dim):
+                acc = F(0)
+                for t in range(c.space(q + 1).dim):
+                    acc += g[q + 1][i][t] * c.diff(q).matrix[t][j]
+                m[i][j] += acc
+        f_matrices.append(tuple(tuple(r) for r in m))
+    return _two_column_complex(c, d, f_matrices), hc, hd
+
+
+def identity_cone(rng):
+    """Cone of the identity of a random complex C: (dc, h(C))."""
+    from cohom.generators import random_cochain_complex
+
+    c, hc = random_cochain_complex(rng, max_top=3, max_dim=2)
+    f_matrices = [LinearMap.identity(c.space(q)).matrix for q in range(c.hi + 1)]
+    return _two_column_complex(c, c, f_matrices), hc
+
+
 def test_mapping_cone_of_nullhomotopic_map():
     """f = d g + g d is a chain map whose cone splits: H^n(Tot) must be
     h^n(first column) + h^{n-1}(second column), with E_2 = E_1."""
-    from cohom.generators import random_cochain_complex
-
     rng = random.Random(28)
     for _ in range(12):
-        top = rng.randint(1, 3)
-        c, hc = random_cochain_complex(rng, max_top=top, max_dim=2)
-        d, hd = random_cochain_complex(rng, max_top=top, max_dim=2)
-        top = max(c.hi, d.hi)
-        # random homotopy g_q : C^q -> D^{q-1}
-        g = {}
-        for q in range(top + 2):
-            rows = [[F(rng.randint(-2, 2)) for _ in range(c.space(q).dim)]
-                    for _ in range(d.space(q - 1).dim)]
-            g[q] = rows
-        f_matrices = []
-        for q in range(top + 1):
-            m = [[F(0)] * c.space(q).dim for _ in range(d.space(q).dim)]
-            # d_D . g_q
-            for i in range(d.space(q).dim):
-                for j in range(c.space(q).dim):
-                    acc = F(0)
-                    for t in range(d.space(q - 1).dim):
-                        acc += d.diff(q - 1).matrix[i][t] * g[q][t][j] if q - 1 >= 0 else 0
-                    m[i][j] += acc
-            # g_{q+1} . d_C
-            for i in range(d.space(q).dim):
-                for j in range(c.space(q).dim):
-                    acc = F(0)
-                    for t in range(c.space(q + 1).dim):
-                        acc += g[q + 1][i][t] * c.diff(q).matrix[t][j]
-                    m[i][j] += acc
-            f_matrices.append(tuple(tuple(r) for r in m))
-        dc = _two_column_complex(c, d, f_matrices)
+        dc, hc, hd = nullhomotopic_cone(rng)
         tot_dims = cohomology(total(dc)).dims
         for n in range(len(tot_dims)):
             want = (hc[n] if n < len(hc) else 0) + (hd[n - 1] if 0 <= n - 1 < len(hd) else 0)
@@ -300,13 +314,9 @@ def test_mapping_cone_of_nullhomotopic_map():
 
 
 def test_mapping_cone_of_identity_is_acyclic():
-    from cohom.generators import random_cochain_complex
-
     rng = random.Random(29)
     for _ in range(10):
-        c, hc = random_cochain_complex(rng, max_top=3, max_dim=2)
-        f_matrices = [LinearMap.identity(c.space(q)).matrix for q in range(c.hi + 1)]
-        dc = _two_column_complex(c, c, f_matrices)
+        dc, hc = identity_cone(rng)
         assert all(d == 0 for d in cohomology(total(dc)).dims)
         pages = first_pages(dc, 2)
         for q in range(dc.Q + 1):
