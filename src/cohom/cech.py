@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .complexes import CochainComplex, CohomologyReport, cohomology, validate
-from .grid import DoubleComplex, _assemble_block_matrix, total
+from .grid import DoubleComplex, total
 from .linalg import (
     CohomError,
     LabeledSpace,
@@ -176,9 +176,9 @@ def cech_complex(nerve: CoverNerve, sheaf: SheafOnCover) -> CochainComplex:
                 if i % 2 == 1:
                     m = m.scale(-1)
                 blocks[(gi, src_index[sub])] = m
-        mat = _assemble_block_matrix([sheaf.space(f).dim for f in src_faces],
-                                     [sheaf.space(f).dim for f in dst_faces], blocks)
-        diffs.append(LinearMap(spaces[p], spaces[p + 1], mat))
+        diffs.append(LinearMap.from_blocks(spaces[p], spaces[p + 1],
+                                           [sheaf.space(f).dim for f in src_faces],
+                                           [sheaf.space(f).dim for f in dst_faces], blocks))
     cx = CochainComplex(0, top, spaces, tuple(diffs))
     validate(cx)
     return cx
@@ -291,9 +291,10 @@ def cech_sheaf_double_complex(nerve: CoverNerve, sheaves: Sequence[SheafOnCover]
         for q in range(Q):
             faces = nerve.faces_of_dim(p)
             blocks = {(i, i): level_maps[q][f] for i, f in enumerate(faces)}
-            mat = _assemble_block_matrix([sheaves[q].space(f).dim for f in faces],
-                                         [sheaves[q + 1].space(f).dim for f in faces], blocks)
-            col.append(LinearMap(cells[p][q], cells[p][q + 1], mat))
+            col.append(LinearMap.from_blocks(cells[p][q], cells[p][q + 1],
+                                             [sheaves[q].space(f).dim for f in faces],
+                                             [sheaves[q + 1].space(f).dim for f in faces],
+                                             blocks))
         vert.append(tuple(col))
     dc = DoubleComplex(P, Q, cells, horiz, tuple(vert))
     dc.validate()

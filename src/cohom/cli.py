@@ -20,6 +20,7 @@ from .cech import cech_complex, cover_from_json, cech_hyper, hyper_from_json
 from .complexes import cohomology, complex_from_json
 from .forms import (
     TorusSpec,
+    check_window_budget,
     derham_cohomology,
     form_to_text,
     log_representative,
@@ -161,6 +162,7 @@ def cmd_spectral(args) -> tuple[dict, list[str]]:
 def cmd_derham(args) -> tuple[dict, list[str]]:
     try:
         spec = TorusSpec(args.n, args.invert, args.window)
+        check_window_budget(spec)
     except ValueError as e:
         raise InputError(str(e))
     rep = derham_cohomology(spec)

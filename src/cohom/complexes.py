@@ -111,26 +111,16 @@ def cohomology(k: CochainComplex) -> CohomologyReport:
 
 def direct_sum(a: CochainComplex, b: CochainComplex) -> CochainComplex:
     """Degreewise direct sum with block-diagonal differentials."""
-    from fractions import Fraction
-
-    zero = Fraction(0)
     lo, hi = min(a.lo, b.lo), max(a.hi, b.hi)
-    spaces = []
-    for deg in range(lo, hi + 1):
-        sa, sb = a.space(deg), b.space(deg)
-        labels = tuple((0, lab) for lab in sa.labels) + tuple((1, lab) for lab in sb.labels)
-        spaces.append(LabeledSpace(labels))
-    diffs = []
-    for deg in range(lo, hi):
-        da, db = a.diff(deg), b.diff(deg)
-        na, nb = da.domain.dim, db.domain.dim
-        rows = []
-        for r in da.matrix:
-            rows.append(tuple(r) + (zero,) * nb)
-        for r in db.matrix:
-            rows.append((zero,) * na + tuple(r))
-        diffs.append(LinearMap(spaces[deg - lo], spaces[deg - lo + 1], tuple(rows)))
-    return CochainComplex(lo, hi, tuple(spaces), tuple(diffs))
+    spaces = tuple(LabeledSpace(tuple((0, lab) for lab in a.space(deg).labels)
+                                + tuple((1, lab) for lab in b.space(deg).labels))
+                   for deg in range(lo, hi + 1))
+    diffs = tuple(LinearMap.from_blocks(spaces[deg - lo], spaces[deg - lo + 1],
+                                        [a.space(deg).dim, b.space(deg).dim],
+                                        [a.space(deg + 1).dim, b.space(deg + 1).dim],
+                                        {(0, 0): a.diff(deg), (1, 1): b.diff(deg)})
+                  for deg in range(lo, hi))
+    return CochainComplex(lo, hi, spaces, diffs)
 
 
 def euler_characteristic(dims: Sequence[int], lo: int) -> int:

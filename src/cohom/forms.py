@@ -294,6 +294,25 @@ def multidegree_complex(spec: TorusSpec, m: tuple) -> CochainComplex:
     return CochainComplex(0, spec.n, spaces, tuple(diffs))
 
 
+# Most multidegree components one window may enumerate: n = 4 with all
+# four variables inverted fits up to W = 4 (4096 components).
+MAX_MULTIDEGREES = 10_000
+
+
+def multidegree_count(spec: TorusSpec) -> int:
+    """(2W)^k (W+1)^(n-k), the number of multidegrees in the window."""
+    W = spec.window
+    return (2 * W) ** spec.k * (W + 1) ** (spec.n - spec.k)
+
+
+def check_window_budget(spec: TorusSpec) -> None:
+    """Refuse a window with more than MAX_MULTIDEGREES components."""
+    count = multidegree_count(spec)
+    if count > MAX_MULTIDEGREES:
+        raise ValueError(f"the window has {count} multidegree components, "
+                         f"over the limit of {MAX_MULTIDEGREES}")
+
+
 def multidegree_window(spec: TorusSpec) -> list[tuple]:
     """Multidegrees whose component complex is untruncated by the window.
 
@@ -302,6 +321,7 @@ def multidegree_window(spec: TorusSpec) -> list[tuple]:
     in-window exponents, so each component equals its untruncated
     counterpart (boundary components are omitted rather than cut).
     """
+    check_window_budget(spec)
     W = spec.window
     ranges = []
     for i in range(1, spec.n + 1):
@@ -388,30 +408,15 @@ def truncated_de_rham_complex(spec: TorusSpec) -> CochainComplex:
 
     Degree-q labels are (m, I) pairs, so vectors translate back to forms.
     """
-    window = multidegree_window(spec)
-    components = [multidegree_complex(spec, m) for m in window]
-    spaces = []
-    for q in range(spec.n + 1):
-        labels = tuple(lab for cx in components for lab in cx.space(q).labels)
-        spaces.append(LabeledSpace(labels))
-    diffs = []
-    for q in range(spec.n):
-        rows = []
-        offsets_src = []
-        total_src = sum(cx.space(q).dim for cx in components)
-        pos = 0
-        for cx in components:
-            offsets_src.append(pos)
-            pos += cx.space(q).dim
-        for ci, cx in enumerate(components):
-            for row in cx.diff(q).matrix:
-                full = [ZERO] * total_src
-                off = offsets_src[ci]
-                for j, x in enumerate(row):
-                    full[off + j] = x
-                rows.append(tuple(full))
-        diffs.append(LinearMap(spaces[q], spaces[q + 1], tuple(rows)))
-    return CochainComplex(0, spec.n, tuple(spaces), tuple(diffs))
+    components = [multidegree_complex(spec, m) for m in multidegree_window(spec)]
+    spaces = tuple(LabeledSpace(tuple(lab for cx in components for lab in cx.space(q).labels))
+                   for q in range(spec.n + 1))
+    diffs = tuple(LinearMap.from_blocks(spaces[q], spaces[q + 1],
+                                        [cx.space(q).dim for cx in components],
+                                        [cx.space(q + 1).dim for cx in components],
+                                        {(i, i): cx.diff(q) for i, cx in enumerate(components)})
+                  for q in range(spec.n))
+    return CochainComplex(0, spec.n, spaces, diffs)
 
 
 # ---------------------------------------------------------------------------

@@ -69,25 +69,9 @@ def random_cochain_complex(rng: random.Random, max_top: int = 4,
 
 def conjugate_complex(rng: random.Random, cx: CochainComplex) -> CochainComplex:
     """Change of basis in every degree; cohomology dims are untouched."""
-    ps = [random_invertible(rng, cx.space(k).dim) for k in cx.degrees()]
-    invs = [invert(p) for p in ps]
-    new_diffs = []
-    for i in range(cx.hi - cx.lo):
-        m = _matmul(_matmul(ps[i + 1].matrix, cx.diffs[i].matrix), invs[i].matrix)
-        new_diffs.append(LinearMap(cx.spaces[i], cx.spaces[i + 1], m))
-    return CochainComplex(cx.lo, cx.hi, cx.spaces, tuple(new_diffs))
-
-
-def _matmul(a, b):
-    if not a:
-        return ()
-    if not b:
-        return tuple(() for _ in a)
-    cols_b = len(b[0])
-    return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(len(b)) if a[i][t] != 0), ZERO)
-              for j in range(cols_b))
-        for i in range(len(a)))
+    ps = [LinearMap(s, s, random_invertible(rng, s.dim).matrix) for s in cx.spaces]
+    new_diffs = tuple(ps[i + 1].compose(d).compose(invert(ps[i])) for i, d in enumerate(cx.diffs))
+    return CochainComplex(cx.lo, cx.hi, cx.spaces, new_diffs)
 
 
 def random_function_sheaf(rng: random.Random, max_opens: int = 5,

@@ -8,6 +8,7 @@ inside a total degree are ordered by ascending first index.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -23,7 +24,7 @@ from .linalg import (
 
 MAX_BOUND = 16
 
-ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 class InvariantViolation(CohomError):
@@ -95,7 +96,7 @@ class DoubleComplex:
 
     def antidiagonal(self, n: int) -> list[tuple[int, int]]:
         """Cells with p + q = n, ascending p."""
-        return [(p, n - p) for p in range(max(0, n - self.Q), min(self.P, n) + 1)]
+        return _antidiagonal(n, self.P, self.Q)
 
     def transpose(self) -> "DoubleComplex":
         cells = tuple(tuple(self.cells[p][q] for p in range(self.P + 1))
@@ -107,62 +108,58 @@ class DoubleComplex:
         return DoubleComplex(self.Q, self.P, cells, horiz, vert)
 
 
-def _assemble_block_matrix(src_dims, dst_dims, blocks):
-    """Block matrix rows from a dict {(i, j): LinearMap (src j -> dst i)}."""
-    src_offsets, n = [], 0
-    for d in src_dims:
-        src_offsets.append(n)
-        n += d
-    dst_offsets, m = [], 0
-    for d in dst_dims:
-        dst_offsets.append(m)
-        m += d
-    rows = [[ZERO] * n for _ in range(m)]
-    for (i, j), bm in blocks.items():
-        r0, c0 = dst_offsets[i], src_offsets[j]
-        for r, row in enumerate(bm.matrix):
-            target = rows[r0 + r]
-            for c, x in enumerate(row):
-                if x != 0:
-                    target[c0 + c] = x
-    return tuple(tuple(r) for r in rows)
+def _antidiagonal(n: int, lo: int, hi: int) -> list[tuple[int, int]]:
+    """Pairs (i, n - i) with 0 <= i <= lo and 0 <= n - i <= hi, ascending i."""
+    return [(i, n - i) for i in range(max(0, n - hi), min(lo, n) + 1)]
+
+
+def _merged_map(domain: LabeledSpace, codomain: LabeledSpace, n: int,
+                bounds: tuple[int, int], dim, first, second) -> LinearMap:
+    """first + (-1)^i second from the antidiagonal n into n + 1.
+
+    dim(i, j) is the dimension of cell (i, j); first(i, j) maps it to
+    (i + 1, j) and second(i, j) to (i, j + 1).
+    """
+    src, dst = _antidiagonal(n, *bounds), _antidiagonal(n + 1, *bounds)
+    dst_index = {cell: k for k, cell in enumerate(dst)}
+    blocks = {}
+    for k, (i, j) in enumerate(src):
+        if i < bounds[0]:
+            blocks[(dst_index[(i + 1, j)], k)] = first(i, j)
+        if j < bounds[1]:
+            m = second(i, j)
+            blocks[(dst_index[(i, j + 1)], k)] = m if i % 2 == 0 else m.scale(-1)
+    return LinearMap.from_blocks(domain, codomain, [dim(*c) for c in src],
+                                 [dim(*c) for c in dst], blocks)
 
 
 def total(k: DoubleComplex) -> CochainComplex:
     """Total complex with differential delta + (-1)^p d on cell (p, q)."""
     k.validate()
     n_max = k.P + k.Q
-    spaces = []
-    cell_lists = []
-    for n in range(n_max + 1):
-        cells = k.antidiagonal(n)
-        cell_lists.append(cells)
-        labels = tuple((p, q, lab) for (p, q) in cells for lab in k.cells[p][q].labels)
-        spaces.append(LabeledSpace(labels))
-    diffs = []
-    for n in range(n_max):
-        src = cell_lists[n]
-        dst = cell_lists[n + 1]
-        dst_index = {cell: i for i, cell in enumerate(dst)}
-        blocks = {}
-        for j, (p, q) in enumerate(src):
-            if p < k.P:
-                blocks[(dst_index[(p + 1, q)], j)] = k.horiz[p][q]
-            if q < k.Q:
-                sign = 1 if p % 2 == 0 else -1
-                vm = k.vert[p][q]
-                blocks[(dst_index[(p, q + 1)], j)] = vm if sign == 1 else vm.scale(-1)
-        mat = _assemble_block_matrix([k.cells[p][q].dim for (p, q) in src],
-                                     [k.cells[p][q].dim for (p, q) in dst], blocks)
-        diffs.append(LinearMap(spaces[n], spaces[n + 1], mat))
-    tot = CochainComplex(0, n_max, tuple(spaces), tuple(diffs))
+    spaces = tuple(LabeledSpace(tuple((p, q, lab) for (p, q) in k.antidiagonal(n)
+                                      for lab in k.cells[p][q].labels))
+                   for n in range(n_max + 1))
+    diffs = tuple(_merged_map(spaces[n], spaces[n + 1], n, (k.P, k.Q),
+                              lambda p, q: k.cells[p][q].dim,
+                              lambda p, q: k.horiz[p][q], lambda p, q: k.vert[p][q])
+                  for n in range(n_max))
+    tot = CochainComplex(0, n_max, spaces, diffs)
     validate_complex(tot)
     return tot
 
 
+def _shift(cell: tuple, axis: int) -> tuple:
+    return tuple(x + 1 if a == axis else x for a, x in enumerate(cell))
+
+
 @dataclass(frozen=True)
 class TripleComplex:
-    """Trigraded grid with three commuting differentials d1, d2, d3."""
+    """Trigraded grid with three commuting differentials d1, d2, d3.
+
+    d1, d2 and d3 map (p, q, r) to the cell one step along the first,
+    second and third axis; absent keys are zero maps.
+    """
 
     P: int
     Q: int
@@ -173,162 +170,103 @@ class TripleComplex:
     d3: dict
 
     def __post_init__(self):
-        for bound in (self.P, self.Q, self.R):
+        for bound in self.bounds:
             if bound < 0:
                 raise ValueError("negative bounds")
             if bound > MAX_BOUND:
                 raise GridTooLarge(f"bound {bound} exceeds {MAX_BOUND}")
+        if len(self.cells) != self.P + 1 or \
+                any(len(col) != self.Q + 1 for col in self.cells) or \
+                any(len(row) != self.R + 1 for col in self.cells for row in col):
+            raise ValueError("cells shape does not match bounds")
+        for axis, maps in enumerate((self.d1, self.d2, self.d3)):
+            for key, m in maps.items():
+                if len(key) != 3 or not self._inside(key) or not self._inside(_shift(key, axis)):
+                    raise ValueError(f"d{axis + 1} key {key} is outside the grid")
+                if m.domain != self.cell(*key) or m.codomain != self.cell(*_shift(key, axis)):
+                    raise ValueError(f"d{axis + 1} map at {key} has wrong spaces")
+
+    @property
+    def bounds(self) -> tuple[int, int, int]:
+        return (self.P, self.Q, self.R)
+
+    def _inside(self, cell: tuple) -> bool:
+        return all(0 <= x <= b for x, b in zip(cell, self.bounds))
 
     def cell(self, p, q, r) -> LabeledSpace:
-        if 0 <= p <= self.P and 0 <= q <= self.Q and 0 <= r <= self.R:
-            return self.cells[p][q][r]
-        return LabeledSpace(())
+        return self.cells[p][q][r] if self._inside((p, q, r)) else LabeledSpace(())
 
-    def map1(self, p, q, r) -> LinearMap:
-        return self.d1.get((p, q, r)) or LinearMap.zero(self.cell(p, q, r), self.cell(p + 1, q, r))
-
-    def map2(self, p, q, r) -> LinearMap:
-        return self.d2.get((p, q, r)) or LinearMap.zero(self.cell(p, q, r), self.cell(p, q + 1, r))
-
-    def map3(self, p, q, r) -> LinearMap:
-        return self.d3.get((p, q, r)) or LinearMap.zero(self.cell(p, q, r), self.cell(p, q, r + 1))
+    def map(self, axis: int, p, q, r) -> LinearMap:
+        """d_{axis+1} out of cell (p, q, r); the zero map where none is stored."""
+        m = (self.d1, self.d2, self.d3)[axis].get((p, q, r))
+        return m or LinearMap.zero(self.cell(p, q, r), self.cell(*_shift((p, q, r), axis)))
 
     def validate(self) -> None:
-        rng = [(p, q, r) for p in range(self.P + 1) for q in range(self.Q + 1)
-               for r in range(self.R + 1)]
-        for (p, q, r) in rng:
-            if p + 2 <= self.P:
-                if not self.map1(p + 1, q, r).compose(self.map1(p, q, r)).is_zero():
-                    raise InvariantViolation((p, q, r), "d1 squares to zero")
-            if q + 2 <= self.Q:
-                if not self.map2(p, q + 1, r).compose(self.map2(p, q, r)).is_zero():
-                    raise InvariantViolation((p, q, r), "d2 squares to zero")
-            if r + 2 <= self.R:
-                if not self.map3(p, q, r + 1).compose(self.map3(p, q, r)).is_zero():
-                    raise InvariantViolation((p, q, r), "d3 squares to zero")
-            if p < self.P and q < self.Q:
-                a = self.map2(p + 1, q, r).compose(self.map1(p, q, r))
-                b = self.map1(p, q + 1, r).compose(self.map2(p, q, r))
-                if a.matrix != b.matrix:
-                    raise InvariantViolation((p, q, r), "d1 and d2 commute")
-            if p < self.P and r < self.R:
-                a = self.map3(p + 1, q, r).compose(self.map1(p, q, r))
-                b = self.map1(p, q, r + 1).compose(self.map3(p, q, r))
-                if a.matrix != b.matrix:
-                    raise InvariantViolation((p, q, r), "d1 and d3 commute")
-            if q < self.Q and r < self.R:
-                a = self.map3(p, q + 1, r).compose(self.map2(p, q, r))
-                b = self.map2(p, q, r + 1).compose(self.map3(p, q, r))
-                if a.matrix != b.matrix:
-                    raise InvariantViolation((p, q, r), "d2 and d3 commute")
+        """Each d_a squares to zero and each pair d_a, d_b commutes, cell by cell."""
+        bounds = self.bounds
+        for cell in itertools.product(*(range(b + 1) for b in bounds)):
+            for a in range(3):
+                if cell[a] + 2 <= bounds[a]:
+                    if not self.map(a, *_shift(cell, a)).compose(self.map(a, *cell)).is_zero():
+                        raise InvariantViolation(cell, f"d{a + 1} squares to zero")
+            for a, b in itertools.combinations(range(3), 2):
+                if cell[a] < bounds[a] and cell[b] < bounds[b]:
+                    x = self.map(b, *_shift(cell, a)).compose(self.map(a, *cell))
+                    y = self.map(a, *_shift(cell, b)).compose(self.map(b, *cell))
+                    if x.matrix != y.matrix:
+                        raise InvariantViolation(cell, f"d{a + 1} and d{b + 1} commute")
 
 
-def _triple_cell_labels(n: TripleComplex, p, q, r):
-    return tuple(((p, q, r), lab) for lab in n.cell(p, q, r).labels)
+def flatten(n: TripleComplex, axis: int) -> DoubleComplex:
+    """Merge two adjacent axes of a triple complex into one.
+
+    axis 0 merges (p, q) into the horizontal degree, with differential
+    d1 + (-1)^p d2, and keeps r vertical with d3.  axis 1 keeps p
+    horizontal with d1 and merges (q, r) into the vertical degree, with
+    differential d2 + (-1)^q d3.  Inside a merged degree the cells are
+    ordered by ascending first merged index; labels are ((p, q, r), label).
+    """
+    n.validate()
+    kept = 2 if axis == 0 else 0
+    pair = n.bounds[axis:axis + 2]
+    M, T = sum(pair), n.bounds[kept]
+
+    def at(i, j, t):  # (p, q, r) of merged pair (i, j) at kept index t
+        return (i, j, t) if axis == 0 else (t, i, j)
+
+    def space(m, t):
+        return LabeledSpace(tuple((at(i, j, t), lab) for (i, j) in _antidiagonal(m, *pair)
+                                  for lab in n.cell(*at(i, j, t)).labels))
+
+    cells = tuple(tuple(space(m, t) for t in range(T + 1)) for m in range(M + 1))
+
+    def kept_map(m, t):  # block-diagonal d on the kept axis
+        src = _antidiagonal(m, *pair)
+        return LinearMap.from_blocks(
+            cells[m][t], cells[m][t + 1], [n.cell(*at(i, j, t)).dim for (i, j) in src],
+            [n.cell(*at(i, j, t + 1)).dim for (i, j) in src],
+            {(k, k): n.map(kept, *at(i, j, t)) for k, (i, j) in enumerate(src)})
+
+    merged = tuple(tuple(_merged_map(cells[m][t], cells[m + 1][t], m, pair,
+                                     lambda i, j: n.cell(*at(i, j, t)).dim,
+                                     lambda i, j: n.map(axis, *at(i, j, t)),
+                                     lambda i, j: n.map(axis + 1, *at(i, j, t)))
+                         for t in range(T + 1)) for m in range(M))
+    vert = tuple(tuple(kept_map(m, t) for t in range(T)) for m in range(M + 1))
+    dc = DoubleComplex(M, T, cells, merged, vert)
+    dc = dc if axis == 0 else dc.transpose()
+    dc.validate()
+    return dc
 
 
 def flatten_fix_r(n: TripleComplex) -> DoubleComplex:
-    """Group p+q = k on the horizontal axis, keep r vertical.
-
-    Horizontal differential d1 + (-1)^p d2, vertical differential d3.
-    """
-    n.validate()
-    P2, Q2 = n.P + n.Q, n.R
-    groups = {}
-    for k in range(P2 + 1):
-        groups[k] = [(p, k - p) for p in range(max(0, k - n.Q), min(n.P, k) + 1)]
-
-    def cell_space(k, r):
-        labels = tuple(lab for (p, q) in groups[k]
-                       for lab in _triple_cell_labels(n, p, q, r))
-        return LabeledSpace(labels)
-
-    cells = tuple(tuple(cell_space(k, r) for r in range(Q2 + 1)) for k in range(P2 + 1))
-
-    horiz = []
-    for k in range(P2):
-        col = []
-        for r in range(Q2 + 1):
-            src, dst = groups[k], groups[k + 1]
-            dst_index = {c: i for i, c in enumerate(dst)}
-            blocks = {}
-            for j, (p, q) in enumerate(src):
-                if p < n.P:
-                    blocks[(dst_index[(p + 1, q)], j)] = n.map1(p, q, r)
-                if q < n.Q:
-                    m = n.map2(p, q, r)
-                    blocks[(dst_index[(p, q + 1)], j)] = m if p % 2 == 0 else m.scale(-1)
-            mat = _assemble_block_matrix([n.cell(p, q, r).dim for (p, q) in src],
-                                         [n.cell(p, q, r).dim for (p, q) in dst], blocks)
-            col.append(LinearMap(cells[k][r], cells[k + 1][r], mat))
-        horiz.append(tuple(col))
-
-    vert = []
-    for k in range(P2 + 1):
-        col = []
-        for r in range(Q2):
-            src = groups[k]
-            blocks = {(i, i): n.map3(p, q, r) for i, (p, q) in enumerate(src)}
-            mat = _assemble_block_matrix([n.cell(p, q, r).dim for (p, q) in src],
-                                         [n.cell(p, q, r + 1).dim for (p, q) in src], blocks)
-            col.append(LinearMap(cells[k][r], cells[k][r + 1], mat))
-        vert.append(tuple(col))
-
-    dc = DoubleComplex(P2, Q2, cells, tuple(horiz), tuple(vert))
-    dc.validate()
-    return dc
+    """Group p+q = k on the horizontal axis, keep r vertical."""
+    return flatten(n, 0)
 
 
 def flatten_fix_p(n: TripleComplex) -> DoubleComplex:
-    """Keep p horizontal, group q+r = l on the vertical axis.
-
-    Horizontal differential d1, vertical differential d2 + (-1)^q d3.
-    """
-    n.validate()
-    P2, Q2 = n.P, n.Q + n.R
-    groups = {}
-    for l in range(Q2 + 1):
-        groups[l] = [(q, l - q) for q in range(max(0, l - n.R), min(n.Q, l) + 1)]
-
-    def cell_space(p, l):
-        labels = tuple(lab for (q, r) in groups[l]
-                       for lab in _triple_cell_labels(n, p, q, r))
-        return LabeledSpace(labels)
-
-    cells = tuple(tuple(cell_space(p, l) for l in range(Q2 + 1)) for p in range(P2 + 1))
-
-    horiz = []
-    for p in range(P2):
-        col = []
-        for l in range(Q2 + 1):
-            src = groups[l]
-            blocks = {(i, i): n.map1(p, q, r) for i, (q, r) in enumerate(src)}
-            mat = _assemble_block_matrix([n.cell(p, q, r).dim for (q, r) in src],
-                                         [n.cell(p + 1, q, r).dim for (q, r) in src], blocks)
-            col.append(LinearMap(cells[p][l], cells[p + 1][l], mat))
-        horiz.append(tuple(col))
-
-    vert = []
-    for p in range(P2 + 1):
-        col = []
-        for l in range(Q2):
-            src, dst = groups[l], groups[l + 1]
-            dst_index = {c: i for i, c in enumerate(dst)}
-            blocks = {}
-            for j, (q, r) in enumerate(src):
-                if q < n.Q:
-                    blocks[(dst_index[(q + 1, r)], j)] = n.map2(p, q, r)
-                if r < n.R:
-                    m = n.map3(p, q, r)
-                    blocks[(dst_index[(q, r + 1)], j)] = m if q % 2 == 0 else m.scale(-1)
-            mat = _assemble_block_matrix([n.cell(p, q, r).dim for (q, r) in src],
-                                         [n.cell(p, q, r).dim for (q, r) in dst], blocks)
-            col.append(LinearMap(cells[p][l], cells[p][l + 1], mat))
-        vert.append(tuple(col))
-
-    dc = DoubleComplex(P2, Q2, cells, tuple(horiz), tuple(vert))
-    dc.validate()
-    return dc
+    """Keep p horizontal, group q+r = l on the vertical axis."""
+    return flatten(n, 1)
 
 
 @dataclass(frozen=True)
@@ -408,74 +346,47 @@ def double_complex_from_json(data: dict) -> DoubleComplex:
     return DoubleComplex(P, Q, cells, horiz, vert)
 
 
+def _kron(domain: LabeledSpace, codomain: LabeledSpace, *factors: LinearMap) -> LinearMap:
+    """Kronecker product of the factor matrices, first factor outermost."""
+    rows = [(ONE,)]
+    for m in factors:
+        rows = [tuple(x * y for x in a for y in b) for a in rows for b in m.matrix]
+    return LinearMap(domain, codomain, tuple(rows))
+
+
+def _tensor_grid(factors: tuple[CochainComplex, ...]):
+    """Cells A^p (x) B^q (x) ... and, per axis, the map d of that factor
+    tensored with identities, keyed by the source cell."""
+    for f in factors:
+        if f.lo != 0:
+            raise ValueError("tensor factors must start in degree 0")
+    bounds = tuple(f.hi for f in factors)
+    cells = {}
+    for cell in itertools.product(*(range(b + 1) for b in bounds)):
+        spaces = [f.space(x).labels for f, x in zip(factors, cell)]
+        cells[cell] = LabeledSpace(tuple(itertools.product(*spaces)))
+    maps = []
+    for axis, f in enumerate(factors):
+        maps.append({cell: _kron(space, cells[_shift(cell, axis)],
+                                 *(f.diff(x) if a == axis else LinearMap.identity(g.space(x))
+                                   for a, (g, x) in enumerate(zip(factors, cell))))
+                     for cell, space in cells.items() if cell[axis] < bounds[axis]})
+    return bounds, cells, maps
+
+
 def tensor_double_complex(a: CochainComplex, b: CochainComplex) -> DoubleComplex:
     """K^{p,q} = A^p (x) B^q with commuting differentials dA(x)1 and 1(x)dB."""
-    if a.lo != 0 or b.lo != 0:
-        raise ValueError("tensor factors must start in degree 0")
-    P, Q = a.hi, b.hi
-
-    def tensor_space(p, q):
-        labels = tuple((la, lb) for la in a.space(p).labels for lb in b.space(q).labels)
-        return LabeledSpace(labels)
-
-    cells = tuple(tuple(tensor_space(p, q) for q in range(Q + 1)) for p in range(P + 1))
-
-    def kron(m1: LinearMap, m2: LinearMap, dom, cod) -> LinearMap:
-        rows = []
-        for r1 in m1.matrix:
-            for r2 in m2.matrix:
-                rows.append(tuple(x * y for x in r1 for y in r2))
-        return LinearMap(dom, cod, tuple(rows))
-
-    horiz = tuple(tuple(kron(a.diff(p), LinearMap.identity(b.space(q)),
-                             cells[p][q], cells[p + 1][q])
-                        for q in range(Q + 1)) for p in range(P))
-    vert = tuple(tuple(kron(LinearMap.identity(a.space(p)), b.diff(q),
-                            cells[p][q], cells[p][q + 1])
-                       for q in range(Q)) for p in range(P + 1))
-    return DoubleComplex(P, Q, cells, horiz, vert)
+    (P, Q), cells, (d1, d2) = _tensor_grid((a, b))
+    return DoubleComplex(
+        P, Q, tuple(tuple(cells[(p, q)] for q in range(Q + 1)) for p in range(P + 1)),
+        tuple(tuple(d1[(p, q)] for q in range(Q + 1)) for p in range(P)),
+        tuple(tuple(d2[(p, q)] for q in range(Q)) for p in range(P + 1)))
 
 
 def tensor_triple_complex(a: CochainComplex, b: CochainComplex,
                           c: CochainComplex) -> TripleComplex:
     """N^{p,q,r} = A^p (x) B^q (x) C^r with the three factor differentials."""
-    for f in (a, b, c):
-        if f.lo != 0:
-            raise ValueError("tensor factors must start in degree 0")
-    P, Q, R = a.hi, b.hi, c.hi
-
-    def space(p, q, r):
-        labels = tuple((la, lb, lc)
-                       for la in a.space(p).labels
-                       for lb in b.space(q).labels
-                       for lc in c.space(r).labels)
-        return LabeledSpace(labels)
-
-    cells = tuple(tuple(tuple(space(p, q, r) for r in range(R + 1))
-                        for q in range(Q + 1)) for p in range(P + 1))
-
-    def kron3(m1, m2, m3, dom, cod):
-        rows = []
-        for r1 in m1.matrix:
-            for r2 in m2.matrix:
-                for r3 in m3.matrix:
-                    rows.append(tuple(x * y * z for x in r1 for y in r2 for z in r3))
-        return LinearMap(dom, cod, tuple(rows))
-
-    d1, d2, d3 = {}, {}, {}
-    for p in range(P + 1):
-        for q in range(Q + 1):
-            for r in range(R + 1):
-                ia = LinearMap.identity(a.space(p))
-                ib = LinearMap.identity(b.space(q))
-                ic = LinearMap.identity(c.space(r))
-                if p < P:
-                    d1[(p, q, r)] = kron3(a.diff(p), ib, ic,
-                                          cells[p][q][r], cells[p + 1][q][r])
-                if q < Q:
-                    d2[(p, q, r)] = kron3(ia, b.diff(q), ic,
-                                          cells[p][q][r], cells[p][q + 1][r])
-                if r < R:
-                    d3[(p, q, r)] = kron3(ia, ib, c.diff(r),
-                                          cells[p][q][r], cells[p][q][r + 1])
-    return TripleComplex(P, Q, R, cells, d1, d2, d3)
+    (P, Q, R), cells, (d1, d2, d3) = _tensor_grid((a, b, c))
+    return TripleComplex(P, Q, R, tuple(tuple(tuple(cells[(p, q, r)] for r in range(R + 1))
+                                              for q in range(Q + 1)) for p in range(P + 1)),
+                         d1, d2, d3)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 from typing import Optional, Sequence
 
@@ -160,6 +161,27 @@ class LinearMap:
             raise ValueError("need one column per domain basis vector")
         rows = tuple(tuple(col[i] for col in columns) for i in range(codomain.dim))
         return LinearMap(domain, codomain, rows)
+
+    @staticmethod
+    def from_blocks(domain: LabeledSpace, codomain: LabeledSpace,
+                    src_dims: Sequence[int], dst_dims: Sequence[int],
+                    blocks: dict) -> "LinearMap":
+        """Block map from {(i, j): LinearMap from source block j to target block i}.
+
+        The domain is the direct sum of blocks of dims src_dims, the
+        codomain that of dst_dims, both in order; absent blocks are zero.
+        """
+        src_offsets = list(accumulate(src_dims, initial=0))
+        dst_offsets = list(accumulate(dst_dims, initial=0))
+        rows = [[ZERO] * domain.dim for _ in range(codomain.dim)]
+        for (i, j), block in blocks.items():
+            r0, c0 = dst_offsets[i], src_offsets[j]
+            for r, row in enumerate(block.matrix):
+                target = rows[r0 + r]
+                for c, x in enumerate(row):
+                    if x != 0:
+                        target[c0 + c] = x
+        return LinearMap(domain, codomain, tuple(tuple(r) for r in rows))
 
     @property
     def columns(self) -> list[Vector]:

@@ -25,13 +25,6 @@ class ParameterOutOfRange(CohomError):
     pass
 
 
-@dataclass(frozen=True)
-class Preset:
-    name: str
-    params: tuple
-    weights: tuple  # (generator name, weight) pairs; structure maps are homogeneous
-
-
 def build_circle():
     """Three arcs covering a circle: pairwise overlaps, no triple overlap."""
     faces = frozenset({(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)})
@@ -46,22 +39,10 @@ def build_circle():
     return nerve, SheafOnCover(nerve, line, restrictions)
 
 
-CIRCLE_PRESET = Preset("circle", (), ())
-
-
 def build_torus(k: int, n: int) -> TorusSpec:
     if not 0 <= k <= n <= 3:
         raise ParameterOutOfRange("torus presets need 0 <= k <= n <= 3")
     return TorusSpec(n, k, 4)
-
-
-def torus_preset(k: int, n: int) -> Preset:
-    weights = tuple((f"z{i}", tuple(1 if j == i - 1 else 0 for j in range(n)))
-                    for i in range(1, n + 1))
-    return Preset(f"torus({k},{n})", (k, n), weights)
-
-
-P1_PRESET = Preset("p1", (), (("z", 1), ("dz", 1), ("w", -1), ("dw", -1)))
 
 
 def _mono_space(face, kind: str, exponents) -> LabeledSpace:

@@ -17,9 +17,12 @@ at p whose pair distance is >= r; representatives are V_j for essentials
 and sources and R_j for the target of source j.  d_r sends each source
 to its target when their distance is exactly r and is zero otherwise.
 
-Second-filtration pages are computed on the transposed grid: entry
-(p, q) of a second page refers to cell (q, p) of the input complex, so
-that d_r always has bidegree (r, 1-r) in page coordinates.
+The row filtration is read from the same total complex, with q in place
+of p as the filtration degree: x -> (-1)^{pq} x carries Tot(K) filtered
+by q onto Tot(K^T) filtered by its first index, so both give the same
+pages.  Entry (p, q) of a second page refers to cell (q, p) of the input
+complex, so that d_r always has bidegree (r, 1-r) in page coordinates,
+and its representatives lie in Tot(K) itself.
 """
 
 from __future__ import annotations
@@ -90,14 +93,17 @@ def _dense(v: dict, dim: int) -> tuple:
     return tuple(v.get(i, ZERO) for i in range(dim))
 
 
-def _pairs(tot: CochainComplex, n_max: int) -> tuple[list, list]:
+def _pairs(tot: CochainComplex, axis: int) -> tuple[list, list]:
     """Filtration level of every total basis index, and its pairing.
 
-    Returns (level, gens): level[n][i] is the p of index i of Tot^n, and
-    gens[n][i] = (distance, representative, target) with distance None
-    for essentials and target the paired index of Tot^{n+1} for sources.
+    The level of a basis index is position `axis` of its (p, q, label)
+    label: 0 filters by columns, 1 by rows.  Returns (level, gens):
+    level[n][i] is the level of index i of Tot^n, and gens[n][i] =
+    (distance, representative, target) with distance None for
+    essentials and target the paired index of Tot^{n+1} for sources.
     """
-    level = [[lab[0] for lab in tot.space(n).labels] for n in range(n_max + 1)]
+    n_max = tot.hi
+    level = [[lab[axis] for lab in tot.space(n).labels] for n in range(n_max + 1)]
     gens: list[dict] = [{} for _ in range(n_max + 1)]
     for n in range(n_max + 1):
         p_of, p_row = level[n], level[n + 1] if n < n_max else []
@@ -130,39 +136,42 @@ def _pairs(tot: CochainComplex, n_max: int) -> tuple[list, list]:
     return level, gens
 
 
-def _compute_pages(dc: DoubleComplex, r_max: int,
-                   tot: Optional[CochainComplex] = None) -> list[SpectralPage]:
-    """Pages E_1..E_r_max of the column filtration; tot is total(dc) if given."""
-    tot = total(dc) if tot is None else tot
-    level, gens = _pairs(tot, dc.P + dc.Q)
+def _compute_pages(k: DoubleComplex, tot: CochainComplex, r_max: int,
+                   axis: int) -> list[SpectralPage]:
+    """Pages E_1..E_r_max of total(k) = tot filtered by label position axis.
+
+    Page entry (a, b) sits at filtration level a in total degree a + b.
+    """
+    level, gens = _pairs(tot, axis)
+    A, B = (k.P, k.Q) if axis == 0 else (k.Q, k.P)
     pages: list[SpectralPage] = []
     for r in range(1, r_max + 1):
         entries, alive = {}, {}
-        for p in range(dc.P + 1):
-            for q in range(dc.Q + 1):
-                n = p + q
+        for a in range(A + 1):
+            for b in range(B + 1):
+                n = a + b
                 idx = [i for i, (dist, _, _) in sorted(gens[n].items())
-                       if level[n][i] == p and (dist is None or dist >= r)]
+                       if level[n][i] == a and (dist is None or dist >= r)]
                 amb = tot.space(n)
-                dom = LabeledSpace(tuple(("E", r, p, q, k) for k in range(len(idx))))
+                dom = LabeledSpace(tuple(("E", r, a, b, j) for j in range(len(idx))))
                 reps = LinearMap.from_columns(dom, amb, [gens[n][i][1] for i in idx])
-                entries[(p, q)] = PageEntry(len(idx), Subspace(amb, reps))
-                alive[(p, q)] = idx
+                entries[(a, b)] = PageEntry(len(idx), Subspace(amb, reps))
+                alive[(a, b)] = idx
         diffs = {}
-        for (p, q), idx in alive.items():
-            cell = (p + r, q - r + 1)
+        for (a, b), idx in alive.items():
+            cell = (a + r, b - r + 1)
             if cell not in alive:
                 continue
-            pos = {i: k for k, i in enumerate(alive[cell])}
+            pos = {i: j for j, i in enumerate(alive[cell])}
             cols = []
             for i in idx:
-                dist, _, target = gens[p + q][i]
+                dist, _, target = gens[a + b][i]
                 col = [ZERO] * len(pos)
                 if target is not None and dist == r:
                     col[pos[target]] = ONE
                 cols.append(tuple(col))
-            diffs[(p, q)] = LinearMap.from_columns(
-                entries[(p, q)].representatives.basis.domain,
+            diffs[(a, b)] = LinearMap.from_columns(
+                entries[(a, b)].representatives.basis.domain,
                 entries[cell].representatives.basis.domain, cols)
         page = SpectralPage(r, entries, diffs)
         _check_page(page, pages[-1] if pages else None)
@@ -193,18 +202,18 @@ def first_pages(k: DoubleComplex, r_max: int) -> list[SpectralPage]:
     """Pages E_1..E_r_max of the column filtration (E_1 = vertical cohomology)."""
     if not 1 <= r_max <= k.P + k.Q + 2:
         raise ValueError("r_max out of range")
-    return _compute_pages(k, r_max)
+    return _compute_pages(k, total(k), r_max, 0)
 
 
 def second_pages(k: DoubleComplex, r_max: int) -> list[SpectralPage]:
     """Pages of the row filtration (E_1 = horizontal cohomology).
 
-    Computed on the transposed grid: page entry (p, q) refers to cell
-    (q, p) of the input double complex.
+    Page entry (p, q) is cell (q, p) of the input double complex; the
+    representatives lie in total(k).
     """
     if not 1 <= r_max <= k.P + k.Q + 2:
         raise ValueError("r_max out of range")
-    return _compute_pages(k.transpose(), r_max)
+    return _compute_pages(k, total(k), r_max, 1)
 
 
 def _einf_sums(pages: list[SpectralPage], P: int, Q: int) -> dict:
@@ -233,8 +242,8 @@ def _analyse(k: DoubleComplex, tot: CochainComplex, total_dims: tuple):
     independent of the page reduction, so the certificate cross-checks two.
     """
     r_inf = max(k.P, k.Q) + 2
-    first = _compute_pages(k, r_inf, tot)
-    second = _compute_pages(k.transpose(), r_inf)
+    first = _compute_pages(k, tot, r_inf, 0)
+    second = _compute_pages(k, tot, r_inf, 1)
     first_sums = _einf_sums(first, k.P, k.Q)
     second_sums = _einf_sums(second, k.Q, k.P)
     for deg, h in enumerate(total_dims):

@@ -188,3 +188,21 @@ def test_hyper_subcommand(tmp_path, capsys):
     assert code == 0
     report = json.loads(jout)
     assert report["total_dims"] == [0, 0]
+
+
+def test_derham_refuses_oversized_window_before_any_work(capsys, monkeypatch):
+    import cohom.cli as cli
+    from cohom.forms import MAX_MULTIDEGREES, TorusSpec, check_window_budget, multidegree_count
+
+    def no_work(spec):
+        raise AssertionError("the de Rham computation started")
+
+    monkeypatch.setattr(cli, "derham_cohomology", no_work)
+    code, out, err = run(capsys, "derham", "--n", "9", "--invert", "9", "--format", "json")
+    assert code == 1 and out == ""
+    assert str(multidegree_count(TorusSpec(9, 9, 4))) in err
+    assert str(MAX_MULTIDEGREES) in err
+    # the n = 4 models at W = 3 and at the default W = 4 stay within the budget
+    assert multidegree_count(TorusSpec(4, 4, 3)) == 1296
+    assert multidegree_count(TorusSpec(4, 4, 4)) == 4096
+    check_window_budget(TorusSpec(4, 4, 4))

@@ -3,9 +3,14 @@
 tests/golden/cases.json maps a case name to its argv; arguments ending in
 .json are input files inside tests/golden.  The expected stdout of
 `<argv> --format json` is tests/golden/<name>.out.json.
+
+The assembly corpus below freezes the block-built objects themselves
+(flattenings, totals, direct sums, the truncated de Rham complex and the
+Cech coboundary) in tests/golden/assembly_<name>.out.json.
 """
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -23,3 +28,78 @@ def test_golden_cli_output(name, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{name}.out.json").read_text()
+
+
+# ---------------------------------------------------------------------------
+# Assembly corpus: the block-built objects (totals, flattenings, direct sums,
+# the truncated de Rham complex, the Cech coboundary) as JSON, frozen in
+# tests/golden/assembly_<name>.out.json.
+
+
+def _labels(spaces):
+    return [[repr(lab) for lab in s.labels] for s in spaces]
+
+
+def _complex_case(cx):
+    from cohom.complexes import complex_to_json
+
+    return {"complex": complex_to_json(cx), "labels": _labels(cx.spaces)}
+
+
+def _double_case(dc):
+    from cohom.grid import double_complex_to_json
+
+    return {"double": double_complex_to_json(dc),
+            "labels": [_labels(col) for col in dc.cells]}
+
+
+def _seeded_triple(seed):
+    from cohom.generators import random_cochain_complex, random_tensor_triple_complex
+    from cohom.grid import tensor_triple_complex
+
+    rng = random.Random(seed)
+    if seed != 1380:
+        return random_tensor_triple_complex(rng)
+    # seed 1380 draws factors of dims (2, 2, 1), (1, 1, 1), (1, 1): bounds 2, 2, 1
+    a, _ = random_cochain_complex(rng, max_top=2, max_dim=2)
+    b, _ = random_cochain_complex(rng, max_top=2, max_dim=1)
+    c, _ = random_cochain_complex(rng, max_top=1, max_dim=1)
+    return tensor_triple_complex(a, b, c)
+
+
+def _assembly_case(name):
+    from cohom.cech import cech_complex, cover_from_json
+    from cohom.complexes import direct_sum
+    from cohom.forms import TorusSpec, truncated_de_rham_complex
+    from cohom.generators import random_cochain_complex
+    from cohom.grid import double_complex_from_json, flatten_fix_p, flatten_fix_r, total
+
+    if name.startswith("flatten_fix_"):
+        fn = flatten_fix_r if name.startswith("flatten_fix_r") else flatten_fix_p
+        return _double_case(fn(_seeded_triple(int(name.rpartition("seed")[2]))))
+    if name == "total_tensor_seed12":
+        data = json.loads((GOLDEN / "tensor_seed12.dc.json").read_text())
+        return _complex_case(total(double_complex_from_json(data)))
+    if name == "derham_torus_2_1_2":
+        return _complex_case(truncated_de_rham_complex(TorusSpec(2, 1, 2)))
+    if name == "direct_sum_seed4_seed5":
+        a, _ = random_cochain_complex(random.Random(4))
+        b, _ = random_cochain_complex(random.Random(5))
+        return _complex_case(direct_sum(a, b))
+    if name == "cech_cover_seed3":
+        data = json.loads((GOLDEN / "cover_seed3.json").read_text())
+        return _complex_case(cech_complex(*cover_from_json(data)))
+    raise KeyError(name)
+
+
+ASSEMBLY_CASES = [f"flatten_fix_{axis}_seed{seed}" for axis in "rp" for seed in (1, 2, 1380)] + [
+    "total_tensor_seed12", "derham_torus_2_1_2", "direct_sum_seed4_seed5", "cech_cover_seed3"]
+
+
+def assembly_output(name) -> str:
+    return json.dumps(_assembly_case(name), sort_keys=True, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("name", ASSEMBLY_CASES)
+def test_golden_assembly(name):
+    assert assembly_output(name) == (GOLDEN / f"assembly_{name}.out.json").read_text()

@@ -166,3 +166,48 @@ def test_broken_commutation_raises_not_silent_false():
     tc = TripleComplex(1, 1, 1, cells, d1, d2, d3)
     with pytest.raises(InvariantViolation):
         totals_agree(tc)
+
+
+def _unit_triple():
+    """1x0x0 triple complex with one-dimensional cells and d1 = 1."""
+    from cohom.grid import TripleComplex
+
+    s0, s1 = LabeledSpace.make("a", 1), LabeledSpace.make("b", 1)
+    cells = (((s0,),), ((s1,),))
+    return cells, {(0, 0, 0): LinearMap(s0, s1, ((F(1),),))}
+
+
+def _bad_codomain():
+    cells, d1 = _unit_triple()
+    d1[(0, 0, 0)] = LinearMap(cells[0][0][0], LabeledSpace.make("c", 2), ((F(1),), (F(0),)))
+    return cells, d1
+
+
+def _key_outside_grid():
+    cells, d1 = _unit_triple()
+    s = cells[0][0][0]
+    d1[(7, 0, 0)] = LinearMap(s, s, ((F(1),),))
+    return cells, d1
+
+
+def _cells_wrong_shape():
+    cells, d1 = _unit_triple()
+    return (cells[0] + cells[0], cells[1]), d1
+
+
+@pytest.mark.parametrize("build", [_bad_codomain, _key_outside_grid, _cells_wrong_shape],
+                         ids=["d1_codomain", "d1_key_outside", "cells_shape"])
+def test_triple_complex_rejects_malformed_shapes(build):
+    from cohom.grid import TripleComplex
+
+    cells, d1 = build()
+    with pytest.raises(ValueError):
+        TripleComplex(1, 0, 0, cells, d1, {}, {})
+
+
+def test_unit_triple_is_accepted():
+    from cohom.grid import TripleComplex
+
+    cells, d1 = _unit_triple()
+    tc = TripleComplex(1, 0, 0, cells, d1, {}, {})
+    assert total(flatten_fix_r(tc)).dims() == (1, 1)

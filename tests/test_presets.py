@@ -3,14 +3,11 @@ import pytest
 from cohom.cech import cech_cohomology, cech_hyper
 from cohom.forms import derham_cohomology
 from cohom.presets import (
-    CIRCLE_PRESET,
-    P1_PRESET,
     ParameterOutOfRange,
     build_circle,
     build_p1,
     build_torus,
     p1_report,
-    torus_preset,
     torus_report,
     trivial_cover_hyper,
 )
@@ -50,18 +47,9 @@ def test_torus_derham_agrees_with_trivial_cover_hyper():
         assert tr.derham_dims == tr.hyper_dims
 
 
-def test_preset_metadata():
-    assert CIRCLE_PRESET.name == "circle" and CIRCLE_PRESET.weights == ()
-    weights = dict(P1_PRESET.weights)
-    assert weights == {"z": 1, "dz": 1, "w": -1, "dw": -1}
-    tp = torus_preset(2, 3)
-    assert tp.params == (2, 3)
-    assert dict(tp.weights)["z2"] == (0, 1, 0)
-
-
 def _label_weight(lab):
-    """Weight of a monomial label under the declared generator weights."""
-    wt = dict(P1_PRESET.weights)
+    """Weight of a monomial label under wt(z) = wt(dz) = 1, wt(w) = wt(dw) = -1."""
+    wt = {"z": 1, "dz": 1, "w": -1, "dw": -1}
     _, kind, j = lab
     if kind == "z":
         return j * wt["z"]

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from cohom.complexes import CochainComplex, cohomology
 from cohom.generators import (
     nonzero_d2_double_complex,
@@ -326,3 +328,28 @@ def test_mapping_cone_of_identity_is_acyclic():
         cert = certify_convergence(dc)
         if any(h for h in hc):
             assert cert.first_degeneration == 2
+
+
+@pytest.mark.parametrize("axis", [0, 1], ids=["first", "second"])
+def test_page_representatives_lie_in_the_total_at_their_level(axis):
+    """E_r^{a,b} representatives are vectors of total(dc) in F^a with D v in F^{a+r}.
+
+    The filtration degree of a total basis vector is label position 0
+    (p) for the first filtration and 1 (q) for the second.
+    """
+    rng = random.Random(26)
+    grids = [nonzero_d2_double_complex()]
+    grids += [random_tensor_double_complex(rng, max_bound=3)[0] for _ in range(5)]
+    pages_fn = first_pages if axis == 0 else second_pages
+    for dc in grids:
+        tot = total(dc)
+        for page in pages_fn(dc, max(dc.P, dc.Q) + 2):
+            for (a, b), entry in page.entries.items():
+                n = a + b
+                assert entry.representatives.ambient == tot.space(n)
+                for v in entry.representatives.vectors:
+                    assert all(lab[axis] >= a
+                               for lab, x in zip(tot.space(n).labels, v) if x)
+                    dv = tot.diff(n).apply(v)
+                    assert all(lab[axis] >= a + page.r
+                               for lab, x in zip(tot.space(n + 1).labels, dv) if x)
