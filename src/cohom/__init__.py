@@ -22,7 +22,8 @@ from .linalg import (
     solve,
     subquotient,
 )
-from .complexes import CochainComplex, CohomologyReport, NotAComplex, cohomology, direct_sum, validate
+from .complexes import (CochainComplex, CohomologyReport, NotAComplex, cohomology,
+                        cohomology_dims, direct_sum, validate)
 from .grid import (
     DoubleComplex,
     GridTooLarge,

@@ -17,18 +17,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .complexes import CochainComplex, CohomologyReport, cohomology, validate
+from .complexes import CochainComplex, CohomologyReport, cohomology, cohomology_dims, validate
 from .grid import DoubleComplex, total
 from .linalg import (
     CohomError,
     LabeledSpace,
     LinearMap,
+    ZERO,
     matrix_from_json_shaped,
     matrix_to_json,
 )
 from .spectral import ConvergenceCertificate, _analyse
-
-ZERO = Fraction(0)
 
 
 class MissingFaceSpace(CohomError):
@@ -161,6 +160,13 @@ def cech_complex(nerve: CoverNerve, sheaf: SheafOnCover) -> CochainComplex:
     if sheaf.nerve != nerve:
         raise ValueError("sheaf data belongs to a different nerve")
     sheaf.validate()
+    cx = _cech_complex(nerve, sheaf)
+    validate(cx)
+    return cx
+
+
+def _cech_complex(nerve: CoverNerve, sheaf: SheafOnCover) -> CochainComplex:
+    """The Cech complex of sheaf data already checked by sheaf.validate()."""
     top = nerve.max_dim
     spaces = tuple(cech_space(nerve, sheaf, p) for p in range(top + 1))
     diffs = []
@@ -179,9 +185,7 @@ def cech_complex(nerve: CoverNerve, sheaf: SheafOnCover) -> CochainComplex:
         diffs.append(LinearMap.from_blocks(spaces[p], spaces[p + 1],
                                            [sheaf.space(f).dim for f in src_faces],
                                            [sheaf.space(f).dim for f in dst_faces], blocks))
-    cx = CochainComplex(0, top, spaces, tuple(diffs))
-    validate(cx)
-    return cx
+    return CochainComplex(0, top, spaces, tuple(diffs))
 
 
 def cech_cohomology(nerve: CoverNerve, sheaf: SheafOnCover) -> CohomologyReport:
@@ -235,7 +239,7 @@ def function_sheaf(points: Sequence) -> SheafOnCover:
 class HyperResult:
     double: DoubleComplex
     total: CochainComplex
-    report: CohomologyReport
+    dims: tuple  # dim H^n of the total complex, n = 0..P+Q
     first: list
     second: list
     certificate: ConvergenceCertificate
@@ -245,7 +249,9 @@ def cech_sheaf_double_complex(nerve: CoverNerve, sheaves: Sequence[SheafOnCover]
                               level_maps: Sequence[dict]) -> DoubleComplex:
     """K^{p,q} = Cech^p of level q; horizontal delta, vertical level maps.
 
-    level_maps[q][face] maps F_q(face) -> F_{q+1}(face).
+    level_maps[q][face] maps F_q(face) -> F_{q+1}(face).  Each level's
+    sheaf data is checked once; the squares of the Cech coboundaries are
+    checked with the rest of the grid by DoubleComplex.validate().
     """
     levels = len(sheaves)
     if len(level_maps) != max(levels - 1, 0):
@@ -279,12 +285,11 @@ def cech_sheaf_double_complex(nerve: CoverNerve, sheaves: Sequence[SheafOnCover]
 
     P = nerve.max_dim
     Q = levels - 1
-    cech_complexes = [cech_complex(nerve, s) for s in sheaves]
+    cech_complexes = [_cech_complex(nerve, s) for s in sheaves]
     cells = tuple(tuple(cech_complexes[q].space(p) for q in range(Q + 1))
                   for p in range(P + 1))
-    horiz = tuple(tuple(LinearMap(cells[p][q], cells[p + 1][q],
-                                  cech_complexes[q].diff(p).matrix)
-                        for q in range(Q + 1)) for p in range(P))
+    horiz = tuple(tuple(cech_complexes[q].diff(p) for q in range(Q + 1))
+                  for p in range(P))
     vert = []
     for p in range(P + 1):
         col = []
@@ -305,15 +310,16 @@ def cech_hyper(nerve: CoverNerve, sheaves: Sequence[SheafOnCover],
                level_maps: Sequence[dict]) -> HyperResult:
     """Cech hypercohomology of a complex of sheaves on a cover.
 
-    Returns the total cohomology of the Cech-sheaf double complex along
-    with both spectral sequences run out to the stable page and their
-    convergence certificate, all from one total complex.
+    Returns the total cohomology dims of the Cech-sheaf double complex
+    (by rank alone) along with both spectral sequences run out to the
+    stable page and their convergence certificate, all from one total
+    complex.
     """
     dc = cech_sheaf_double_complex(nerve, sheaves, level_maps)
     tot = total(dc)
-    report = cohomology(tot)
-    first, second, cert = _analyse(dc, tot, report.dims)
-    return HyperResult(dc, tot, report, first, second, cert)
+    dims = cohomology_dims(tot)
+    first, second, cert = _analyse(dc, tot, dims)
+    return HyperResult(dc, tot, dims, first, second, cert)
 
 
 # ---------------------------------------------------------------------------

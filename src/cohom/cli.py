@@ -28,7 +28,7 @@ from .forms import (
 )
 from .grid import double_complex_from_json, total, totals_agree
 from .linalg import CohomError, rat_to_str
-from .presets import build_circle, p1_report, torus_report
+from .presets import build_circle, check_p1_window, p1_report, torus_report
 from .spectral import certify_convergence, first_pages, page_to_json, second_pages
 
 SCHEMA_VERSION = "1"
@@ -127,7 +127,7 @@ def cmd_hyper(args) -> tuple[dict, list[str]]:
         "command": "hyper",
         "P": res.double.P,
         "Q": res.double.Q,
-        "total_dims": list(res.report.dims),
+        "total_dims": list(res.dims),
         "first_pages": [page_to_json(p) for p in res.first],
         "second_pages": [page_to_json(p) for p in res.second],
         "degeneration": {"first": cert.first_degeneration,
@@ -135,7 +135,7 @@ def cmd_hyper(args) -> tuple[dict, list[str]]:
     }
     lines = [
         f"Cech-sheaf double complex, P={res.double.P}, Q={res.double.Q}",
-        _dims_line("hypercohomology", res.report.dims),
+        _dims_line("hypercohomology", res.dims),
         f"degeneration pages: first filtration {cert.first_degeneration}, "
         f"second filtration {cert.second_degeneration}",
     ]
@@ -235,6 +235,10 @@ def cmd_preset(args) -> tuple[dict, list[str]]:
         ]
         return report, lines
     if name == "p1":
+        try:
+            check_p1_window(args.window)
+        except ValueError as e:
+            raise InputError(str(e))
         pr = p1_report(args.window)
         report = {
             "schema_version": SCHEMA_VERSION,

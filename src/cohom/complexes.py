@@ -2,8 +2,14 @@
 
 A complex is a finite graded family K^lo..K^hi with differentials
 d_k : K^k -> K^{k+1} satisfying d.d = 0; cohomology in degree k is the
-subquotient ker d_k / im d_{k-1}, returned with explicit lifted-cocycle
-representatives.
+subquotient ker d_k / im d_{k-1}.
+
+Two entry points compute it.  `cohomology` returns explicit
+lifted-cocycle representatives; `cohom complex` and `cohom cech` print
+them.  `cohomology_dims` counts dimensions by rank alone
+(dim K^k - rank d_k - rank d_{k-1}) and serves every caller that reads
+dimensions only: `cohom hyper`, the convergence certificate and
+`cohom derham`.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .linalg import (
     kernel_basis,
     matrix_from_json_shaped,
     matrix_to_json,
+    rank,
     subquotient,
 )
 
@@ -97,16 +104,25 @@ def cohomology(k: CochainComplex) -> CohomologyReport:
     for deg in k.degrees():
         z = kernel_basis(k.diff(deg))
         b = image_basis(k.diff(deg - 1))
-        q, _proj, section = subquotient(z, b)
+        q, section = subquotient(z, b)
         dims.append(q.dim)
         reps.append(Subspace(k.space(deg), section))
         # every representative must be an exact cocycle
-        d = k.diff(deg)
-        for col in section.columns:
-            if any(x != 0 for x in d.apply(col)):
-                raise LawViolation("cohomology representatives are cocycles",
-                                   f"degree {deg}")
+        if not k.diff(deg).compose(section).is_zero():
+            raise LawViolation("cohomology representatives are cocycles",
+                               f"degree {deg}")
     return CohomologyReport(k.lo, k.hi, tuple(dims), tuple(reps))
+
+
+def cohomology_dims(k: CochainComplex) -> tuple[int, ...]:
+    """dim H^n = dim K^n - rank d_n - rank d_{n-1}, ranking each d once.
+
+    Does not check d.d = 0: every caller passes a complex validated where
+    it was built (`grid.total`) or one with d.d = 0 by construction (the
+    Koszul components of `forms`).
+    """
+    ranks = [0] + [rank(d) for d in k.diffs] + [0]
+    return tuple(s.dim - ranks[i + 1] - ranks[i] for i, s in enumerate(k.spaces))
 
 
 def direct_sum(a: CochainComplex, b: CochainComplex) -> CochainComplex:

@@ -20,20 +20,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .complexes import CochainComplex
+from .complexes import CochainComplex, cohomology_dims
 from .linalg import (
     CohomError,
     LabeledSpace,
     LawViolation,
     LinearMap,
-    SpanBuilder,
+    ONE,
+    ZERO,
     rank_of_rows,
     rat_from_str,
     rat_to_str,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class VariableCountMismatch(CohomError):
@@ -356,15 +354,6 @@ def component_coords(spec: TorusSpec, m: tuple, w: AlgebraicForm) -> tuple:
     return tuple(coords)
 
 
-def _complex_cohomology_dims(cx: CochainComplex) -> list[int]:
-    dims = []
-    for q in cx.degrees():
-        d_q = rank_of_rows(cx.diff(q).matrix) if cx.space(q + 1).dim else 0
-        d_prev = rank_of_rows(cx.diff(q - 1).matrix) if q > cx.lo and cx.space(q).dim else 0
-        dims.append(cx.space(q).dim - d_q - d_prev)
-    return dims
-
-
 @dataclass(frozen=True)
 class DerhamReport:
     k: int
@@ -384,7 +373,7 @@ def derham_cohomology(spec: TorusSpec) -> DerhamReport:
     """
     dims = [0] * (spec.n + 1)
     for m, cx in multidegree_split(spec).items():
-        part = _complex_cohomology_dims(cx)
+        part = cohomology_dims(cx)
         if any(m):
             if any(part):
                 raise WindowExhausted(
@@ -605,43 +594,28 @@ def pole_filtration_dims(spec: TorusSpec, n_max: int) -> PoleFiltrationReport:
     per_level = [[0] * (spec.n + 1) for _ in range(n_max + 1)]
     for m in multidegree_window(spec):
         cx = multidegree_complex(spec, m)
-        bases = [list(cx.space(q).labels) for q in range(spec.n + 1)]
+        bases = [cx.space(q).labels for q in range(spec.n + 1)]
+        images = [cx.diff(q).columns for q in range(spec.n + 1)]  # d e_j per degree
         for level in range(n_max + 1):
-            # coordinates of the level-t subspace inside each component degree
-            stage_vectors: list[list[tuple]] = []
+            # S^q: the basis forms whose inverted exponents are >= -level.
+            # The level is L^q = S^q + d S^{q-1}, so d L^q = d S^q and
+            # dim H^q = dim L^q - rank d S^q - rank d S^{q-1}, where
+            # dim L^q = |S^q| + rank of d S^{q-1} off the S^q coordinates.
+            sel = [[j for j, (_, I) in enumerate(bases[q])
+                    if all(m[i] - (1 if (i + 1) in I else 0) >= -level
+                           for i in range(spec.k))]
+                   for q in range(spec.n + 1)]
+            img_rank = [rank_of_rows([images[q][j] for j in sel[q]])
+                        for q in range(spec.n + 1)]
             for q in range(spec.n + 1):
-                sel = []
-                for idx, (_, I) in enumerate(bases[q]):
-                    exps = tuple(mi - (1 if (i + 1) in I else 0) for i, mi in enumerate(m))
-                    if all(exps[i] >= -level for i in range(spec.k)):
-                        v = [ZERO] * len(bases[q])
-                        v[idx] = ONE
-                        sel.append(tuple(v))
-                stage_vectors.append(sel)
-            # complete with d-images so the stages form a subcomplex
-            stages: list[list[tuple]] = []
-            for q in range(spec.n + 1):
-                builder = SpanBuilder(len(bases[q]))
-                stage_basis = []
-                for v in stage_vectors[q]:
-                    if builder.add(v):
-                        stage_basis.append(v)
+                dim_level, prev_rank = len(sel[q]), 0
                 if q > 0:
-                    d = cx.diff(q - 1)
-                    for v in stages[q - 1]:
-                        img = d.apply(v)
-                        if builder.add(img):
-                            stage_basis.append(img)
-                stages.append(stage_basis)
-            # cohomology dims of the little subcomplex by rank counts
-            ranks = []
-            for q in range(spec.n + 1):
-                d = cx.diff(q)
-                imgs = [d.apply(v) for v in stages[q]]
-                ranks.append(rank_of_rows(imgs) if imgs and cx.space(q + 1).dim else 0)
-            for q in range(spec.n + 1):
-                h = len(stages[q]) - ranks[q] - (ranks[q - 1] if q > 0 else 0)
-                per_level[level][q] += h
+                    inside = set(sel[q])
+                    off = [tuple(x for i, x in enumerate(images[q - 1][j]) if i not in inside)
+                           for j in sel[q - 1]]
+                    dim_level += rank_of_rows(off)
+                    prev_rank = img_rank[q - 1]
+                per_level[level][q] += dim_level - img_rank[q] - prev_rank
     levels = tuple(tuple(l) for l in per_level)
     stabilization = n_max
     for t in range(n_max, -1, -1):

@@ -16,10 +16,7 @@ from .cech import CoverNerve, SheafOnCover, function_sheaf
 from .complexes import CochainComplex
 from .forms import AlgebraicForm, TorusSpec, exterior_derivative, log_form
 from .grid import DoubleComplex, TripleComplex, tensor_double_complex, tensor_triple_complex
-from .linalg import LabeledSpace, LinearMap, invert
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .linalg import LabeledSpace, LinearMap, ONE, ZERO, invert
 
 
 def random_invertible(rng: random.Random, n: int, ops: int = None) -> LinearMap:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .complexes import CochainComplex, validate as validate_complex
@@ -18,13 +17,12 @@ from .linalg import (
     CohomError,
     LabeledSpace,
     LinearMap,
+    ONE,
     matrix_from_json_shaped,
     matrix_to_json,
 )
 
 MAX_BOUND = 16
-
-ONE = Fraction(1)
 
 
 class InvariantViolation(CohomError):

@@ -2,9 +2,12 @@
 
 Everything downstream (cochain complexes, spectral pages, Cech covers,
 de Rham forms) reduces to ranks, kernels, images and subquotients of
-matrices with Fraction entries.  All results are exact; pivoting is
-deterministic (first nonzero entry in row-major scan order) so that
-representative bases are reproducible across runs.
+matrices with Fraction entries.  All results are exact.  Every rank and
+every reduced row echelon form comes from one sparse, fraction-free
+elimination over the integers (`_echelon`); the reduced row echelon
+form of a matrix is unique, so kernel, image and solution bases do not
+depend on which row is chosen as a pivot and are reproducible across
+runs.  Products and applications multiply nonzero entries only.
 """
 
 from __future__ import annotations
@@ -173,15 +176,29 @@ class LinearMap:
         """
         src_offsets = list(accumulate(src_dims, initial=0))
         dst_offsets = list(accumulate(dst_dims, initial=0))
-        rows = [[ZERO] * domain.dim for _ in range(codomain.dim)]
+        rows: list = [[] for _ in range(codomain.dim)]
         for (i, j), block in blocks.items():
             r0, c0 = dst_offsets[i], src_offsets[j]
-            for r, row in enumerate(block.matrix):
-                target = rows[r0 + r]
-                for c, x in enumerate(row):
-                    if x != 0:
-                        target[c0 + c] = x
-        return LinearMap(domain, codomain, tuple(tuple(r) for r in rows))
+            for r, row in enumerate(block.nonzero_rows()):
+                rows[r0 + r].extend((c0 + c, x) for c, x in row)
+        return LinearMap._from_nonzeros(domain, codomain, rows)
+
+    @staticmethod
+    def _from_nonzeros(domain: LabeledSpace, codomain: LabeledSpace,
+                       nz_rows: list) -> "LinearMap":
+        """Map whose row i has the nonzero (column, entry) pairs nz_rows[i]."""
+        n = domain.dim
+        dense = []
+        for row in nz_rows:
+            r = [ZERO] * n
+            for j, x in row:
+                r[j] = x
+            dense.append(tuple(r))
+        return LinearMap(domain, codomain, tuple(dense))
+
+    def nonzero_rows(self) -> list:
+        """Per row, the (column, entry) pairs of its nonzero entries."""
+        return [_nonzeros(row) for row in self.matrix]
 
     @property
     def columns(self) -> list[Vector]:
@@ -190,15 +207,23 @@ class LinearMap:
     def apply(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.domain.dim:
             raise ValueError("vector length does not match domain")
-        return tuple(sum((row[j] * v[j] for j in range(len(v)) if v[j] != 0), ZERO)
+        nz = dict(_nonzeros(v))
+        return tuple(sum((x * nz[j] for j, x in _nonzeros(row) if j in nz), ZERO)
                      for row in self.matrix)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
-        """self after other."""
+        """self after other, summing products of nonzero entries only."""
         if other.codomain != self.domain:
             raise AmbientMismatch("composition domain/codomain mismatch")
-        cols = [self.apply(c) for c in other.columns]
-        return LinearMap.from_columns(other.domain, self.codomain, cols)
+        inner = other.nonzero_rows()
+        out = []
+        for row in self.matrix:
+            acc: dict = {}
+            for j, x in _nonzeros(row):
+                for k, y in inner[j]:
+                    acc[k] = acc.get(k, ZERO) + x * y
+            out.append([(k, t) for k, t in acc.items() if t])
+        return LinearMap._from_nonzeros(other.domain, self.codomain, out)
 
     def add(self, other: "LinearMap") -> "LinearMap":
         if other.domain != self.domain or other.codomain != self.codomain:
@@ -209,11 +234,12 @@ class LinearMap:
 
     def scale(self, c) -> "LinearMap":
         c = rat(c)
-        return LinearMap(self.domain, self.codomain,
-                         tuple(tuple(c * x for x in row) for row in self.matrix))
+        return LinearMap._from_nonzeros(self.domain, self.codomain,
+                                        [[(j, c * x) for j, x in row]
+                                         for row in self.nonzero_rows()])
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.matrix for x in row)
+        return not any(_nonzeros(row) for row in self.matrix)
 
 
 @dataclass(frozen=True)
@@ -258,81 +284,106 @@ class Subspace:
 
 
 # ---------------------------------------------------------------------------
-# Row reduction.  Rows are cleared to integers and reduced with cross
-# multiplication plus gcd normalization; Fractions reappear only at the end.
+# Row reduction.  One kernel, `_echelon`, serves every rank and every
+# reduced row echelon form: rows are cleared to integers and kept sparse
+# (column -> int), and each elimination step cross-multiplies two rows
+# and divides out the gcd of the result.  Fractions reappear only in the
+# rows that `rref` returns.
 
 
-def _to_int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    out = []
-    for row in rows:
-        scale = 1
-        for x in row:
-            d = x.denominator
+def _nonzeros(row: Sequence[Fraction]) -> list:
+    """The (column, entry) pairs of the nonzero entries of a dense row.
+
+    Entries that are the shared ZERO are skipped by identity, without a
+    Fraction comparison, which is why every module takes its zero from
+    here.
+    """
+    return [(j, x) for j, x in enumerate(row) if x is not ZERO and x]
+
+
+def _primitive(row: dict) -> dict:
+    """row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else row
+
+
+def _int_row(nz: list) -> dict:
+    """A primitive integer multiple of the sparse rational row nz."""
+    scale = 1
+    for _, x in nz:
+        d = x.denominator
+        if d != 1:
             scale = scale * d // gcd(scale, d)
-        out.append([x.numerator * (scale // x.denominator) for x in row])
-    return out
+    return _primitive({j: x.numerator * (scale // x.denominator) for j, x in nz})
 
 
-def _normalize_int_row(row: list[int]) -> list[int]:
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, abs(x))
-    if g > 1:
-        row = [x // g for x in row]
-    return row
+def _cancel(r: dict, s: dict, c: int) -> dict:
+    """The primitive integer combination of r and s with column c cleared."""
+    a, p = r[c], s[c]
+    g = gcd(a, p)
+    a, p = a // g, p // g
+    out = {j: p * x for j, x in r.items()}
+    for j, y in s.items():
+        t = out.get(j, 0) - a * y
+        if t:
+            out[j] = t
+        else:
+            del out[j]
+    return _primitive(out)
+
+
+def _echelon(rows) -> dict:
+    """Row echelon form of sparse rows given as (column, entry) pairs.
+
+    Returns {pivot column: primitive integer row whose leading column it
+    is}; its size is the rank.
+    """
+    pivots: dict = {}
+    for nz in rows:
+        r = _int_row(nz)
+        while r:
+            c = min(r)
+            s = pivots.get(c)
+            if s is None:
+                pivots[c] = r
+                break
+            r = _cancel(r, s, c)
+    return pivots
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[int], list[Vector]]:
-    """Reduced row echelon form with deterministic pivoting.
+    """Reduced row echelon form.
 
-    Returns (pivot column indices, nonzero reduced rows with leading 1).
-    Pivot choice: scan columns left to right, take the first unused row
-    with a nonzero entry.
+    Returns (pivot column indices in increasing order, the nonzero
+    reduced rows with leading entry 1, in pivot order).  The reduced
+    form is unique, so it does not depend on the elimination order.
     """
-    work = _to_int_rows(rows)
-    nrows = len(work)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    pivot_rows: list[int] = []
-    used = [False] * nrows
-    for col in range(ncols):
-        sel = -1
-        for i in range(nrows):
-            if not used[i] and work[i][col] != 0:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        used[sel] = True
-        pivots.append(col)
-        pivot_rows.append(sel)
-        p = work[sel][col]
-        for i in range(nrows):
-            if i != sel and work[i][col] != 0:
-                a = work[i][col]
-                work[i] = _normalize_int_row(
-                    [p * x - a * y for x, y in zip(work[i], work[sel])])
+    ncols = len(rows[0]) if rows else 0
+    echelon = _echelon(map(_nonzeros, rows))
+    pivots = sorted(echelon)
+    done: dict = {}  # pivot column -> row with zeros in every other pivot column
+    for c in reversed(pivots):
+        r = echelon[c]
+        for j in [j for j in r if j != c and j in done]:
+            r = _cancel(r, done[j], j)
+        done[c] = r
     reduced: list[Vector] = []
-    for col, i in zip(pivots, pivot_rows):
-        p = work[i][col]
-        reduced.append(tuple(Fraction(x, p) for x in work[i]))
+    for c in pivots:
+        r, lead = done[c], done[c][c]
+        v = [ZERO] * ncols
+        for j, x in r.items():
+            v[j] = Fraction(x, lead)
+        reduced.append(tuple(v))
     return pivots, reduced
 
 
 def rank_of_rows(rows: Sequence[Sequence[Fraction]]) -> int:
-    if not rows or not rows[0]:
-        return 0
-    pivots, _ = rref(rows)
-    return len(pivots)
+    return len(_echelon(map(_nonzeros, rows)))
 
 
 def rank(m: LinearMap) -> int:
     """Exact rank over the rationals."""
-    if m.domain.dim == 0 or m.codomain.dim == 0:
-        return 0
-    pivots, _ = rref(m.matrix)
-    return len(pivots)
+    return len(_echelon(m.nonzero_rows()))
 
 
 def kernel_basis(m: LinearMap) -> Subspace:
@@ -358,28 +409,14 @@ def kernel_basis(m: LinearMap) -> Subspace:
 
 def image_basis(m: LinearMap) -> Subspace:
     """Span of the columns of m; basis = earliest independent columns."""
-    if m.domain.dim == 0 or m.codomain.dim == 0:
-        return Subspace.zero(m.codomain)
-    cols = m.columns
-    kept = [cols[j] for j in _pivot_columns(cols)]
+    kept = [tuple(row[j] for row in m.matrix) for j in sorted(_echelon(m.nonzero_rows()))]
     dom = LabeledSpace(tuple(("im", i) for i in range(len(kept))))
     return Subspace(m.codomain, LinearMap.from_columns(dom, m.codomain, kept))
 
 
-def _pivot_columns(cols: Sequence[Vector]) -> list[int]:
-    """Indices of the earliest linearly independent subset of the columns."""
-    if not cols:
-        return []
-    rows = [tuple(col[i] for col in cols) for i in range(len(cols[0]))]
-    if not rows:
-        return []
-    pivots, _ = rref(rows)
-    return pivots
-
-
 def independent_subset(vectors: Sequence[Vector]) -> list[Vector]:
-    idx = _pivot_columns(list(vectors))
-    return [vectors[i] for i in idx]
+    """The earliest linearly independent subset of the vectors."""
+    return [vectors[i] for i in sorted(_echelon(map(_nonzeros, zip(*vectors))))]
 
 
 def solve(m: LinearMap, target: Sequence[Fraction]) -> Optional[Vector]:
@@ -457,60 +494,25 @@ class SpanBuilder:
 
 
 def subquotient(z: Subspace, b: Subspace):
-    """Concrete quotient z/b with projection and section.
+    """Concrete quotient z/b with a section.
 
-    Returns (quotient space, projection: ambient -> quotient,
-    section: quotient -> ambient).  projection . section = id, projection
-    kills b, and each section column is a representative inside z.
+    Returns (quotient space, section: quotient -> ambient).  Each section
+    column is a basis vector of z, and the section columns together with
+    b form a basis of z.
     """
     if z.ambient != b.ambient:
         raise AmbientMismatch("subquotient arguments live in different spaces")
-    zvecs = z.vectors
-    # coordinates of b inside z; failure of any solve means b is not inside z
-    bcoords = []
-    for col in b.vectors:
-        c = solve(z.basis, col)
-        if c is None:
-            raise ContainmentViolated("divisor subspace is not contained in the ambient cycles")
-        bcoords.append(c)
-
-    zdim, adim = z.dim, z.ambient.dim
-    # reduce b-coordinates (as rows) to find pivot coordinates of the image
-    if bcoords:
-        bpivots, brows = rref(bcoords)
-    else:
-        bpivots, brows = [], []
-    bpivot_set = set(bpivots)
-    free = [j for j in range(zdim) if j not in bpivot_set]
+    # coordinates of b inside z, from one elimination of [z | b]; a pivot
+    # in the b block means b is not inside z
+    zdim = z.dim
+    pivots, reduced = rref([zr + br for zr, br in zip(z.basis.matrix, b.basis.matrix)])
+    if any(c >= zdim for c in pivots):
+        raise ContainmentViolated("divisor subspace is not contained in the ambient cycles")
+    bcoords = zip(*(row[zdim:] for row in reduced))
+    # the z coordinates that b does not reach index the classes
+    taken = set(_echelon(map(_nonzeros, bcoords)))
+    free = [j for j in range(zdim) if j not in taken]
     qspace = LabeledSpace(tuple(("cls", j) for j in free))
-
-    # section: class j -> the z basis vector with that coordinate
-    section_cols = [zvecs[j] for j in free]
-    section = LinearMap.from_columns(qspace, z.ambient, section_cols)
-
-    # projection: extend z to a full basis of the ambient space, read off
-    # z-coordinates, then reduce modulo b and keep the free coordinates.
-    std = [tuple(ONE if i == j else ZERO for j in range(adim)) for i in range(adim)]
-    builder = SpanBuilder(adim)
-    for v in zvecs:
-        builder.add(v)
-    full = list(zvecs)
-    for e in std:
-        if builder.dim == adim:
-            break
-        if builder.add(e):
-            full.append(e)
-    dom_full = LabeledSpace(tuple(("f", i) for i in range(adim)))
-    inv = invert(LinearMap.from_columns(dom_full, z.ambient, full))
-    proj_cols = []
-    for i in range(adim):
-        c = inv.apply(std[i])
-        zcoord = list(c[:zdim])
-        # reduce modulo the rref rows of b-coordinates
-        for pc, row in zip(bpivots, brows):
-            a = zcoord[pc]
-            if a != 0:
-                zcoord = [x - a * y for x, y in zip(zcoord, row)]
-        proj_cols.append(tuple(zcoord[j] for j in free))
-    projection = LinearMap.from_columns(z.ambient, qspace, proj_cols)
-    return qspace, projection, section
+    zvecs = z.vectors
+    section = LinearMap.from_columns(qspace, z.ambient, [zvecs[j] for j in free])
+    return qspace, section

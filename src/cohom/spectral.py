@@ -31,19 +31,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .complexes import CochainComplex, cohomology
+from .complexes import CochainComplex, cohomology_dims
 from .grid import DoubleComplex, total
 from .linalg import (
     CohomError,
     LabeledSpace,
     LawViolation,
     LinearMap,
+    ONE,
     Subspace,
+    ZERO,
     rank,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class ConvergenceFailure(CohomError):
@@ -90,7 +89,10 @@ def _subtract(y: dict, c: Fraction, x: dict) -> None:
 
 
 def _dense(v: dict, dim: int) -> tuple:
-    return tuple(v.get(i, ZERO) for i in range(dim))
+    out = [ZERO] * dim
+    for i, x in v.items():
+        out[i] = x
+    return tuple(out)
 
 
 def _pairs(tot: CochainComplex, axis: int) -> tuple[list, list]:
@@ -108,10 +110,9 @@ def _pairs(tot: CochainComplex, axis: int) -> tuple[list, list]:
     for n in range(n_max + 1):
         p_of, p_row = level[n], level[n + 1] if n < n_max else []
         cols: list[dict] = [{} for _ in p_of]
-        for i, row in enumerate(tot.diff(n).matrix):
-            for j, x in enumerate(row):
-                if x:
-                    cols[j][i] = x
+        for i, row in enumerate(tot.diff(n).nonzero_rows()):
+            for j, x in row:
+                cols[j][i] = x
         reduced: dict = {}  # low -> (R, V) of the column that owns it
         for j in sorted(range(len(p_of)), key=lambda i: (-p_of[i], i)):
             if j in gens[n]:
@@ -238,8 +239,9 @@ def _degeneration_page(pages: list[SpectralPage]) -> int:
 def _analyse(k: DoubleComplex, tot: CochainComplex, total_dims: tuple):
     """Both page sequences out to E_inf, and their certificate against total_dims.
 
-    tot is total(k); total_dims come from cohomology(tot), a computation
-    independent of the page reduction, so the certificate cross-checks two.
+    tot is total(k); total_dims come from cohomology_dims(tot), whose rank
+    elimination is independent of the page reduction, so the certificate
+    cross-checks two computations.
     """
     r_inf = max(k.P, k.Q) + 2
     first = _compute_pages(k, tot, r_inf, 0)
@@ -268,7 +270,7 @@ def _analyse(k: DoubleComplex, tot: CochainComplex, total_dims: tuple):
 def certify_convergence(k: DoubleComplex) -> ConvergenceCertificate:
     """Check both filtrations' E_infinity against the total cohomology."""
     tot = total(k)
-    return _analyse(k, tot, cohomology(tot).dims)[2]
+    return _analyse(k, tot, cohomology_dims(tot))[2]
 
 
 def page_to_json(page: SpectralPage) -> dict:

@@ -195,8 +195,8 @@ def test_hyper_single_level_equals_cech_cohomology():
         sheaf = random_function_sheaf(rng, max_opens=4, max_points=6)
         res = cech_hyper(sheaf.nerve, [sheaf], [])
         plain = cech_cohomology(sheaf.nerve, sheaf)
-        top = len(res.report.dims)
-        assert pad(list(res.report.dims), top) == pad(list(plain.dims), top)
+        top = len(res.dims)
+        assert pad(list(res.dims), top) == pad(list(plain.dims), top)
 
 
 def test_hyper_single_open_cover_is_complex_cohomology():
@@ -215,7 +215,7 @@ def test_hyper_single_open_cover_is_complex_cohomology():
                                          sheaves[q + 1].space(face),
                                          cx.diff(q).matrix)})
         res = cech_hyper(nerve, sheaves, maps)
-        assert res.report.dims == h
+        assert res.dims == h
 
 
 def test_hyper_zero_level_maps_sum_by_antidiagonal():
@@ -235,7 +235,7 @@ def test_hyper_zero_level_maps_sum_by_antidiagonal():
                      for f in nerve.faces}
         res = cech_hyper(nerve, [sheaf0, sheaf1], [zero_maps])
         h0 = list(cech_cohomology(nerve, sheaf0).dims)
-        for deg, dim in enumerate(res.report.dims):
+        for deg, dim in enumerate(res.dims):
             want = (h0[deg] if deg < len(h0) else 0) + (h0[deg - 1] if 0 <= deg - 1 < len(h0) else 0)
             assert dim == want
 

@@ -190,6 +190,27 @@ def test_hyper_subcommand(tmp_path, capsys):
     assert report["total_dims"] == [0, 0]
 
 
+def test_preset_p1_refuses_oversized_window_before_any_work(capsys, monkeypatch):
+    import cohom.cli as cli
+    import cohom.presets as presets
+    from cohom.presets import MAX_P1_WINDOW, check_p1_window
+
+    def no_work(*args):
+        raise AssertionError("the p1 computation started")
+
+    monkeypatch.setattr(presets, "build_p1", no_work)
+    code, out, err = run(capsys, "preset", "p1", "--window", "1000000", "--format", "json")
+    assert code == 1 and out == ""
+    assert "1000000" in err and str(MAX_P1_WINDOW) in err
+    # the library entry point refuses too, before building anything
+    with pytest.raises(ValueError, match=str(MAX_P1_WINDOW)):
+        presets.p1_report(MAX_P1_WINDOW + 1)
+    monkeypatch.setattr(cli, "p1_report", no_work)
+    code, _, err = run(capsys, "preset", "p1", "--window", str(MAX_P1_WINDOW + 1))
+    assert code == 1 and str(MAX_P1_WINDOW + 1) in err
+    check_p1_window(MAX_P1_WINDOW)
+
+
 def test_derham_refuses_oversized_window_before_any_work(capsys, monkeypatch):
     import cohom.cli as cli
     from cohom.forms import MAX_MULTIDEGREES, TorusSpec, check_window_budget, multidegree_count

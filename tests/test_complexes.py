@@ -4,18 +4,24 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import rank_of_rows as oracle_rank
+
+from cohom.cech import cech_sheaf_double_complex
 from cohom.complexes import (
     CochainComplex,
     NotAComplex,
     cohomology,
+    cohomology_dims,
     complex_from_json,
     complex_to_json,
     direct_sum,
     euler_characteristic,
     validate,
 )
-from cohom.generators import random_cochain_complex
+from cohom.generators import random_cochain_complex, random_tensor_double_complex
+from cohom.grid import total
 from cohom.linalg import LabeledSpace, LinearMap, freeze_matrix
+from cohom.presets import build_p1
 
 F = Fraction
 
@@ -120,3 +126,29 @@ def test_json_roundtrip():
     assert back.dims() == cx.dims()
     assert [d.matrix for d in back.diffs] == [d.matrix for d in cx.diffs]
     assert cohomology(back).dims == cohomology(cx).dims
+
+
+def _oracle_dims(cx):
+    """Rank-nullity with the independent Bareiss rank of tests/oracles.py."""
+    ranks = [0] + [oracle_rank(d.matrix) for d in cx.diffs] + [0]
+    return tuple(cx.space(k).dim - ranks[i + 1] - ranks[i]
+                 for i, k in enumerate(cx.degrees()))
+
+
+def _dims_cases():
+    rng = random.Random(606)
+    cases = [("random", random_cochain_complex(rng)[0]) for _ in range(25)]
+    cases += [("tensor", total(random_tensor_double_complex(rng)[0])) for _ in range(8)]
+    cases.append(("p1_w4", total(cech_sheaf_double_complex(*build_p1(4)))))
+    return cases
+
+
+@pytest.mark.parametrize("kind", ["random", "tensor", "p1_w4"])
+def test_cohomology_dims_match_representatives_and_oracle(kind):
+    cases = [cx for k, cx in _dims_cases() if k == kind]
+    assert cases
+    for cx in cases:
+        dims = cohomology_dims(cx)
+        assert dims == cohomology(cx).dims == _oracle_dims(cx)
+    if kind == "p1_w4":
+        assert dims == (1, 0, 1)

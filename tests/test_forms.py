@@ -342,11 +342,12 @@ def test_pole_filtration_k0_is_constant():
 
 
 def test_pole_filtration_torus_presets():
-    for (k, n) in [(1, 1), (2, 2), (3, 3)]:
-        rep = pole_filtration_dims(TorusSpec(n, k, 4), 2)
-        assert rep.levels[0] == tuple([1] + [0] * n)
-        assert rep.levels[1] == tuple(comb(k, q) for q in range(n + 1))
-        assert rep.stabilization == 1
+    for n in range(4):
+        for k in range(n + 1):
+            rep = pole_filtration_dims(TorusSpec(n, k, 4), 2)
+            assert rep.levels[0] == tuple([1] + [0] * n)
+            assert rep.levels[1] == rep.levels[2] == tuple(comb(k, q) for q in range(n + 1))
+            assert rep.stabilization == (1 if k else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from cohom.cech import cech_cohomology, cech_hyper
@@ -26,6 +28,11 @@ def test_torus_preset_dims():
     for (k, n), dims in expected.items():
         spec = build_torus(k, n)
         assert derham_cohomology(spec).dims == dims
+    # every preset 0 <= k <= n <= 3 has the binomial Betti numbers
+    for n in range(4):
+        for k in range(n + 1):
+            assert derham_cohomology(build_torus(k, n)).dims == \
+                tuple(comb(k, q) for q in range(n + 1))
 
 
 def test_torus_preset_window():
@@ -82,6 +89,8 @@ def test_p1_dims_and_hodge_pattern():
     assert rep.dims == (1, 0, 1)
     nonzero = {pq: d for pq, d in rep.e1_second.items() if d}
     assert nonzero == {(0, 0): 1, (1, 1): 1}
+    cert = rep.hyper.certificate
+    assert (cert.first_degeneration, cert.second_degeneration) == (2, 1)
 
 
 def test_p1_window_stability():
