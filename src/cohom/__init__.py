@@ -45,7 +45,6 @@ from .spectral import (
     second_pages,
 )
 from .cech import (
-    CechCochain,
     CoverNerve,
     IncompatibleRestrictions,
     LevelMapMismatch,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .complexes import CochainComplex, CohomologyReport, cohomology, cohomology_dims, validate
@@ -23,7 +22,9 @@ from .linalg import (
     CohomError,
     LabeledSpace,
     LinearMap,
+    ONE,
     ZERO,
+    int_from_json,
     matrix_from_json_shaped,
     matrix_to_json,
 )
@@ -123,31 +124,6 @@ class SheafOnCover:
                         f"restriction squares into {f} (drops {f[i]}, {f[j]}) do not commute")
 
 
-@dataclass(frozen=True)
-class CechCochain:
-    """Components on the p-faces of a nerve; missing faces mean zero."""
-
-    p: int
-    components: dict  # face -> tuple of Fractions
-
-    def to_vector(self, nerve: CoverNerve, sheaf: SheafOnCover) -> tuple:
-        faces = nerve.faces_of_dim(self.p)
-        unknown = set(self.components) - set(faces)
-        if unknown:
-            raise ValueError(f"components on non-faces: {sorted(unknown)}")
-        out = []
-        for face in faces:
-            d = sheaf.space(face).dim
-            comp = self.components.get(face)
-            if comp is None:
-                out.extend([ZERO] * d)
-            else:
-                if len(comp) != d:
-                    raise ValueError(f"component on {face} has wrong length")
-                out.extend(Fraction(x) for x in comp)
-        return tuple(out)
-
-
 def cech_space(nerve: CoverNerve, sheaf: SheafOnCover, p: int) -> LabeledSpace:
     labels = tuple((face, lab)
                    for face in nerve.faces_of_dim(p)
@@ -229,7 +205,7 @@ def function_sheaf(points: Sequence) -> SheafOnCover:
             sub = f[:i] + f[i + 1:]
             rows = []
             for pt in spaces[f].labels:
-                rows.append(tuple(Fraction(1) if pt == src else ZERO
+                rows.append(tuple(ONE if pt == src else ZERO
                                   for src in spaces[sub].labels))
             restrictions[(f, i)] = LinearMap(spaces[sub], spaces[f], tuple(rows))
     return SheafOnCover(nerve, spaces, restrictions)
@@ -343,11 +319,11 @@ def cover_to_json(nerve: CoverNerve, sheaf: SheafOnCover) -> dict:
 
 
 def cover_from_json(data: dict) -> tuple[CoverNerve, SheafOnCover]:
-    opens = int(data["opens"])
+    opens = int_from_json(data["opens"], "opens")
     face_dims = {}
-    for entry in data["faces"]:
+    for n, entry in enumerate(data["faces"]):
         face = tuple(int(i) for i in entry["idx"])
-        face_dims[face] = int(entry["dim"])
+        face_dims[face] = int_from_json(entry["dim"], f"faces[{n}].dim")
     nerve = CoverNerve(opens, frozenset(face_dims))
     spaces = {f: LabeledSpace(tuple((f, i) for i in range(d)))
               for f, d in face_dims.items()}
@@ -364,12 +340,12 @@ def cover_from_json(data: dict) -> tuple[CoverNerve, SheafOnCover]:
 
 
 def hyper_from_json(data: dict):
-    opens = int(data["opens"])
-    levels = int(data["levels"])
+    opens = int_from_json(data["opens"], "opens")
+    levels = int_from_json(data["levels"], "levels")
     face_dims = {}
-    for entry in data["faces"]:
+    for n, entry in enumerate(data["faces"]):
         face = tuple(int(i) for i in entry["idx"])
-        dims = [int(d) for d in entry["dims"]]
+        dims = [int_from_json(d, f"faces[{n}].dims[{q}]") for q, d in enumerate(entry["dims"])]
         if len(dims) != levels:
             raise ValueError(f"face {face} needs one dim per level")
         face_dims[face] = dims

@@ -25,6 +25,7 @@ from .linalg import (
     Subspace,
     ZERO_SPACE,
     image_basis,
+    int_from_json,
     kernel_basis,
     matrix_from_json_shaped,
     matrix_to_json,
@@ -81,11 +82,6 @@ class CohomologyReport:
     hi: int
     dims: tuple[int, ...]
     representatives: tuple[Subspace, ...]  # per degree, lifted cocycles in K^k
-
-    def dim(self, k: int) -> int:
-        if self.lo <= k <= self.hi:
-            return self.dims[k - self.lo]
-        return 0
 
 
 def validate(k: CochainComplex) -> None:
@@ -153,8 +149,9 @@ def complex_to_json(k: CochainComplex) -> dict:
 
 
 def complex_from_json(data: dict) -> CochainComplex:
-    lo, hi = int(data["lo"]), int(data["hi"])
-    dims = [int(d) for d in data["dims"]]
+    lo = int_from_json(data["lo"], "lo", signed=True)
+    hi = int_from_json(data["hi"], "hi", signed=True)
+    dims = [int_from_json(d, f"dims[{i}]") for i, d in enumerate(data["dims"])]
     if len(dims) != hi - lo + 1:
         raise ValueError("dims length does not match degree range")
     spaces = tuple(LabeledSpace(tuple((lo + i, j) for j in range(d)))

@@ -29,7 +29,6 @@ from .linalg import (
     ONE,
     ZERO,
     rank_of_rows,
-    rat_from_str,
     rat_to_str,
 )
 
@@ -212,11 +211,6 @@ class LogClassVector:
         return LogClassVector(k, q, tuple(Fraction(d.get(I, ZERO))
                                           for I in LogClassVector.subsets(k, q)))
 
-    def coefficient(self, I) -> Fraction:
-        I = tuple(sorted(I))
-        subsets = LogClassVector.subsets(self.k, self.q)
-        return self.coeffs[subsets.index(I)]
-
     def as_dict(self) -> dict:
         return {I: c for I, c in zip(LogClassVector.subsets(self.k, self.q), self.coeffs)
                 if c != 0}
@@ -278,17 +272,14 @@ def multidegree_complex(spec: TorusSpec, m: tuple) -> CochainComplex:
         rows = [[ZERO] * len(src) for _ in dst]
         for j, I in enumerate(src):
             for i in range(1, spec.n + 1):
-                if i in I:
-                    continue
                 mi = m[i - 1]
-                if mi == 0:
+                if mi == 0 or i in I:
                     continue
                 J = tuple(sorted(I + (i,)))
-                if J not in dst_index:
-                    continue
-                rows[dst_index[J]][j] += mi * _sign_insert(i, I)
-        diffs.append(LinearMap(spaces[q], spaces[q + 1],
-                               tuple(tuple(Fraction(x) for x in r) for r in rows)))
+                if J in dst_index:
+                    # J \ I is the one axis i, so entry (J, I) has this single term
+                    rows[dst_index[J]][j] = Fraction(mi * _sign_insert(i, I))
+        diffs.append(LinearMap(spaces[q], spaces[q + 1], tuple(map(tuple, rows))))
     return CochainComplex(0, spec.n, spaces, tuple(diffs))
 
 
@@ -359,10 +350,6 @@ class DerhamReport:
     k: int
     dims: tuple           # per form degree q = 0..n
     generators: tuple     # per q: tuple of index sets I with |I| = q
-
-    def log_basis(self, q: int) -> list[LogClassVector]:
-        return [LogClassVector.from_dict(self.k, q, {I: ONE})
-                for I in self.generators[q]]
 
 
 def derham_cohomology(spec: TorusSpec) -> DerhamReport:
@@ -731,21 +718,3 @@ def form_to_text(w: AlgebraicForm) -> str:
     for p in parts[1:]:
         out += " - " + p[1:] if p.startswith("-") else " + " + p
     return out
-
-
-def form_to_json(w: AlgebraicForm) -> dict:
-    return {
-        "n": w.n,
-        "degree": w.degree,
-        "terms": [{"coef": rat_to_str(c), "exps": list(exps), "dI": list(dI)}
-                  for exps, dI, c in w.terms],
-    }
-
-
-def form_from_json(data: dict) -> AlgebraicForm:
-    n = int(data["n"])
-    acc: dict = {}
-    for t in data["terms"]:
-        key = (tuple(int(e) for e in t["exps"]), tuple(int(i) for i in t["dI"]))
-        acc[key] = acc.get(key, ZERO) + rat_from_str(t["coef"])
-    return AlgebraicForm.build(n, int(data["degree"]), acc)

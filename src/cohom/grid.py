@@ -18,6 +18,7 @@ from .linalg import (
     LabeledSpace,
     LinearMap,
     ONE,
+    int_from_json,
     matrix_from_json_shaped,
     matrix_to_json,
 )
@@ -325,11 +326,15 @@ def double_complex_to_json(k: DoubleComplex) -> dict:
 
 
 def double_complex_from_json(data: dict) -> DoubleComplex:
-    P, Q = int(data["P"]), int(data["Q"])
-    dims = data["dims"]
-    if len(dims) != P + 1 or any(len(col) != Q + 1 for col in dims):
-        raise ValueError("dims shape does not match bounds")
-    cells = tuple(tuple(LabeledSpace(tuple(((p, q), j) for j in range(int(dims[p][q]))))
+    P, Q = int_from_json(data["P"], "P"), int_from_json(data["Q"], "Q")
+    for name, outer, inner in (("dims", P + 1, Q + 1), ("horiz", P, Q + 1), ("vert", P + 1, Q)):
+        raw = data[name]
+        if not isinstance(raw, list) or len(raw) != outer or \
+                any(not isinstance(col, list) or len(col) != inner for col in raw):
+            raise ValueError(f"{name} shape does not match bounds (expected {outer} x {inner})")
+    dims = [[int_from_json(d, f"dims[{p}][{q}]") for q, d in enumerate(col)]
+            for p, col in enumerate(data["dims"])]
+    cells = tuple(tuple(LabeledSpace(tuple(((p, q), j) for j in range(dims[p][q])))
                         for q in range(Q + 1)) for p in range(P + 1))
     horiz = tuple(tuple(LinearMap(cells[p][q], cells[p + 1][q],
                                   matrix_from_json_shaped(data["horiz"][p][q],

@@ -54,10 +54,6 @@ def rat_to_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def rat_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def freeze_matrix(rows: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(rat(x) for x in row) for row in rows)
 
@@ -67,16 +63,30 @@ def matrix_to_json(rows: Matrix) -> list[list[str]]:
 
 
 def _rat_from_json(x, i: int, j: int) -> Fraction:
-    """A JSON integer or a string Fraction parses; floats and booleans are refused."""
+    """A JSON integer or a string Fraction parses; floats and booleans are refused.
+
+    Zero entries are the shared ZERO, which `_nonzeros` skips by identity.
+    """
     if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
+        return Fraction(x) if x else ZERO
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            v = Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
+        else:
+            return v if v else ZERO
     raise ValueError(f"entry at row {i}, column {j} is not an integer or a "
                      f"'p/q' string: {x!r}")
+
+
+def int_from_json(x, field: str, signed: bool = False) -> int:
+    """A JSON integer, non-negative unless signed; booleans, floats and
+    strings are refused with a ValueError naming the field."""
+    if isinstance(x, int) and not isinstance(x, bool) and (signed or x >= 0):
+        return x
+    kind = "an integer" if signed else "a non-negative integer"
+    raise ValueError(f"{field} must be {kind}, got {x!r}")
 
 
 def matrix_from_json(rows: Sequence[Sequence[str]]) -> Matrix:
@@ -120,12 +130,6 @@ class LabeledSpace:
     @staticmethod
     def make(prefix: str, dim: int) -> "LabeledSpace":
         return LabeledSpace(tuple((prefix, i) for i in range(dim)))
-
-    def zero_vector(self) -> Vector:
-        return (ZERO,) * self.dim
-
-    def basis_vector(self, i: int) -> Vector:
-        return tuple(ONE if j == i else ZERO for j in range(self.dim))
 
 
 ZERO_SPACE = LabeledSpace(())
@@ -225,13 +229,6 @@ class LinearMap:
             out.append([(k, t) for k, t in acc.items() if t])
         return LinearMap._from_nonzeros(other.domain, self.codomain, out)
 
-    def add(self, other: "LinearMap") -> "LinearMap":
-        if other.domain != self.domain or other.codomain != self.codomain:
-            raise AmbientMismatch("sum of maps with different spaces")
-        return LinearMap(self.domain, self.codomain,
-                         tuple(tuple(a + b for a, b in zip(r1, r2))
-                               for r1, r2 in zip(self.matrix, other.matrix)))
-
     def scale(self, c) -> "LinearMap":
         c = rat(c)
         return LinearMap._from_nonzeros(self.domain, self.codomain,
@@ -270,17 +267,6 @@ class Subspace:
     @staticmethod
     def full(ambient: LabeledSpace) -> "Subspace":
         return Subspace(ambient, LinearMap.identity(ambient))
-
-    @staticmethod
-    def from_vectors(ambient: LabeledSpace, vectors: Sequence[Vector],
-                     prefix: str = "b") -> "Subspace":
-        """Span of the given vectors; dependent ones dropped deterministically."""
-        kept = independent_subset(vectors)
-        dom = LabeledSpace(tuple((prefix, i) for i in range(len(kept))))
-        return Subspace(ambient, LinearMap.from_columns(dom, ambient, kept))
-
-    def contains(self, v: Vector) -> bool:
-        return solve(self.basis, v) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +400,6 @@ def image_basis(m: LinearMap) -> Subspace:
     return Subspace(m.codomain, LinearMap.from_columns(dom, m.codomain, kept))
 
 
-def independent_subset(vectors: Sequence[Vector]) -> list[Vector]:
-    """The earliest linearly independent subset of the vectors."""
-    return [vectors[i] for i in sorted(_echelon(map(_nonzeros, zip(*vectors))))]
-
-
 def solve(m: LinearMap, target: Sequence[Fraction]) -> Optional[Vector]:
     """Deterministic solution x of m x = target, or None if inconsistent.
 
@@ -484,13 +465,6 @@ class SpanBuilder:
         self.rows.append(tuple(x / lead for x in res))
         self.pivots.append(piv)
         return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        return all(x == 0 for x in self.reduce(v))
 
 
 def subquotient(z: Subspace, b: Subspace):

@@ -8,16 +8,19 @@ F_p Tot^n = sum_{p' >= p} K^{p', n-p'} it builds
     E_r^{p,q} = Z_r^{p,q} / ( Z_{r-1}^{p+1,q-1} + D Z_{r-1}^{p-r+1,q+r-2} ),
 
 and d_r by applying D to representatives and solving for coordinates
-in the target page entry.  It uses only `total` and the linalg types.
-Pass `dc.transpose()` for the row filtration.
+in the target page entry.  From the package it uses only `total` and
+`LinearMap.apply`; its spans, solves and ranks are its own, so its d_r
+ranks share no elimination code with the pages it checks.  Pass
+`dc.transpose()` for the row filtration.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from oracles import rank_of_rows
+
 from cohom.grid import DoubleComplex, total
-from cohom.linalg import LabeledSpace, LinearMap, SpanBuilder, rank, solve
 
 ZERO = Fraction(0)
 
@@ -26,11 +29,56 @@ def _dot(pairs, vec) -> Fraction:
     return sum((c * vec[i] for i, c in pairs if vec[i] != 0), ZERO)
 
 
-def _solve_in_span(vectors, ambient_dim, target):
-    """Coefficients expressing target in the span of vectors, or None."""
-    dom = LabeledSpace(tuple(("c", i) for i in range(len(vectors))))
-    cod = LabeledSpace(tuple(("a", i) for i in range(ambient_dim)))
-    return solve(LinearMap.from_columns(dom, cod, list(vectors)), target)
+class _Span:
+    """Incremental span; each stored row is zero at the earlier pivots
+    and has leading entry 1 at its own."""
+
+    def __init__(self):
+        self.rows: list = []  # (pivot, row)
+
+    def add(self, v) -> bool:
+        """Add v to the span; True iff it enlarged the span."""
+        v = list(v)
+        for piv, row in self.rows:
+            a = v[piv]
+            if a != 0:
+                v = [x - a * y for x, y in zip(v, row)]
+        piv = next((i for i, x in enumerate(v) if x != 0), None)
+        if piv is None:
+            return False
+        lead = v[piv]
+        self.rows.append((piv, [x / lead for x in v]))
+        return True
+
+
+def _solve_in_span(vectors, target):
+    """Coefficients c with sum c_i vectors[i] = target, or None.
+
+    Plain Gauss-Jordan elimination on the augmented matrix
+    [vectors | target], one row per ambient coordinate.
+    """
+    k = len(vectors)
+    m = [[v[r] for v in vectors] + [target[r]] for r in range(len(target))]
+    pivots: list = []
+    for col in range(k + 1):
+        top = len(pivots)
+        piv = next((i for i in range(top, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        if col == k:
+            return None  # a pivot in the target column: target is outside the span
+        m[top], m[piv] = m[piv], m[top]
+        lead = m[top][col]
+        m[top] = [x / lead for x in m[top]]
+        for i in range(len(m)):
+            f = m[i][col]
+            if i != top and f != 0:
+                m[i] = [x - f * y for x, y in zip(m[i], m[top])]
+        pivots.append(col)
+    coeffs = [ZERO] * k
+    for i, col in enumerate(pivots):
+        coeffs[col] = m[i][k]
+    return coeffs
 
 
 class _Filtration:
@@ -109,24 +157,22 @@ def oracle_pages(dc: DoubleComplex, r_max: int) -> list[dict]:
                 den_vectors = list(filt.z_basis(p + 1, p + r, n))
                 for v in filt.z_basis(p - r + 1, p, n - 1):
                     den_vectors.append(filt.apply_d(n - 1, v))
-                builder = SpanBuilder(filt.degree_dim(n))
+                builder = _Span()
                 den_basis = [v for v in den_vectors if builder.add(v)]
                 reps = [v for v in filt.z_basis(p, p + r, n) if builder.add(v)]
-                data[(p, q)] = (den_basis, reps, filt.degree_dim(n))
+                data[(p, q)] = (den_basis, reps)
         ranks = {}
         for p in range(P + 1):
             for q in range(Q + 1):
                 tp, tq = p + r, q - r + 1
                 if not (0 <= tp <= P and 0 <= tq <= Q):
                     continue
-                den_t, reps_t, dim_t = data[(tp, tq)]
+                den_t, reps_t = data[(tp, tq)]
                 cols = []
                 for x in data[(p, q)][1]:
-                    coeffs = _solve_in_span(den_t + reps_t, dim_t, filt.apply_d(p + q, x))
+                    coeffs = _solve_in_span(den_t + reps_t, filt.apply_d(p + q, x))
                     assert coeffs is not None, "d_r image escapes the target page entry"
                     cols.append(tuple(coeffs[len(den_t):]))
-                dom = LabeledSpace.make("s", len(cols))
-                cod = LabeledSpace.make("t", len(reps_t))
-                ranks[(p, q)] = rank(LinearMap.from_columns(dom, cod, cols))
+                ranks[(p, q)] = rank_of_rows(cols)
         pages.append({"dims": {pq: len(v[1]) for pq, v in data.items()}, "ranks": ranks})
     return pages

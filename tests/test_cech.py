@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from oracles import pad, per_point_cech_dims, simplicial_cohomology_dims
 
 from cohom.cech import (
-    CechCochain,
     CoverNerve,
     IncompatibleRestrictions,
     LevelMapMismatch,
@@ -22,8 +20,6 @@ from cohom.cech import (
 from cohom.complexes import cohomology
 from cohom.generators import permute_cover, random_function_sheaf, random_cochain_complex
 from cohom.linalg import LabeledSpace, LinearMap, freeze_matrix
-
-F = Fraction
 
 
 def test_nerve_validation():
@@ -176,13 +172,6 @@ def test_reordering_opens_preserves_dims():
         permuted = permute_cover(sheaf, perm)
         dims2 = cohomology(cech_complex(permuted.nerve, permuted)).dims
         assert dims == dims2
-
-
-def test_cochain_vector_layout():
-    nerve, sheaf = three_arc_circle()
-    c = CechCochain(1, {(0, 1): (F(2),)})
-    v = c.to_vector(nerve, sheaf)
-    assert v == (F(2), F(0), F(0))
 
 
 # ---------------------------------------------------------------------------

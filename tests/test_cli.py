@@ -85,6 +85,26 @@ def test_float_and_boolean_entries_are_malformed(tmp_path, capsys, entry):
     assert "row 0, column 0" in err
 
 
+@pytest.mark.parametrize("command, data, field", [
+    ("spectral", {"P": 1, "Q": 0, "dims": [[1], [1]], "horiz": [], "vert": [[], []]}, "horiz"),
+    ("cech", {"opens": 1, "faces": [{"idx": [0], "dim": -1}], "restrict": []}, "faces[0].dim"),
+    ("hyper", {"opens": 1, "levels": 1, "faces": [{"idx": [0], "dims": [-2]}]},
+     "faces[0].dims[0]"),
+    ("complex", {"lo": 0, "hi": 0, "dims": [-3], "diffs": []}, "dims[0]"),
+    ("complex", {"lo": 0, "hi": 0, "dims": [1.9], "diffs": []}, "dims[0]"),
+    ("complex", {"lo": True, "hi": 1, "dims": [1], "diffs": []}, "lo"),
+    ("spectral", {"P": 0, "Q": 0, "dims": [[-1]], "horiz": [], "vert": [[]]}, "dims[0][0]"),
+], ids=["spectral_horiz_shape", "cech_negative_dim", "hyper_negative_dims",
+        "complex_negative_dims", "complex_float_dims", "complex_boolean_lo",
+        "spectral_negative_dims"])
+def test_bad_count_fields_are_malformed(tmp_path, capsys, command, data, field):
+    path = write(tmp_path, "bad.json", data)
+    code, out, err = run(capsys, command, path)
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    assert f"malformed input: {field} " in err
+
+
 def test_failed_self_check_exits_2_naming_the_law(capsys, monkeypatch):
     """A broken kernel makes the cocycle self-check fail: exit 2, no traceback."""
     import cohom.complexes

@@ -17,8 +17,6 @@ from cohom.forms import (
     cup_table,
     derham_cohomology,
     exterior_derivative,
-    form_from_json,
-    form_to_json,
     form_to_text,
     log_form,
     log_representative,
@@ -379,14 +377,6 @@ def test_parse_rejects_junk():
         parse_form("z1 + qq", 1)
     with pytest.raises(ValueError):
         parse_form("z5", 2)
-
-
-def test_form_json_roundtrip():
-    rng = random.Random(46)
-    for _ in range(20):
-        spec = TorusSpec(3, 2, 3)
-        w = random_form(rng, spec, rng.randint(0, 3))
-        assert form_from_json(form_to_json(w)) == w
 
 
 def test_split_by_multidegree_partitions_terms():

@@ -1,0 +1,32 @@
+"""Every name a `cohom` module imports is used in that module.
+
+A stdlib `ast` scan: deleting a function must not leave behind an
+import that only it needed.  `__init__.py` is exempt, because its
+imports are the package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cohom"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = sorted(_imported_names(tree) - used)
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

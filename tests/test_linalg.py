@@ -12,13 +12,13 @@ from cohom.linalg import (
     LabeledSpace,
     LinearMap,
     Subspace,
+    ZERO,
     freeze_matrix,
     image_basis,
     invert,
     kernel_basis,
     matrix_from_json,
     rank,
-    rat_from_str,
     rat_to_str,
     solve,
     subquotient,
@@ -83,6 +83,11 @@ def test_solve_underdetermined_substitutes_back():
     assert m.apply(x) == (F(2),)
 
 
+def span(amb, vectors):
+    """The subspace of amb spanned by the earliest independent vectors."""
+    return image_basis(LinearMap.from_columns(LabeledSpace.make("v", len(vectors)), amb, vectors))
+
+
 def _assert_section_completes_b(z, b, q, sec):
     """Every section column lies in z, and b plus the section is independent."""
     for v in sec.columns:
@@ -93,7 +98,7 @@ def _assert_section_completes_b(z, b, q, sec):
 def test_subquotient_plain():
     amb = LabeledSpace.make("a", 3)
     z = Subspace.full(amb)
-    b = Subspace.from_vectors(amb, [(F(1), F(0), F(0))])
+    b = span(amb, [(F(1), F(0), F(0))])
     q, sec = subquotient(z, b)
     assert q.dim == 2
     _assert_section_completes_b(z, b, q, sec)
@@ -101,7 +106,7 @@ def test_subquotient_plain():
 
 def test_subquotient_z_equals_b():
     amb = LabeledSpace.make("a", 2)
-    z = Subspace.from_vectors(amb, [(F(1), F(1))])
+    z = span(amb, [(F(1), F(1))])
     q, _ = subquotient(z, z)
     assert q.dim == 0
 
@@ -118,11 +123,11 @@ def test_subquotient_kernel_vs_image():
 def test_subquotient_errors():
     amb = LabeledSpace.make("a", 2)
     other = LabeledSpace.make("b", 2)
-    z = Subspace.from_vectors(amb, [(F(1), F(0))])
-    b_other = Subspace.from_vectors(other, [(F(1), F(0))])
+    z = span(amb, [(F(1), F(0))])
+    b_other = span(other, [(F(1), F(0))])
     with pytest.raises(AmbientMismatch):
         subquotient(z, b_other)
-    b_out = Subspace.from_vectors(amb, [(F(0), F(1))])
+    b_out = span(amb, [(F(0), F(1))])
     with pytest.raises(ContainmentViolated):
         subquotient(z, b_out)
 
@@ -130,12 +135,15 @@ def test_subquotient_errors():
 def test_rational_serialization():
     assert rat_to_str(F(3, 2)) == "3/2"
     assert rat_to_str(F(-4, 2)) == "-2"
-    assert rat_from_str("7/3") == F(7, 3)
-    assert rat_from_str("-5") == F(-5)
 
 
 def test_matrix_from_json_accepts_integers_and_rational_strings():
     assert matrix_from_json([[1, "-2/3"], ["4", 0]]) == ((F(1), F(-2, 3)), (F(4), F(0)))
+
+
+def test_matrix_from_json_zeros_are_the_shared_zero():
+    ((a, b, c),) = matrix_from_json([[0, "0/5", "-0"]])
+    assert a is ZERO and b is ZERO and c is ZERO
 
 
 @pytest.mark.parametrize("bad", [0.1, True, False, None, "x", "1/0", [1]])
@@ -184,11 +192,11 @@ def test_subquotient_dims_randomized():
         amb = LabeledSpace.make("a", adim)
         nvecs = rng.randint(0, adim)
         vecs = [tuple(F(rng.randint(-3, 3)) for _ in range(adim)) for _ in range(nvecs)]
-        b = Subspace.from_vectors(amb, vecs)
+        b = span(amb, vecs)
         # extend b by a few more vectors to build z containing it
         extra = [tuple(F(rng.randint(-3, 3)) for _ in range(adim))
                  for _ in range(rng.randint(0, adim))]
-        z = Subspace.from_vectors(amb, b.vectors + extra)
+        z = span(amb, b.vectors + extra)
         q, sec = subquotient(z, b)
         assert q.dim == z.dim - b.dim
         _assert_section_completes_b(z, b, q, sec)
