@@ -51,6 +51,8 @@ class CoverNerve:
     faces: frozenset  # of strictly increasing tuples of ints
 
     def __post_init__(self):
+        if not self.faces:
+            raise ValueError("faces must hold at least one face")
         for f in self.faces:
             if not f or any(not 0 <= a < self.opens for a in f):
                 raise ValueError(f"face {f} out of range")
@@ -318,24 +320,47 @@ def cover_to_json(nerve: CoverNerve, sheaf: SheafOnCover) -> dict:
     return {"opens": nerve.opens, "faces": faces, "restrict": restrict}
 
 
+def face_from_json(x, field: str) -> tuple:
+    """A face: a list of non-negative JSON integers, strictly increasing."""
+    if not isinstance(x, list):
+        raise ValueError(f"{field} must be a list of integers, got {x!r}")
+    face = tuple(int_from_json(a, f"{field}[{i}]") for i, a in enumerate(x))
+    if any(a >= b for a, b in zip(face, face[1:])):
+        raise ValueError(f"{field} must be strictly increasing, got {x!r}")
+    return face
+
+
+def _declared_face(x, field: str, faces) -> tuple:
+    face = face_from_json(x, field)
+    if face not in faces:
+        raise ValueError(f"{field}: face {face} is not declared")
+    return face
+
+
+def _restriction_drop(entry: dict, n: int, faces) -> tuple:
+    """(source face, target face, dropped position) of restrict[n]."""
+    src = _declared_face(entry["from"], f"restrict[{n}].from", faces)
+    dst = _declared_face(entry["to"], f"restrict[{n}].to", faces)
+    drops = [i for i in range(len(dst)) if dst[:i] + dst[i + 1:] == src]
+    if len(drops) != 1:
+        raise ValueError(f"restriction {src} -> {dst} is not a single index drop")
+    return src, dst, drops[0]
+
+
 def cover_from_json(data: dict) -> tuple[CoverNerve, SheafOnCover]:
     opens = int_from_json(data["opens"], "opens")
     face_dims = {}
     for n, entry in enumerate(data["faces"]):
-        face = tuple(int(i) for i in entry["idx"])
+        face = face_from_json(entry["idx"], f"faces[{n}].idx")
         face_dims[face] = int_from_json(entry["dim"], f"faces[{n}].dim")
     nerve = CoverNerve(opens, frozenset(face_dims))
     spaces = {f: LabeledSpace(tuple((f, i) for i in range(d)))
               for f, d in face_dims.items()}
     restrictions = {}
-    for entry in data.get("restrict", []):
-        src = tuple(int(i) for i in entry["from"])
-        dst = tuple(int(i) for i in entry["to"])
-        drops = [i for i in range(len(dst)) if dst[:i] + dst[i + 1:] == src]
-        if len(drops) != 1:
-            raise ValueError(f"restriction {src} -> {dst} is not a single index drop")
+    for n, entry in enumerate(data.get("restrict", [])):
+        src, dst, drop = _restriction_drop(entry, n, face_dims)
         mat = matrix_from_json_shaped(entry["matrix"], spaces[dst].dim, spaces[src].dim)
-        restrictions[(dst, drops[0])] = LinearMap(spaces[src], spaces[dst], mat)
+        restrictions[(dst, drop)] = LinearMap(spaces[src], spaces[dst], mat)
     return nerve, SheafOnCover(nerve, spaces, restrictions)
 
 
@@ -344,7 +369,7 @@ def hyper_from_json(data: dict):
     levels = int_from_json(data["levels"], "levels")
     face_dims = {}
     for n, entry in enumerate(data["faces"]):
-        face = tuple(int(i) for i in entry["idx"])
+        face = face_from_json(entry["idx"], f"faces[{n}].idx")
         dims = [int_from_json(d, f"faces[{n}].dims[{q}]") for q, d in enumerate(entry["dims"])]
         if len(dims) != levels:
             raise ValueError(f"face {face} needs one dim per level")
@@ -355,24 +380,20 @@ def hyper_from_json(data: dict):
         level_spaces.append({f: LabeledSpace(tuple((q, f, i) for i in range(d[q])))
                              for f, d in face_dims.items()})
     restrictions: list[dict] = [{} for _ in range(levels)]
-    for entry in data.get("restrict", []):
-        src = tuple(int(i) for i in entry["from"])
-        dst = tuple(int(i) for i in entry["to"])
-        drops = [i for i in range(len(dst)) if dst[:i] + dst[i + 1:] == src]
-        if len(drops) != 1:
-            raise ValueError(f"restriction {src} -> {dst} is not a single index drop")
+    for n, entry in enumerate(data.get("restrict", [])):
+        src, dst, drop = _restriction_drop(entry, n, face_dims)
         mats = entry["matrices"]
         if len(mats) != levels:
             raise ValueError("need one restriction matrix per level")
         for q in range(levels):
-            restrictions[q][(dst, drops[0])] = LinearMap(
+            restrictions[q][(dst, drop)] = LinearMap(
                 level_spaces[q][src], level_spaces[q][dst],
                 matrix_from_json_shaped(mats[q], level_spaces[q][dst].dim,
                                         level_spaces[q][src].dim))
     sheaves = [SheafOnCover(nerve, level_spaces[q], restrictions[q]) for q in range(levels)]
     level_maps: list[dict] = [{} for _ in range(max(levels - 1, 0))]
-    for entry in data.get("level_maps", []):
-        face = tuple(int(i) for i in entry["idx"])
+    for n, entry in enumerate(data.get("level_maps", [])):
+        face = _declared_face(entry["idx"], f"level_maps[{n}].idx", face_dims)
         mats = entry["maps"]
         if len(mats) != levels - 1:
             raise ValueError("need one level map per adjacent level pair")

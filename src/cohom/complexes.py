@@ -7,9 +7,10 @@ subquotient ker d_k / im d_{k-1}.
 Two entry points compute it.  `cohomology` returns explicit
 lifted-cocycle representatives; `cohom complex` and `cohom cech` print
 them.  `cohomology_dims` counts dimensions by rank alone
-(dim K^k - rank d_k - rank d_{k-1}) and serves every caller that reads
-dimensions only: `cohom hyper`, the convergence certificate and
-`cohom derham`.
+(dim K^k - rank d_k - rank d_{k-1}) and serves the callers that read
+dimensions only: `cohom hyper` and the convergence certificate.
+`cohom derham` counts the same way on its Koszul pieces, from integer
+rows that `forms` ranks directly.
 """
 
 from __future__ import annotations
@@ -114,8 +115,7 @@ def cohomology_dims(k: CochainComplex) -> tuple[int, ...]:
     """dim H^n = dim K^n - rank d_n - rank d_{n-1}, ranking each d once.
 
     Does not check d.d = 0: every caller passes a complex validated where
-    it was built (`grid.total`) or one with d.d = 0 by construction (the
-    Koszul components of `forms`).
+    it was built (`grid.total`).
     """
     ranks = [0] + [rank(d) for d in k.diffs] + [0]
     return tuple(s.dim - ranks[i + 1] - ranks[i] for i, s in enumerate(k.spaces))

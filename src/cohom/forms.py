@@ -10,17 +10,22 @@ exact whenever m != 0 and has zero differential at m = 0, where the
 basis consists of the logarithmic generators
 
     w_I = dz_{i1}/z_{i1} /\ ... /\ dz_{iq}/z_{iq},  I subset {1..k}.
+
+The pieces share one cached Koszul skeleton per admissible-axis set,
+with entries m_i * sign, and `derham_cohomology` ranks them as integer
+rows.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .complexes import CochainComplex, cohomology_dims
+from .complexes import CochainComplex
 from .linalg import (
     CohomError,
     LabeledSpace,
@@ -28,6 +33,7 @@ from .linalg import (
     LinearMap,
     ONE,
     ZERO,
+    _echelon,
     rank_of_rows,
     rat_to_str,
 )
@@ -239,16 +245,30 @@ def check_poles(w: AlgebraicForm, spec: TorusSpec) -> None:
                     f"negative exponent on non-inverted variable z{i}")
 
 
+def _admissible_axes(spec: TorusSpec, m: tuple):
+    """The axes that may carry dz_i at m: the inverted ones and the polynomial
+    ones with m_i >= 1; None if a polynomial m_i < 0 (no legal form at all)."""
+    return None if any(mi < 0 for mi in m[spec.k:]) else \
+        tuple(i for i in range(1, spec.n + 1) if spec.inverted(i) or m[i - 1] >= 1)
+
+
+@functools.cache
+def _koszul_skeleton(n: int, pool) -> tuple:
+    """(bases, rows): bases[q] lists the q-subsets of pool in lex order (none
+    when pool is None); row J of d_q holds one (column of J - {i}, i - 1,
+    (-1)^(position of i in J)) triple per axis i in J, for entries m_i * sign.
+    """
+    bases = tuple(tuple(itertools.combinations(pool, q)) if pool is not None else ()
+                  for q in range(n + 1))
+    index = {I: j for basis in bases for j, I in enumerate(basis)}
+    rows = tuple(tuple(tuple((index[J[:p] + J[p + 1:]], a - 1, -1 if p % 2 else 1)
+                             for p, a in enumerate(J)) for J in basis) for basis in bases[1:])
+    return bases, rows
+
+
 def valid_subsets(spec: TorusSpec, m: tuple, q: int) -> list[tuple]:
     """Index sets I with |I| = q for which z^{m - chi_I} dz_I is a legal form."""
-    allowed = []
-    for i in range(1, spec.n + 1):
-        mi = m[i - 1]
-        if not spec.inverted(i) and mi < 0:
-            return []  # no legal forms at this multidegree at all
-        allowed.append(i if (spec.inverted(i) or mi >= 1) else None)
-    pool = [i for i in allowed if i is not None]
-    return list(itertools.combinations(pool, q))
+    return list(_koszul_skeleton(spec.n, _admissible_axes(spec, m))[0][q])
 
 
 def component_form(m: tuple, I: tuple, n: int, coeff=ONE) -> AlgebraicForm:
@@ -262,25 +282,12 @@ def multidegree_complex(spec: TorusSpec, m: tuple) -> CochainComplex:
     Degree-q basis: valid index sets I (lex order); differential is the
     Koszul map determined by m.
     """
-    bases = [valid_subsets(spec, m, q) for q in range(spec.n + 1)]
-    spaces = tuple(LabeledSpace(tuple((m, I) for I in bases[q]))
-                   for q in range(spec.n + 1))
-    diffs = []
-    for q in range(spec.n):
-        src, dst = bases[q], bases[q + 1]
-        dst_index = {I: i for i, I in enumerate(dst)}
-        rows = [[ZERO] * len(src) for _ in dst]
-        for j, I in enumerate(src):
-            for i in range(1, spec.n + 1):
-                mi = m[i - 1]
-                if mi == 0 or i in I:
-                    continue
-                J = tuple(sorted(I + (i,)))
-                if J in dst_index:
-                    # J \ I is the one axis i, so entry (J, I) has this single term
-                    rows[dst_index[J]][j] = Fraction(mi * _sign_insert(i, I))
-        diffs.append(LinearMap(spaces[q], spaces[q + 1], tuple(map(tuple, rows))))
-    return CochainComplex(0, spec.n, spaces, tuple(diffs))
+    bases, rows = _koszul_skeleton(spec.n, _admissible_axes(spec, m))
+    spaces = tuple(LabeledSpace(tuple((m, I) for I in basis)) for basis in bases)
+    diffs = tuple(LinearMap._from_nonzeros(spaces[q], spaces[q + 1],
+                                           [[(j, Fraction(m[a] * s)) for j, a, s in row if m[a]]
+                                            for row in d]) for q, d in enumerate(rows))
+    return CochainComplex(0, spec.n, spaces, diffs)
 
 
 # Most multidegree components one window may enumerate: n = 4 with all
@@ -355,21 +362,24 @@ class DerhamReport:
 def derham_cohomology(spec: TorusSpec) -> DerhamReport:
     """Cohomology of the truncated de Rham complex of the torus model.
 
-    Every nonzero multidegree component must be exact (verified by rank
-    counts); the m = 0 component carries the logarithmic classes w_I.
+    Every nonzero multidegree component must be exact, verified by rank
+    counts of its integer Koszul rows; the m = 0 component carries the
+    logarithmic classes w_I.
     """
     dims = [0] * (spec.n + 1)
-    for m, cx in multidegree_split(spec).items():
-        part = cohomology_dims(cx)
+    for m in multidegree_window(spec):
+        bases, rows = _koszul_skeleton(spec.n, _admissible_axes(spec, m))
+        ranks = [0] + [len(_echelon([(j, m[a] * s) for j, a, s in row if m[a]] for row in d))
+                       for d in rows] + [0]
+        part = [len(basis) - ranks[q + 1] - ranks[q] for q, basis in enumerate(bases)]
         if any(m):
             if any(part):
                 raise WindowExhausted(
                     f"nonzero cohomology at multidegree {m}; enlarge the window")
+        elif any(ranks):
+            raise LawViolation("the multidegree-zero differential vanishes")
         else:
-            if not all(d.is_zero() for d in cx.diffs):
-                raise LawViolation("the multidegree-zero differential vanishes")
-            for q in range(spec.n + 1):
-                dims[q] += part[q]
+            dims = part
     generators = tuple(tuple(itertools.combinations(range(1, spec.k + 1), q))
                        for q in range(spec.n + 1))
     expected = tuple(len(g) for g in generators)

@@ -105,6 +105,38 @@ def test_bad_count_fields_are_malformed(tmp_path, capsys, command, data, field):
     assert f"malformed input: {field} " in err
 
 
+_PAIR = [{"idx": [0], "dim": 1}, {"idx": [1], "dim": 1}]
+
+
+@pytest.mark.parametrize("command, data, field", [
+    ("cech", {"opens": 1, "faces": [{"idx": "0", "dim": 1}], "restrict": []}, "faces[0].idx"),
+    ("cech", {"opens": 1, "faces": [{"idx": [True], "dim": 1}], "restrict": []},
+     "faces[0].idx[0]"),
+    ("cech", {"opens": 2, "faces": [{"idx": [1.9], "dim": 1}], "restrict": []},
+     "faces[0].idx[0]"),
+    ("cech", {"opens": 2, "faces": [*_PAIR, {"idx": [1, 0], "dim": 1}], "restrict": []},
+     "faces[2].idx"),
+    ("cech", {"opens": 2, "faces": _PAIR,
+              "restrict": [{"from": [0], "to": [0, 1], "matrix": [["1"]]}]},
+     "restrict[0].to: face (0, 1) is not declared"),
+    ("cech", {"opens": 2, "faces": _PAIR,
+              "restrict": [{"from": "0", "to": [0, 1], "matrix": [["1"]]}]}, "restrict[0].from"),
+    ("hyper", {"opens": 1, "levels": 2, "faces": [{"idx": [0], "dims": [1, 1]}],
+               "level_maps": [{"idx": [5], "maps": [[["0"]]]}]},
+     "level_maps[0].idx: face (5,) is not declared"),
+    ("cech", {"opens": 0, "faces": [], "restrict": []}, "faces"),
+    ("hyper", {"opens": 0, "levels": 1, "faces": [], "restrict": []}, "faces"),
+], ids=["cech_string_idx", "cech_boolean_idx", "cech_float_idx", "cech_unsorted_idx",
+        "cech_undeclared_to", "cech_string_from", "hyper_undeclared_level_map",
+        "cech_empty_cover", "hyper_empty_cover"])
+def test_bad_faces_are_malformed(tmp_path, capsys, command, data, field):
+    path = write(tmp_path, "bad.json", data)
+    code, out, err = run(capsys, command, path)
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    assert f"malformed input: {field}" in err
+
+
 def test_failed_self_check_exits_2_naming_the_law(capsys, monkeypatch):
     """A broken kernel makes the cocycle self-check fail: exit 2, no traceback."""
     import cohom.complexes

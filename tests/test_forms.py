@@ -6,6 +6,10 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import rank_of_rows as oracle_rank
+
+import cohom.forms as forms
+from cohom.cli import main
 from cohom.complexes import validate
 from cohom.forms import (
     AlgebraicForm,
@@ -14,6 +18,7 @@ from cohom.forms import (
     PoleOnNonInvertedAxis,
     TorusSpec,
     VariableCountMismatch,
+    WindowExhausted,
     cup_table,
     derham_cohomology,
     exterior_derivative,
@@ -22,6 +27,7 @@ from cohom.forms import (
     log_representative,
     multidegree_complex,
     multidegree_split,
+    multidegree_window,
     parse_form,
     pole_filtration_dims,
     pole_reduce,
@@ -31,6 +37,7 @@ from cohom.forms import (
     wedge,
 )
 from cohom.generators import random_closed_form, random_form
+from cohom.linalg import LawViolation
 
 F = Fraction
 
@@ -180,6 +187,121 @@ def test_component_matrices_match_exterior_derivative():
                     else tuple([F(0)] * cx.space(q + 1).dim)
                 got = tuple(row[j] for row in cx.diff(q).matrix)
                 assert got == expected
+
+
+def reference_koszul(spec, m, q):
+    """(source basis, target basis, matrix) of d_q at multidegree m, from
+    the definition d(z^{m - chi_I} dz_I) = sum_i m_i dz_i /\\ dz_I; the
+    sign of dz_i /\\ dz_I is counted from the inversions of the word (i, I)."""
+    if any(m[i] < 0 for i in range(spec.k, spec.n)):
+        return [], [], ()
+    pool = [i for i in range(1, spec.n + 1) if i <= spec.k or m[i - 1] >= 1]
+    src = list(itertools.combinations(pool, q))
+    dst = list(itertools.combinations(pool, q + 1))
+    rows = []
+    for J in dst:
+        row = []
+        for I in src:
+            extra = set(J) - set(I)
+            if len(extra) == 1 and set(I) < set(J):
+                word = (extra.pop(),) + I
+                inversions = sum(1 for a in range(len(word)) for b in range(a + 1, len(word))
+                                 if word[a] > word[b])
+                row.append(F(m[word[0] - 1] * (-1) ** inversions))
+            else:
+                row.append(F(0))
+        rows.append(tuple(row))
+    return src, dst, tuple(rows)
+
+
+def small_specs():
+    return [TorusSpec(n, k, W) for n in range(4) for k in range(n + 1) for W in range(1, 4)]
+
+
+def test_multidegree_complex_matches_reference_koszul():
+    for spec in small_specs():
+        off_window = [tuple(-1 if i == spec.n - 1 else 1 for i in range(spec.n)),
+                      (spec.window + 2,) * spec.n]
+        for m in multidegree_window(spec) + off_window:
+            cx = multidegree_complex(spec, m)
+            for q in range(spec.n):
+                src, dst, rows = reference_koszul(spec, m, q)
+                assert cx.space(q).labels == tuple((m, I) for I in src)
+                assert cx.space(q + 1).labels == tuple((m, J) for J in dst)
+                assert cx.diff(q).matrix == rows
+
+
+@pytest.mark.parametrize("spec", small_specs() + [TorusSpec(4, 4, 2)], ids=str)
+def test_derham_component_ranks_match_bareiss_oracle(monkeypatch, spec):
+    """Every rank derham_cohomology counts is the oracle rank of that Koszul matrix."""
+    seen = []
+    echelon = forms._echelon
+
+    def recording(rows):
+        rows = [list(row) for row in rows]
+        pivots = echelon(rows)
+        seen.append((rows, len(pivots)))
+        return pivots
+
+    monkeypatch.setattr(forms, "_echelon", recording)
+    derham_cohomology(spec)
+    expected = [(m, q) for m in multidegree_window(spec) for q in range(spec.n)]
+    assert len(seen) == len(expected)
+    for (m, q), (rows, r) in zip(expected, seen):
+        src, _, matrix = reference_koszul(spec, m, q)
+        dense = [[0] * len(src) for _ in rows]
+        for dense_row, row in zip(dense, rows):
+            for j, x in row:
+                dense_row[j] = x
+        assert tuple(map(tuple, dense)) == matrix
+        assert r == oracle_rank(matrix)
+
+
+def flip_first_d1_sign(skeleton):
+    def flipped(n, pool):
+        bases, rows = skeleton(n, pool)
+        if len(rows) < 2 or not rows[1]:
+            return bases, rows
+        (j, a, s), *rest = rows[1][0]
+        return bases, (rows[0], (((j, a, -s), *rest),) + rows[1][1:]) + rows[2:]
+    return flipped
+
+
+def test_mutated_koszul_sign_fails_the_exactness_check(monkeypatch, capsys):
+    # at n = 3 a flipped sign in d_1 makes d_1 invertible where every m_i != 0
+    monkeypatch.setattr(forms, "_koszul_skeleton", flip_first_d1_sign(forms._koszul_skeleton))
+    with pytest.raises(WindowExhausted):
+        derham_cohomology(TorusSpec(3, 3, 2))
+    assert main(["derham", "--n", "3", "--invert", "3", "--window", "2"]) == 2
+    assert "nonzero cohomology at multidegree" in capsys.readouterr().err
+
+
+def test_forced_rank_deficit_fails_the_exactness_check(monkeypatch, capsys):
+    echelon = forms._echelon
+    monkeypatch.setattr(forms, "_echelon", lambda rows: dict(list(echelon(rows).items())[1:]))
+    with pytest.raises(WindowExhausted):
+        derham_cohomology(TorusSpec(2, 1, 2))
+    assert main(["derham", "--n", "2", "--invert", "1", "--window", "2"]) == 2
+    assert "nonzero cohomology at multidegree" in capsys.readouterr().err
+
+
+def test_nonzero_multidegree_zero_differential_is_a_law_violation(monkeypatch, capsys):
+    monkeypatch.setattr(forms, "_echelon", lambda rows: {0: {0: 1}})
+    with pytest.raises(LawViolation, match="the multidegree-zero differential vanishes"):
+        derham_cohomology(TorusSpec(1, 1, 2))
+    assert main(["derham", "--n", "1", "--invert", "1", "--window", "2"]) == 2
+    assert "law 'the multidegree-zero differential vanishes' fails" in capsys.readouterr().err
+
+
+def test_koszul_skeleton_cache_is_keyed_on_structure():
+    forms._koszul_skeleton.cache_clear()
+    for k in range(5):
+        derham_cohomology(TorusSpec(4, k, 3))
+    info = forms._koszul_skeleton.cache_info()
+    # 3,376 components, at most one skeleton per admissible-axis set in {1..4}
+    assert info.hits + info.misses == sum(len(multidegree_window(TorusSpec(4, k, 3)))
+                                          for k in range(5))
+    assert info.currsize <= 2 ** 4
 
 
 def test_truncated_complex_is_valid_and_splits():

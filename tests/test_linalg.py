@@ -146,7 +146,22 @@ def test_matrix_from_json_zeros_are_the_shared_zero():
     assert a is ZERO and b is ZERO and c is ZERO
 
 
-@pytest.mark.parametrize("bad", [0.1, True, False, None, "x", "1/0", [1]])
+@pytest.mark.parametrize("text", ["--5", "+5", " 5 ", "1_0", "\u0663", "-0", "007", "3/6",
+                                  "12", "-40", "9" * 5000])
+def test_matrix_from_json_strings_parse_as_fraction_does(text):
+    """Integer strings take a fast path; every string still reads as Fraction reads it."""
+    try:
+        expected = Fraction(text)
+    except ValueError:
+        with pytest.raises(ValueError, match="row 0, column 0"):
+            matrix_from_json([[text]])
+        return
+    ((got,),) = matrix_from_json([[text]])
+    assert type(got) is Fraction and got == expected
+    assert (got is ZERO) == (expected == 0)
+
+
+@pytest.mark.parametrize("bad", [0.1, True, False, None, "x", "1/0", [1], 1.0])
 def test_matrix_from_json_names_the_bad_entry(bad):
     with pytest.raises(ValueError, match="row 1, column 0"):
         matrix_from_json([["1", "2"], [bad, "3"]])
