@@ -9,8 +9,8 @@ lifted-cocycle representatives; `cohom complex` and `cohom cech` print
 them.  `cohomology_dims` counts dimensions by rank alone
 (dim K^k - rank d_k - rank d_{k-1}) and serves the callers that read
 dimensions only: `cohom hyper` and the convergence certificate.
-`cohom derham` counts the same way on its Koszul pieces, from integer
-rows that `forms` ranks directly.
+`cohom derham` counts its Koszul pieces with the same rule,
+`dims_from_ranks`, from integer rows that `forms` ranks directly.
 """
 
 from __future__ import annotations
@@ -117,8 +117,13 @@ def cohomology_dims(k: CochainComplex) -> tuple[int, ...]:
     Does not check d.d = 0: every caller passes a complex validated where
     it was built (`grid.total`).
     """
-    ranks = [0] + [rank(d) for d in k.diffs] + [0]
-    return tuple(s.dim - ranks[i + 1] - ranks[i] for i, s in enumerate(k.spaces))
+    return dims_from_ranks([s.dim for s in k.spaces], [rank(d) for d in k.diffs])
+
+
+def dims_from_ranks(sizes, ranks) -> tuple[int, ...]:
+    """dim K^n - rank d_n - rank d_{n-1}, given every degree's size and every d's rank."""
+    r = [0, *ranks, 0]
+    return tuple(s - r[i + 1] - r[i] for i, s in enumerate(sizes))
 
 
 def direct_sum(a: CochainComplex, b: CochainComplex) -> CochainComplex:

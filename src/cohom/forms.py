@@ -11,9 +11,8 @@ basis consists of the logarithmic generators
 
     w_I = dz_{i1}/z_{i1} /\ ... /\ dz_{iq}/z_{iq},  I subset {1..k}.
 
-The pieces share one cached Koszul skeleton per admissible-axis set,
-with entries m_i * sign, and `derham_cohomology` ranks them as integer
-rows.
+The pieces share one cached Koszul skeleton per admissible-axis set and
+`derham_cohomology` ranks them as integer rows.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .complexes import CochainComplex
+from .complexes import CochainComplex, dims_from_ranks
 from .linalg import (
     CohomError,
     LabeledSpace,
@@ -246,24 +245,28 @@ def check_poles(w: AlgebraicForm, spec: TorusSpec) -> None:
 
 
 def _admissible_axes(spec: TorusSpec, m: tuple):
-    """The axes that may carry dz_i at m: the inverted ones and the polynomial
-    ones with m_i >= 1; None if a polynomial m_i < 0 (no legal form at all)."""
+    """Axes that may carry dz_i at m (inverted, or m_i >= 1); None if a polynomial m_i < 0."""
     return None if any(mi < 0 for mi in m[spec.k:]) else \
         tuple(i for i in range(1, spec.n + 1) if spec.inverted(i) or m[i - 1] >= 1)
 
 
 @functools.cache
 def _koszul_skeleton(n: int, pool) -> tuple:
-    """(bases, rows): bases[q] lists the q-subsets of pool in lex order (none
-    when pool is None); row J of d_q holds one (column of J - {i}, i - 1,
-    (-1)^(position of i in J)) triple per axis i in J, for entries m_i * sign.
-    """
+    """(bases, rows): bases[q] lists the q-subsets of pool in lex order (none if
+    pool is None); row J of d_q holds one (column of J - {i}, i - 1, sign) triple
+    per axis i in J, the sign (-1)^(position of i in J)."""
     bases = tuple(tuple(itertools.combinations(pool, q)) if pool is not None else ()
                   for q in range(n + 1))
     index = {I: j for basis in bases for j, I in enumerate(basis)}
     rows = tuple(tuple(tuple((index[J[:p] + J[p + 1:]], a - 1, -1 if p % 2 else 1)
                              for p, a in enumerate(J)) for J in basis) for basis in bases[1:])
     return bases, rows
+
+
+def _koszul_int_rows(spec: TorusSpec, m: tuple) -> tuple:
+    """(bases, rows): rows[q][J] holds the nonzero (column, m_i * sign) entries of d_q."""
+    bases, rows = _koszul_skeleton(spec.n, _admissible_axes(spec, m))
+    return bases, [[[(j, m[a] * s) for j, a, s in row if m[a]] for row in d] for d in rows]
 
 
 def valid_subsets(spec: TorusSpec, m: tuple, q: int) -> list[tuple]:
@@ -282,11 +285,10 @@ def multidegree_complex(spec: TorusSpec, m: tuple) -> CochainComplex:
     Degree-q basis: valid index sets I (lex order); differential is the
     Koszul map determined by m.
     """
-    bases, rows = _koszul_skeleton(spec.n, _admissible_axes(spec, m))
+    bases, rows = _koszul_int_rows(spec, m)
     spaces = tuple(LabeledSpace(tuple((m, I) for I in basis)) for basis in bases)
-    diffs = tuple(LinearMap._from_nonzeros(spaces[q], spaces[q + 1],
-                                           [[(j, Fraction(m[a] * s)) for j, a, s in row if m[a]]
-                                            for row in d]) for q, d in enumerate(rows))
+    nz = [[[(j, Fraction(v)) for j, v in row] for row in d] for d in rows]
+    diffs = tuple(LinearMap._from_nonzeros(spaces[q], spaces[q + 1], d) for q, d in enumerate(nz))
     return CochainComplex(0, spec.n, spaces, diffs)
 
 
@@ -362,16 +364,14 @@ class DerhamReport:
 def derham_cohomology(spec: TorusSpec) -> DerhamReport:
     """Cohomology of the truncated de Rham complex of the torus model.
 
-    Every nonzero multidegree component must be exact, verified by rank
-    counts of its integer Koszul rows; the m = 0 component carries the
-    logarithmic classes w_I.
+    Every nonzero multidegree component must be exact (verified by ranking
+    its integer Koszul rows); the m = 0 component carries the classes w_I.
     """
     dims = [0] * (spec.n + 1)
     for m in multidegree_window(spec):
-        bases, rows = _koszul_skeleton(spec.n, _admissible_axes(spec, m))
-        ranks = [0] + [len(_echelon([(j, m[a] * s) for j, a, s in row if m[a]] for row in d))
-                       for d in rows] + [0]
-        part = [len(basis) - ranks[q + 1] - ranks[q] for q, basis in enumerate(bases)]
+        bases, rows = _koszul_int_rows(spec, m)
+        ranks = [len(_echelon(d)) for d in rows]
+        part = dims_from_ranks(map(len, bases), ranks)
         if any(m):
             if any(part):
                 raise WindowExhausted(

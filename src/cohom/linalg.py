@@ -12,7 +12,6 @@ runs.  Products and applications multiply nonzero entries only.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -63,20 +62,16 @@ def matrix_to_json(rows: Matrix) -> list[list[str]]:
     return [[rat_to_str(x) for x in row] for row in rows]
 
 
-_INT_STR = re.compile(r"-?[0-9]+")
-
-
 def _rat_from_json(x, i: int, j: int) -> Fraction:
     """A JSON integer or a string Fraction parses; floats and booleans are refused.
 
     Zero entries are the shared ZERO, which `_nonzeros` skips by identity.
-    Plain ASCII integer strings, the common case, skip Fraction's parser.
     """
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x) if x else ZERO
     if isinstance(x, str):
         try:
-            v = Fraction(int(x)) if _INT_STR.fullmatch(x) else Fraction(x)
+            v = Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
         else:

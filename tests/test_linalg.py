@@ -149,7 +149,7 @@ def test_matrix_from_json_zeros_are_the_shared_zero():
 @pytest.mark.parametrize("text", ["--5", "+5", " 5 ", "1_0", "\u0663", "-0", "007", "3/6",
                                   "12", "-40", "9" * 5000])
 def test_matrix_from_json_strings_parse_as_fraction_does(text):
-    """Integer strings take a fast path; every string still reads as Fraction reads it."""
+    """Every string entry reads exactly as Fraction reads it."""
     try:
         expected = Fraction(text)
     except ValueError:
