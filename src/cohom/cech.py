@@ -24,6 +24,7 @@ from .linalg import (
     LinearMap,
     ONE,
     ZERO,
+    check_declared_dim,
     int_from_json,
     matrix_from_json_shaped,
     matrix_to_json,
@@ -337,28 +338,38 @@ def _declared_face(x, field: str, faces) -> tuple:
     return face
 
 
-def _restriction_drop(entry: dict, n: int, faces) -> tuple:
-    """(source face, target face, dropped position) of restrict[n]."""
+def _once(key, seen: set, field: str):
+    """key, recorded in seen; refused if an earlier entry declared it."""
+    if key in seen:
+        raise ValueError(f"{field}: {key} is declared twice")
+    seen.add(key)
+    return key
+
+
+def _restriction_drop(entry: dict, n: int, faces, seen: set) -> tuple:
+    """(source face, target face, dropped position) of restrict[n], each pair declared once."""
     src = _declared_face(entry["from"], f"restrict[{n}].from", faces)
     dst = _declared_face(entry["to"], f"restrict[{n}].to", faces)
     drops = [i for i in range(len(dst)) if dst[:i] + dst[i + 1:] == src]
     if len(drops) != 1:
         raise ValueError(f"restriction {src} -> {dst} is not a single index drop")
+    _once((src, dst), seen, f"restrict[{n}]")
     return src, dst, drops[0]
 
 
 def cover_from_json(data: dict) -> tuple[CoverNerve, SheafOnCover]:
     opens = int_from_json(data["opens"], "opens")
-    face_dims = {}
+    face_dims, seen = {}, set()
     for n, entry in enumerate(data["faces"]):
-        face = face_from_json(entry["idx"], f"faces[{n}].idx")
+        face = _once(face_from_json(entry["idx"], f"faces[{n}].idx"), seen, f"faces[{n}].idx")
         face_dims[face] = int_from_json(entry["dim"], f"faces[{n}].dim")
+    check_declared_dim(sum(face_dims.values()))
     nerve = CoverNerve(opens, frozenset(face_dims))
     spaces = {f: LabeledSpace(tuple((f, i) for i in range(d)))
               for f, d in face_dims.items()}
-    restrictions = {}
+    restrictions, seen = {}, set()
     for n, entry in enumerate(data.get("restrict", [])):
-        src, dst, drop = _restriction_drop(entry, n, face_dims)
+        src, dst, drop = _restriction_drop(entry, n, face_dims, seen)
         mat = matrix_from_json_shaped(entry["matrix"], spaces[dst].dim, spaces[src].dim)
         restrictions[(dst, drop)] = LinearMap(spaces[src], spaces[dst], mat)
     return nerve, SheafOnCover(nerve, spaces, restrictions)
@@ -367,21 +378,22 @@ def cover_from_json(data: dict) -> tuple[CoverNerve, SheafOnCover]:
 def hyper_from_json(data: dict):
     opens = int_from_json(data["opens"], "opens")
     levels = int_from_json(data["levels"], "levels")
-    face_dims = {}
+    face_dims, seen = {}, set()
     for n, entry in enumerate(data["faces"]):
-        face = face_from_json(entry["idx"], f"faces[{n}].idx")
+        face = _once(face_from_json(entry["idx"], f"faces[{n}].idx"), seen, f"faces[{n}].idx")
         dims = [int_from_json(d, f"faces[{n}].dims[{q}]") for q, d in enumerate(entry["dims"])]
         if len(dims) != levels:
             raise ValueError(f"face {face} needs one dim per level")
         face_dims[face] = dims
+    check_declared_dim(sum(map(sum, face_dims.values())))
     nerve = CoverNerve(opens, frozenset(face_dims))
     level_spaces = []
     for q in range(levels):
         level_spaces.append({f: LabeledSpace(tuple((q, f, i) for i in range(d[q])))
                              for f, d in face_dims.items()})
-    restrictions: list[dict] = [{} for _ in range(levels)]
+    restrictions, seen = [{} for _ in range(levels)], set()
     for n, entry in enumerate(data.get("restrict", [])):
-        src, dst, drop = _restriction_drop(entry, n, face_dims)
+        src, dst, drop = _restriction_drop(entry, n, face_dims, seen)
         mats = entry["matrices"]
         if len(mats) != levels:
             raise ValueError("need one restriction matrix per level")
@@ -391,9 +403,10 @@ def hyper_from_json(data: dict):
                 matrix_from_json_shaped(mats[q], level_spaces[q][dst].dim,
                                         level_spaces[q][src].dim))
     sheaves = [SheafOnCover(nerve, level_spaces[q], restrictions[q]) for q in range(levels)]
-    level_maps: list[dict] = [{} for _ in range(max(levels - 1, 0))]
+    level_maps, seen = [{} for _ in range(max(levels - 1, 0))], set()
     for n, entry in enumerate(data.get("level_maps", [])):
-        face = _declared_face(entry["idx"], f"level_maps[{n}].idx", face_dims)
+        field = f"level_maps[{n}].idx"
+        face = _once(_declared_face(entry["idx"], field, face_dims), seen, field)
         mats = entry["maps"]
         if len(mats) != levels - 1:
             raise ValueError("need one level map per adjacent level pair")

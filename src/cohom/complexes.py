@@ -25,6 +25,7 @@ from .linalg import (
     LinearMap,
     Subspace,
     ZERO_SPACE,
+    check_declared_dim,
     image_basis,
     int_from_json,
     kernel_basis,
@@ -159,6 +160,7 @@ def complex_from_json(data: dict) -> CochainComplex:
     dims = [int_from_json(d, f"dims[{i}]") for i, d in enumerate(data["dims"])]
     if len(dims) != hi - lo + 1:
         raise ValueError("dims length does not match degree range")
+    check_declared_dim(sum(dims))
     spaces = tuple(LabeledSpace(tuple((lo + i, j) for j in range(d)))
                    for i, d in enumerate(dims))
     raw = data["diffs"]

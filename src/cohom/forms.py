@@ -204,7 +204,7 @@ class LogClassVector:
     coeffs: tuple  # Fraction per subset in lex order
 
     def __post_init__(self):
-        if len(self.coeffs) != comb(self.k, self.q) and not (self.q > self.k and not self.coeffs):
+        if len(self.coeffs) != comb(self.k, self.q):
             raise ValueError("wrong number of coefficients")
 
     @staticmethod
@@ -263,20 +263,25 @@ def _koszul_skeleton(n: int, pool) -> tuple:
     return bases, rows
 
 
-def _koszul_int_rows(spec: TorusSpec, m: tuple) -> tuple:
+def _koszul_int_rows(skeleton: tuple, m: tuple) -> tuple:
     """(bases, rows): rows[q][J] holds the nonzero (column, m_i * sign) entries of d_q."""
-    bases, rows = _koszul_skeleton(spec.n, _admissible_axes(spec, m))
+    bases, rows = skeleton
     return bases, [[[(j, m[a] * s) for j, a, s in row if m[a]] for row in d] for d in rows]
 
 
-def valid_subsets(spec: TorusSpec, m: tuple, q: int) -> list[tuple]:
-    """Index sets I with |I| = q for which z^{m - chi_I} dz_I is a legal form."""
-    return list(_koszul_skeleton(spec.n, _admissible_axes(spec, m))[0][q])
-
-
-def component_form(m: tuple, I: tuple, n: int, coeff=ONE) -> AlgebraicForm:
-    exps = tuple(mi - (1 if (i + 1) in I else 0) for i, mi in enumerate(m))
-    return AlgebraicForm.monomial(n, coeff, exps, I)
+def _check_koszul_squares(skeletons) -> None:
+    """d_{q+1} d_q = 0 at the sign level: for every J and axes a < b in J, the
+    paths J -> J - {a} -> J - {a, b} and J -> J - {b} -> J - {a, b} have opposite signs."""
+    for _, rows in skeletons:
+        for d, d_next in zip(rows, rows[1:]):
+            for row in d_next:
+                paths: dict = {}
+                for j, a, s in row:
+                    for i, b, t in d[j]:
+                        key = (i, min(a, b), max(a, b))
+                        paths[key] = paths.get(key, 0) + s * t
+                if any(paths.values()):
+                    raise LawViolation("the Koszul differential squares to zero")
 
 
 def multidegree_complex(spec: TorusSpec, m: tuple) -> CochainComplex:
@@ -285,7 +290,7 @@ def multidegree_complex(spec: TorusSpec, m: tuple) -> CochainComplex:
     Degree-q basis: valid index sets I (lex order); differential is the
     Koszul map determined by m.
     """
-    bases, rows = _koszul_int_rows(spec, m)
+    bases, rows = _koszul_int_rows(_koszul_skeleton(spec.n, _admissible_axes(spec, m)), m)
     spaces = tuple(LabeledSpace(tuple((m, I) for I in basis)) for basis in bases)
     nz = [[[(j, Fraction(v)) for j, v in row] for row in d] for d in rows]
     diffs = tuple(LinearMap._from_nonzeros(spaces[q], spaces[q + 1], d) for q, d in enumerate(nz))
@@ -343,17 +348,6 @@ def split_by_multidegree(w: AlgebraicForm) -> dict:
     return {m: AlgebraicForm.build(w.n, w.degree, t) for m, t in sorted(parts.items())}
 
 
-def component_coords(spec: TorusSpec, m: tuple, w: AlgebraicForm) -> tuple:
-    subsets = valid_subsets(spec, m, w.degree)
-    index = {I: i for i, I in enumerate(subsets)}
-    coords = [ZERO] * len(subsets)
-    for exps, dI, c in w.terms:
-        if term_multidegree(exps, dI) != m:
-            raise ValueError("form is not concentrated in the given multidegree")
-        coords[index[dI]] = c
-    return tuple(coords)
-
-
 @dataclass(frozen=True)
 class DerhamReport:
     k: int
@@ -366,10 +360,14 @@ def derham_cohomology(spec: TorusSpec) -> DerhamReport:
 
     Every nonzero multidegree component must be exact (verified by ranking
     its integer Koszul rows); the m = 0 component carries the classes w_I.
+    Each skeleton the ranks used is then checked to square to zero.
     """
     dims = [0] * (spec.n + 1)
+    skeletons = {}  # admissible axes -> the skeleton the loop ranked
     for m in multidegree_window(spec):
-        bases, rows = _koszul_int_rows(spec, m)
+        pool = _admissible_axes(spec, m)
+        skeletons[pool] = _koszul_skeleton(spec.n, pool)
+        bases, rows = _koszul_int_rows(skeletons[pool], m)
         ranks = [len(_echelon(d)) for d in rows]
         part = dims_from_ranks(map(len, bases), ranks)
         if any(m):
@@ -380,6 +378,7 @@ def derham_cohomology(spec: TorusSpec) -> DerhamReport:
             raise LawViolation("the multidegree-zero differential vanishes")
         else:
             dims = part
+    _check_koszul_squares(skeletons.values())
     generators = tuple(tuple(itertools.combinations(range(1, spec.k + 1), q))
                        for q in range(spec.n + 1))
     expected = tuple(len(g) for g in generators)
@@ -544,8 +543,7 @@ def log_representative(w: AlgebraicForm, spec: TorusSpec):
             raise WindowExhausted(
                 f"cannot certify exactness of the multidegree {m} component")
         xi = xi + xi_m
-    vec = LogClassVector.from_dict(spec.k, q, coeffs) if q <= spec.k \
-        else LogClassVector(spec.k, q, ())
+    vec = LogClassVector.from_dict(spec.k, q, coeffs)
     residue = w - vec.to_form(w.n) - exterior_derivative(xi)
     if not residue.is_zero():
         raise LawViolation("log representative: w = sum c_I w_I + d(xi)")
@@ -561,8 +559,7 @@ def cup_table(spec: TorusSpec) -> dict:
                 for J in itertools.combinations(range(1, spec.k + 1), qb):
                     prod = wedge(log_form(spec.n, I), log_form(spec.n, J))
                     if prod.is_zero():
-                        table[(I, J)] = LogClassVector.from_dict(spec.k, qa + qb, {}) \
-                            if qa + qb <= spec.k else LogClassVector(spec.k, qa + qb, ())
+                        table[(I, J)] = LogClassVector.from_dict(spec.k, qa + qb, {})
                     else:
                         table[(I, J)], _ = log_representative(prod, spec)
     return table

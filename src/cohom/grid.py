@@ -18,6 +18,7 @@ from .linalg import (
     LabeledSpace,
     LinearMap,
     ONE,
+    check_declared_dim,
     int_from_json,
     matrix_from_json_shaped,
     matrix_to_json,
@@ -334,6 +335,7 @@ def double_complex_from_json(data: dict) -> DoubleComplex:
             raise ValueError(f"{name} shape does not match bounds (expected {outer} x {inner})")
     dims = [[int_from_json(d, f"dims[{p}][{q}]") for q, d in enumerate(col)]
             for p, col in enumerate(data["dims"])]
+    check_declared_dim(sum(map(sum, dims)))
     cells = tuple(tuple(LabeledSpace(tuple(((p, q), j) for j in range(dims[p][q])))
                         for q in range(Q + 1)) for p in range(P + 1))
     horiz = tuple(tuple(LinearMap(cells[p][q], cells[p + 1][q],

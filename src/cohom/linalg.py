@@ -89,6 +89,19 @@ def int_from_json(x, field: str, signed: bool = False) -> int:
     raise ValueError(f"{field} must be {kind}, got {x!r}")
 
 
+# Most basis vectors one JSON input may declare in all.  Measured with
+# Python 3.11 on a 2-vCPU container: `cohom complex` on {"dims": [0, N],
+# "diffs": [[]]} takes 1.1 s and 48 MB at N = 1000, 4.4 s and 140 MB at N = 2000.
+MAX_DECLARED_DIM = 1000
+
+
+def check_declared_dim(total: int) -> None:
+    """Refuse an input that declares more than MAX_DECLARED_DIM basis vectors in all."""
+    if total > MAX_DECLARED_DIM:
+        raise ValueError(f"the input declares {total} basis vectors in all, "
+                         f"over the limit of {MAX_DECLARED_DIM}")
+
+
 def matrix_from_json(rows: Sequence[Sequence[str]]) -> Matrix:
     if not isinstance(rows, (list, tuple)) or \
             not all(isinstance(row, (list, tuple)) for row in rows):

@@ -148,7 +148,7 @@ def p1_report(weight_window: int = _W_DEFAULT) -> P1Report:
         raise WindowExhausted(
             f"p1 dims changed between windows {weight_window} and {weight_window + 2}")
     res = results[weight_window]
-    e1 = {pq: e.dim for pq, e in sorted(res.second[0].entries.items())}
+    e1 = {pq: len(idx) for pq, idx in sorted(res.second[0].span.items())}
 
     # the degree-2 class is generated by the 1-cochain z^-1 dz on the overlap
     tot2 = res.total.space(2)

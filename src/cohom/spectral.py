@@ -12,10 +12,13 @@ index of Tot^n is exactly one of
     a source j     paired with its target low(R_j) at distance p_low - p_j,
     a target       the low of some source in degree n - 1.
 
-E_r^{p,q} is spanned by the essentials at p plus the sources and targets
-at p whose pair distance is >= r; representatives are V_j for essentials
-and sources and R_j for the target of source j.  d_r sends each source
-to its target when their distance is exactly r and is zero otherwise.
+A page is a filter on this pairing.  E_r^{p,q} is spanned by the
+essentials at p plus the sources and targets at p whose pair distance
+is >= r (`SpectralPage.span`), and d_r is the matching at distance
+exactly r: it sends each source to its target (`SpectralPage.d_pairs`).
+Page dims are therefore lengths of index lists and the rank of d_r is
+its number of distinct targets.  Representatives are V_j for
+essentials and sources and R_j for the target of source j.
 
 The row filtration is read from the same total complex, with q in place
 of p as the filtration degree: x -> (-1)^{pq} x carries Tot(K) filtered
@@ -27,22 +30,13 @@ and its representatives lie in Tot(K) itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .complexes import CochainComplex, cohomology_dims
 from .grid import DoubleComplex, total
-from .linalg import (
-    CohomError,
-    LabeledSpace,
-    LawViolation,
-    LinearMap,
-    ONE,
-    Subspace,
-    ZERO,
-    rank,
-)
+from .linalg import CohomError, LawViolation, ONE, ZERO
 
 
 class ConvergenceFailure(CohomError):
@@ -50,23 +44,36 @@ class ConvergenceFailure(CohomError):
 
 
 @dataclass(frozen=True)
-class PageEntry:
-    dim: int
-    representatives: Subspace  # subspace of Tot^{p+q}
-
-
-@dataclass(frozen=True)
 class SpectralPage:
     r: int
-    entries: dict  # (p, q) -> PageEntry, all cells of [0,P] x [0,Q]
-    differentials: dict  # (p, q) -> LinearMap in page coordinates
+    span: dict  # (p, q) -> Tot^{p+q} indices alive on E_r, all cells of [0,P] x [0,Q]
+    gens: list  # the _pairs pairing, shared by every page of one filtration
+    _d: dict = field(default_factory=dict, compare=False, repr=False)  # d_pairs, once per cell
 
     def dim(self, p: int, q: int) -> int:
-        e = self.entries.get((p, q))
-        return e.dim if e else 0
+        return len(self.span.get((p, q), ()))
 
     def dims(self) -> dict:
-        return {pq: e.dim for pq, e in sorted(self.entries.items()) if e.dim}
+        return {pq: len(idx) for pq, idx in sorted(self.span.items()) if idx}
+
+    def d_pairs(self, p: int, q: int) -> list[tuple[int, int]]:
+        """(source, target) span positions of d_r : E_r^{p,q} -> E_r^{p+r,q-r+1}."""
+        if (p, q) not in self._d:
+            idx = self.span.get((p, q), ())
+            pos = {i: j for j, i in enumerate(self.span.get((p + self.r, q - self.r + 1), ()))}
+            gens = self.gens[p + q] if idx else ()
+            self._d[(p, q)] = [(s, pos[gens[i][2]]) for s, i in enumerate(idx)
+                               if gens[i][0] == self.r and gens[i][2] is not None]
+        return self._d[(p, q)]
+
+    def representatives(self, p: int, q: int) -> list[tuple]:
+        """Dense vectors of Tot^{p+q}: V_j for essentials and sources, R_j for targets."""
+        gens = self.gens[p + q]
+        return [_dense(gens[i][1], len(gens)) for i in self.span[(p, q)]]
+
+
+def _rank(pairs: list) -> int:
+    return len({t for _, t in pairs})
 
 
 @dataclass(frozen=True)
@@ -101,12 +108,13 @@ def _pairs(tot: CochainComplex, axis: int) -> tuple[list, list]:
     The level of a basis index is position `axis` of its (p, q, label)
     label: 0 filters by columns, 1 by rows.  Returns (level, gens):
     level[n][i] is the level of index i of Tot^n, and gens[n][i] =
-    (distance, representative, target) with distance None for
-    essentials and target the paired index of Tot^{n+1} for sources.
+    (distance, column, target) with distance None for essentials, the
+    sparse column V_j (R_j for a target) as a dict, and target the
+    paired index of Tot^{n+1} for sources.
     """
     n_max = tot.hi
     level = [[lab[axis] for lab in tot.space(n).labels] for n in range(n_max + 1)]
-    gens: list[dict] = [{} for _ in range(n_max + 1)]
+    gens: list[list] = [[None] * len(lv) for lv in level]
     for n in range(n_max + 1):
         p_of, p_row = level[n], level[n + 1] if n < n_max else []
         cols: list[dict] = [{} for _ in p_of]
@@ -115,7 +123,7 @@ def _pairs(tot: CochainComplex, axis: int) -> tuple[list, list]:
                 cols[j][i] = x
         reduced: dict = {}  # low -> (R, V) of the column that owns it
         for j in sorted(range(len(p_of)), key=lambda i: (-p_of[i], i)):
-            if j in gens[n]:
+            if gens[n][j] is not None:
                 continue  # a target: its column reduces to zero
             r, v = cols[j], {j: ONE}
             while r:
@@ -126,14 +134,13 @@ def _pairs(tot: CochainComplex, axis: int) -> tuple[list, list]:
                 c = r[low] / r_low[low]
                 _subtract(r, c, r_low)
                 _subtract(v, c, v_low)
-            rep = _dense(v, len(p_of))
             if r:
                 reduced[low] = (r, v)
                 dist = p_row[low] - p_of[j]
-                gens[n][j] = (dist, rep, low)
-                gens[n + 1][low] = (dist, _dense(r, len(p_row)), None)
+                gens[n][j] = (dist, v, low)
+                gens[n + 1][low] = (dist, r, None)
             else:
-                gens[n][j] = (None, rep, None)
+                gens[n][j] = (None, v, None)
     return level, gens
 
 
@@ -145,58 +152,32 @@ def _compute_pages(k: DoubleComplex, tot: CochainComplex, r_max: int,
     """
     level, gens = _pairs(tot, axis)
     A, B = (k.P, k.Q) if axis == 0 else (k.Q, k.P)
+    cells = {(a, b): [(i, g[0]) for i, g in enumerate(gens[a + b]) if level[a + b][i] == a]
+             for a in range(A + 1) for b in range(B + 1)}
     pages: list[SpectralPage] = []
     for r in range(1, r_max + 1):
-        entries, alive = {}, {}
-        for a in range(A + 1):
-            for b in range(B + 1):
-                n = a + b
-                idx = [i for i, (dist, _, _) in sorted(gens[n].items())
-                       if level[n][i] == a and (dist is None or dist >= r)]
-                amb = tot.space(n)
-                dom = LabeledSpace(tuple(("E", r, a, b, j) for j in range(len(idx))))
-                reps = LinearMap.from_columns(dom, amb, [gens[n][i][1] for i in idx])
-                entries[(a, b)] = PageEntry(len(idx), Subspace(amb, reps))
-                alive[(a, b)] = idx
-        diffs = {}
-        for (a, b), idx in alive.items():
-            cell = (a + r, b - r + 1)
-            if cell not in alive:
-                continue
-            pos = {i: j for j, i in enumerate(alive[cell])}
-            cols = []
-            for i in idx:
-                dist, _, target = gens[a + b][i]
-                col = [ZERO] * len(pos)
-                if target is not None and dist == r:
-                    col[pos[target]] = ONE
-                cols.append(tuple(col))
-            diffs[(a, b)] = LinearMap.from_columns(
-                entries[(a, b)].representatives.basis.domain,
-                entries[cell].representatives.basis.domain, cols)
-        page = SpectralPage(r, entries, diffs)
+        span = {ab: tuple(i for i, dist in idx if dist is None or dist >= r)
+                for ab, idx in cells.items()}
+        page = SpectralPage(r, span, gens)
         _check_page(page, pages[-1] if pages else None)
         pages.append(page)
     return pages
 
 
 def _check_page(page: SpectralPage, prev: Optional[SpectralPage]) -> None:
-    # d_r . d_r = 0 wherever composable
-    for (p, q), d in page.differentials.items():
-        nxt = page.differentials.get((p + page.r, q - page.r + 1))
-        if nxt is not None and not nxt.compose(d).is_zero():
-            raise LawViolation("d_r squares to zero", f"page {page.r} at {(p, q)}")
+    r = page.r
+    # d_r . d_r = 0: no target of d_r is itself a source of d_r
+    for p, q in page.span:
+        if {t for _, t in page.d_pairs(p, q)} & {s for s, _ in page.d_pairs(p + r, q - r + 1)}:
+            raise LawViolation("d_r squares to zero", f"page {r} at {(p, q)}")
     # dim E_{r+1} = dim ker d_r - dim im d_r, checked against the previous page
     if prev is not None:
-        r = prev.r
-        for (p, q), entry in page.entries.items():
-            out = prev.differentials.get((p, q))
-            ker = prev.dim(p, q) - (rank(out) if out else 0)
-            inc = prev.differentials.get((p - r, q + r - 1))
-            im = rank(inc) if inc else 0
-            if entry.dim != ker - im:
+        for p, q in page.span:
+            ker = prev.dim(p, q) - _rank(prev.d_pairs(p, q))
+            im = _rank(prev.d_pairs(p - prev.r, q + prev.r - 1))
+            if page.dim(p, q) != ker - im:
                 raise LawViolation("E_{r+1} = ker d_r / im d_r",
-                                   f"page {page.r} entry {(p, q)}")
+                                   f"page {r} entry {(p, q)}")
 
 
 def first_pages(k: DoubleComplex, r_max: int) -> list[SpectralPage]:
@@ -219,20 +200,16 @@ def second_pages(k: DoubleComplex, r_max: int) -> list[SpectralPage]:
 
 def _einf_sums(pages: list[SpectralPage], P: int, Q: int) -> dict:
     last = pages[-1]
-    out = {}
-    for k in range(P + Q + 1):
-        out[k] = tuple(((p, k - p), last.dim(p, k - p))
-                       for p in range(max(0, k - Q), min(P, k) + 1))
-    return out
+    return {k: tuple(((p, k - p), last.dim(p, k - p)) for p in range(max(0, k - Q), min(P, k) + 1))
+            for k in range(P + Q + 1)}
 
 
 def _degeneration_page(pages: list[SpectralPage]) -> int:
     r0 = len(pages) + 1
     for page in reversed(pages):
-        if all(d.is_zero() for d in page.differentials.values()):
-            r0 = page.r
-        else:
+        if any(page.d_pairs(p, q) for p, q in page.span):
             break
+        r0 = page.r
     return r0
 
 
@@ -249,14 +226,10 @@ def _analyse(k: DoubleComplex, tot: CochainComplex, total_dims: tuple):
     first_sums = _einf_sums(first, k.P, k.Q)
     second_sums = _einf_sums(second, k.Q, k.P)
     for deg, h in enumerate(total_dims):
-        s1 = sum(d for _, d in first_sums[deg])
-        s2 = sum(d for _, d in second_sums[deg])
-        if s1 != h:
-            raise ConvergenceFailure(
-                f"first filtration E_inf sum {s1} != dim H^{deg} = {h}")
-        if s2 != h:
-            raise ConvergenceFailure(
-                f"second filtration E_inf sum {s2} != dim H^{deg} = {h}")
+        for name, sums in (("first", first_sums), ("second", second_sums)):
+            s = sum(d for _, d in sums[deg])
+            if s != h:
+                raise ConvergenceFailure(f"{name} filtration E_inf sum {s} != dim H^{deg} = {h}")
     cert = ConvergenceCertificate(
         total_dims=tuple(total_dims),
         first_einf=first_sums,
@@ -274,8 +247,7 @@ def certify_convergence(k: DoubleComplex) -> ConvergenceCertificate:
 
 
 def page_to_json(page: SpectralPage) -> dict:
-    dims = [{"p": p, "q": q, "dim": e.dim}
-            for (p, q), e in sorted(page.entries.items())]
-    ranks = [{"p": p, "q": q, "rank": rank(d)}
-             for (p, q), d in sorted(page.differentials.items())]
+    dims = [{"p": p, "q": q, "dim": len(idx)} for (p, q), idx in sorted(page.span.items())]
+    ranks = [{"p": p, "q": q, "rank": _rank(page.d_pairs(p, q))}
+             for p, q in sorted(page.span) if (p + page.r, q - page.r + 1) in page.span]
     return {"r": page.r, "dims": dims, "d_r_ranks": ranks}

@@ -8,6 +8,7 @@ from cohom.cli import main
 from cohom.complexes import complex_to_json
 from cohom.generators import random_cochain_complex, random_function_sheaf
 from cohom.grid import double_complex_to_json
+from cohom.linalg import MAX_DECLARED_DIM, LabeledSpace
 from cohom.generators import nonzero_d2_double_complex
 
 
@@ -126,15 +127,64 @@ _PAIR = [{"idx": [0], "dim": 1}, {"idx": [1], "dim": 1}]
      "level_maps[0].idx: face (5,) is not declared"),
     ("cech", {"opens": 0, "faces": [], "restrict": []}, "faces"),
     ("hyper", {"opens": 0, "levels": 1, "faces": [], "restrict": []}, "faces"),
+    ("cech", {"opens": 1, "faces": [{"idx": [0], "dim": 1}, {"idx": [0], "dim": 3}],
+              "restrict": []}, "faces[1].idx: (0,) is declared twice"),
+    ("cech", {"opens": 2, "faces": [*_PAIR, {"idx": [0, 1], "dim": 1}],
+              "restrict": [{"from": [0], "to": [0, 1], "matrix": [["1"]]},
+                           {"from": [0], "to": [0, 1], "matrix": [["2"]]}]},
+     "restrict[1]: ((0,), (0, 1)) is declared twice"),
+    ("hyper", {"opens": 1, "levels": 1,
+               "faces": [{"idx": [0], "dims": [1]}, {"idx": [0], "dims": [2]}]},
+     "faces[1].idx: (0,) is declared twice"),
+    ("hyper", {"opens": 2, "levels": 1,
+               "faces": [{"idx": [0], "dims": [1]}, {"idx": [1], "dims": [1]},
+                         {"idx": [0, 1], "dims": [1]}],
+               "restrict": [{"from": [1], "to": [0, 1], "matrices": [[["1"]]]},
+                            {"from": [1], "to": [0, 1], "matrices": [[["1"]]]}]},
+     "restrict[1]: ((1,), (0, 1)) is declared twice"),
+    ("hyper", {"opens": 1, "levels": 2, "faces": [{"idx": [0], "dims": [1, 1]}],
+               "level_maps": [{"idx": [0], "maps": [[["0"]]]}, {"idx": [0], "maps": [[["1"]]]}]},
+     "level_maps[1].idx: (0,) is declared twice"),
 ], ids=["cech_string_idx", "cech_boolean_idx", "cech_float_idx", "cech_unsorted_idx",
         "cech_undeclared_to", "cech_string_from", "hyper_undeclared_level_map",
-        "cech_empty_cover", "hyper_empty_cover"])
+        "cech_empty_cover", "hyper_empty_cover", "cech_repeated_face",
+        "cech_repeated_restriction", "hyper_repeated_face", "hyper_repeated_restriction",
+        "hyper_repeated_level_map"])
 def test_bad_faces_are_malformed(tmp_path, capsys, command, data, field):
     path = write(tmp_path, "bad.json", data)
     code, out, err = run(capsys, command, path)
     assert code == 1 and out == ""
     assert "Traceback" not in err
     assert f"malformed input: {field}" in err
+
+
+def _declaring(command, n):
+    """The smallest input of each loader whose spaces hold n basis vectors in all."""
+    return {
+        "complex": {"lo": 0, "hi": 1, "dims": [0, n], "diffs": [[]]},
+        "spectral": {"P": 0, "Q": 0, "dims": [[n]], "horiz": [], "vert": [[]]},
+        "cech": {"opens": 1, "faces": [{"idx": [0], "dim": n}], "restrict": []},
+        "hyper": {"opens": 1, "levels": 1, "faces": [{"idx": [0], "dims": [n]}]},
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["complex", "spectral", "cech", "hyper"])
+def test_declared_dimension_over_the_budget_is_refused_before_any_space(
+        tmp_path, capsys, monkeypatch, command):
+    def no_space(self):
+        raise AssertionError("a space was built")
+
+    monkeypatch.setattr(LabeledSpace, "__post_init__", no_space)
+    n = MAX_DECLARED_DIM + 1
+    code, out, err = run(capsys, command, write(tmp_path, "big.json", _declaring(command, n)))
+    assert code == 1 and out == ""
+    assert f"declares {n} basis vectors in all, over the limit of {MAX_DECLARED_DIM}" in err
+
+
+@pytest.mark.parametrize("command", ["spectral", "hyper"])
+def test_declared_dimension_at_the_budget_is_accepted(tmp_path, capsys, command):
+    path = write(tmp_path, "edge.json", _declaring(command, MAX_DECLARED_DIM))
+    assert run(capsys, command, path)[0] == 0
 
 
 def test_failed_self_check_exits_2_naming_the_law(capsys, monkeypatch):

@@ -169,24 +169,26 @@ def test_polynomial_axis_positive_multidegree_exact():
 
 
 def test_component_matrices_match_exterior_derivative():
-    """The Koszul matrices must agree with d applied to the actual forms."""
-    from cohom.forms import component_coords, component_form, valid_subsets
+    """The Koszul matrices must agree with d applied to the actual forms.
 
+    Basis vector (m, I) of a component is the form z^{m - chi_I} dz_I.
+    """
     rng = random.Random(48)
     for _ in range(40):
         n = rng.randint(1, 3)
         spec = TorusSpec(n, rng.randint(0, n), 3)
-        from cohom.forms import multidegree_window
-
         m = rng.choice(multidegree_window(spec))
         cx = multidegree_complex(spec, m)
         for q in range(n):
-            for j, I in enumerate(valid_subsets(spec, m, q)):
-                image = d(component_form(m, I, n))
-                expected = component_coords(spec, m, image) if not image.is_zero() \
-                    else tuple([F(0)] * cx.space(q + 1).dim)
+            index = {lab: i for i, lab in enumerate(cx.space(q + 1).labels)}
+            for j, (_, I) in enumerate(cx.space(q).labels):
+                exps = tuple(mi - (1 if i + 1 in I else 0) for i, mi in enumerate(m))
+                expected = [F(0)] * cx.space(q + 1).dim
+                for e, J, c in d(AlgebraicForm.monomial(n, 1, exps, I)).terms:
+                    assert term_multidegree(e, J) == m
+                    expected[index[(m, J)]] = c
                 got = tuple(row[j] for row in cx.diff(q).matrix)
-                assert got == expected
+                assert got == tuple(expected)
 
 
 def reference_koszul(spec, m, q):
@@ -274,6 +276,15 @@ def test_mutated_koszul_sign_fails_the_exactness_check(monkeypatch, capsys):
         derham_cohomology(TorusSpec(3, 3, 2))
     assert main(["derham", "--n", "3", "--invert", "3", "--window", "2"]) == 2
     assert "nonzero cohomology at multidegree" in capsys.readouterr().err
+
+
+def test_mutated_koszul_sign_that_keeps_every_rank_fails_d_squared(monkeypatch, capsys):
+    # at n = 2 the flipped sign leaves every rank and the dims (1, 2, 1) unchanged
+    monkeypatch.setattr(forms, "_koszul_skeleton", flip_first_d1_sign(forms._koszul_skeleton))
+    with pytest.raises(LawViolation, match="the Koszul differential squares to zero"):
+        derham_cohomology(TorusSpec(2, 2, 3))
+    assert main(["derham", "--n", "2", "--invert", "2", "--window", "3"]) == 2
+    assert "law 'the Koszul differential squares to zero' fails" in capsys.readouterr().err
 
 
 def test_forced_rank_deficit_fails_the_exactness_check(monkeypatch, capsys):
@@ -434,6 +445,12 @@ def test_cup_table_is_free_exterior_algebra():
                 sign = F(-1) ** inversions
                 expect = {union: sign}
                 assert vec.as_dict() == expect
+
+
+def test_log_class_vector_above_degree_k_has_no_coefficients():
+    assert LogClassVector.from_dict(2, 3, {}) == LogClassVector(2, 3, ())
+    with pytest.raises(ValueError, match="wrong number of coefficients"):
+        LogClassVector(2, 3, (F(1),))
 
 
 def test_cup_table_anticommutes():

@@ -30,3 +30,16 @@ def test_every_import_is_used(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = sorted(_imported_names(tree) - used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_spectral_pages_are_counted_not_eliminated():
+    """Page dims and d_r ranks are counts on the pairing, so spectral.py
+    imports no elimination routine; the convergence certificate still
+    cross-checks the pages against the separate rank count of
+    complexes.cohomology_dims."""
+    tree = ast.parse((SRC / "spectral.py").read_text())
+    names = _imported_names(tree)
+    eliminations = {"rank", "rank_of_rows", "rref", "_echelon", "kernel_basis",
+                    "image_basis", "solve", "Subspace"}
+    assert not names & eliminations
+    assert "cohomology_dims" in names

@@ -1,18 +1,26 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+import cohom.spectral as spectral
+from cohom.cli import main
 from cohom.complexes import CochainComplex, cohomology
 from cohom.generators import (
     nonzero_d2_double_complex,
     random_tensor_double_complex,
 )
 from cohom.grid import DoubleComplex, total
-from cohom.linalg import LabeledSpace, LinearMap, freeze_matrix, rank
+from cohom.linalg import LabeledSpace, LinearMap, freeze_matrix
 from cohom.spectral import certify_convergence, first_pages, second_pages
 
 F = Fraction
+
+
+def d_rank(page, p, q):
+    """Rank of the 0/1 matching d_r out of E_r^{p,q}: its number of distinct targets."""
+    return len({t for _, t in page.d_pairs(p, q)})
 
 
 def zero_vertical_complex(dims_by_cell):
@@ -31,17 +39,17 @@ def zero_vertical_complex(dims_by_cell):
 
 def test_zero_vertical_gives_cells_on_page_one():
     dc = zero_vertical_complex({(0, 0): 2, (1, 0): 1, (0, 1): 3, (1, 1): 1})
-    pages = first_pages(dc, 1)
-    for (p, q), entry in pages[0].entries.items():
-        assert entry.dim == dc.cell(p, q).dim
+    page = first_pages(dc, 1)[0]
+    for p, q in page.span:
+        assert page.dim(p, q) == dc.cell(p, q).dim
 
 
 def test_zero_horizontal_gives_cells_on_second_page_one():
     dc = zero_vertical_complex({(0, 0): 2, (1, 0): 1, (0, 1): 3, (1, 1): 1})
-    pages = second_pages(dc, 1)
+    page = second_pages(dc, 1)[0]
     # transposed page coordinates: entry (p, q) is input cell (q, p)
-    for (p, q), entry in pages[0].entries.items():
-        assert entry.dim == dc.cell(q, p).dim
+    for p, q in page.span:
+        assert page.dim(p, q) == dc.cell(q, p).dim
 
 
 def test_zero_horizontal_nonzero_vertical_second_page_one():
@@ -55,7 +63,7 @@ def test_zero_horizontal_nonzero_vertical_second_page_one():
     page1 = second_pages(dc, 1)[0]
     assert page1.dim(0, 0) == 2 and page1.dim(1, 0) == 1
     # and the d_1 of the second filtration is the vertical map
-    assert rank(page1.differentials[(0, 0)]) == 1
+    assert d_rank(page1, 0, 0) == 1
 
 
 def column_cohomology_dims(dc, p):
@@ -101,10 +109,14 @@ def test_page_two_is_cohomology_of_page_one_rows():
         pages = first_pages(dc, 2)
         e1, e2 = pages
         for q in range(dc.Q + 1):
-            spaces = tuple(e1.entries[(p, q)].representatives.basis.domain
-                           for p in range(dc.P + 1))
-            diffs = tuple(e1.differentials[(p, q)] for p in range(dc.P))
-            row = cohomology(CochainComplex(0, dc.P, spaces, diffs)).dims
+            spaces = tuple(LabeledSpace.make(f"E{p}", e1.dim(p, q)) for p in range(dc.P + 1))
+            diffs = []
+            for p in range(dc.P):
+                rows = [[0] * spaces[p].dim for _ in range(spaces[p + 1].dim)]
+                for s, t in e1.d_pairs(p, q):
+                    rows[t][s] = 1
+                diffs.append(LinearMap(spaces[p], spaces[p + 1], freeze_matrix(rows)))
+            row = cohomology(CochainComplex(0, dc.P, spaces, tuple(diffs))).dims
             for p in range(dc.P + 1):
                 assert e2.dim(p, q) == row[p]
 
@@ -121,7 +133,7 @@ def test_tensor_e2_kunneth_and_degeneration():
                 expect = (ha[p] if p < len(ha) else 0) * (hb[q] if q < len(hb) else 0)
                 assert e2.dim(p, q) == expect
         for page in pages[1:]:
-            assert all(d.is_zero() for d in page.differentials.values())
+            assert not any(page.d_pairs(p, q) for p, q in page.span)
         # the second filtration sees the same dims with axes exchanged
         e2_second = second_pages(dc, 2)[1]
         for p in range(dc.P + 1):
@@ -136,12 +148,10 @@ def test_page_dims_match_kernel_mod_image_of_dr():
     pages = first_pages(dc, r_inf)
     for prev, page in zip(pages, pages[1:]):
         r = prev.r
-        for (p, q), entry in page.entries.items():
-            out = prev.differentials.get((p, q))
-            inc = prev.differentials.get((p - r, q + r - 1))
-            ker = prev.dim(p, q) - (rank(out) if out else 0)
-            im = rank(inc) if inc else 0
-            assert entry.dim == ker - im
+        for p, q in page.span:
+            ker = prev.dim(p, q) - d_rank(prev, p, q)
+            im = d_rank(prev, p - r, q + r - 1)
+            assert page.dim(p, q) == ker - im
 
 
 def test_pages_constant_beyond_bound():
@@ -149,9 +159,9 @@ def test_pages_constant_beyond_bound():
     dc, *_ = random_tensor_double_complex(rng, max_bound=2)
     r_cap = max(dc.P, dc.Q) + 2
     pages = first_pages(dc, dc.P + dc.Q + 2)
-    stable = {pq: e.dim for pq, e in pages[r_cap - 1].entries.items()}
+    stable = {pq: pages[r_cap - 1].dim(*pq) for pq in pages[r_cap - 1].span}
     for page in pages[r_cap - 1:]:
-        assert {pq: e.dim for pq, e in page.entries.items()} == stable
+        assert {pq: page.dim(*pq) for pq in page.span} == stable
 
 
 def test_nonzero_d2_example():
@@ -159,9 +169,8 @@ def test_nonzero_d2_example():
     pages = first_pages(dc, 4)
     e2, e3 = pages[1], pages[2]
     assert e2.dim(0, 1) == 1 and e2.dim(2, 0) == 1
-    d2 = e2.differentials[(0, 1)]
-    assert rank(d2) == 1
-    assert all(e.dim == 0 for e in e3.entries.values())
+    assert d_rank(e2, 0, 1) == 1
+    assert all(e3.dim(p, q) == 0 for p, q in e3.span)
     cert = certify_convergence(dc)
     assert cert.total_dims == (0, 0, 0, 0)
     assert cert.first_degeneration == 3
@@ -201,12 +210,12 @@ def test_rows_exact_except_column_zero_degenerates_at_e2():
     pages = second_pages(dc, 3)
     e1, e2 = pages[0], pages[1]
     # page coordinates (p, q) = input cell (q, p): everything in input column 0
-    for (p, q), entry in e1.entries.items():
+    for p, q in e1.span:
         if q != 0:
-            assert entry.dim == 0
+            assert e1.dim(p, q) == 0
     assert [e1.dim(q, 0) for q in range(Q + 1)] == c_dims
     assert [e2.dim(q, 0) for q in range(Q + 1)] == [1, 0, 0]
-    assert [d for d in pages[2].differentials.values() if not d.is_zero()] == []
+    assert [pq for pq in pages[2].span if pages[2].d_pairs(*pq)] == []
     # matches the direct total cohomology
     assert cohomology(total(dc)).dims == (1, 0, 0, 0)
 
@@ -344,12 +353,52 @@ def test_page_representatives_lie_in_the_total_at_their_level(axis):
     for dc in grids:
         tot = total(dc)
         for page in pages_fn(dc, max(dc.P, dc.Q) + 2):
-            for (a, b), entry in page.entries.items():
+            for a, b in page.span:
                 n = a + b
-                assert entry.representatives.ambient == tot.space(n)
-                for v in entry.representatives.vectors:
+                reps = page.representatives(a, b)
+                assert len(reps) == page.dim(a, b)
+                assert all(len(v) == tot.space(n).dim for v in reps)
+                for v in reps:
                     assert all(lab[axis] >= a
                                for lab, x in zip(tot.space(n).labels, v) if x)
                     dv = tot.diff(n).apply(v)
                     assert all(lab[axis] >= a + page.r
                                for lab, x in zip(tot.space(n + 1).labels, dv) if x)
+
+
+# a line K^{0,0} -> K^{1,0} -> K^{2,0} of one-dimensional cells, the first map
+# the identity: Tot^0 is a source paired at distance 1 with the target Tot^1,
+# and Tot^2 is an essential
+LINE = {"P": 2, "Q": 0, "dims": [[1], [1], [1]], "horiz": [[[["1"]]], [[["0"]]]],
+        "vert": [[], [], []]}
+
+
+def _target_also_a_source(gens):
+    dist, column, _ = gens[1][0]
+    gens[1][0] = (dist, column, 0)  # the target now maps on to the essential at distance 1
+
+
+def _target_farther_than_its_source(gens):
+    dist, column, target = gens[1][0]
+    gens[1][0] = (dist + 1, column, target)
+
+
+@pytest.mark.parametrize("mutate, pages, law", [
+    (_target_also_a_source, "1", "d_r squares to zero"),
+    (_target_farther_than_its_source, "2", "E_{r+1} = ker d_r / im d_r"),
+], ids=["target_is_a_source", "distance_mismatch"])
+def test_mutated_pairing_fails_its_page_law(tmp_path, capsys, monkeypatch, mutate, pages, law):
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(LINE))
+    assert main(["spectral", str(path), "--pages", pages]) == 0
+    capsys.readouterr()
+    pairs = spectral._pairs
+
+    def mutated(tot, axis):
+        level, gens = pairs(tot, axis)
+        mutate(gens)
+        return level, gens
+
+    monkeypatch.setattr(spectral, "_pairs", mutated)
+    assert main(["spectral", str(path), "--pages", pages]) == 2
+    assert f"law '{law}' fails" in capsys.readouterr().err
