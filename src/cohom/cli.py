@@ -235,10 +235,7 @@ def cmd_preset(args) -> tuple[dict, list[str]]:
         ]
         return report, lines
     if name == "p1":
-        try:
-            check_p1_window(args.window)
-        except ValueError as e:
-            raise InputError(str(e))
+        check_p1_window(args.window)
         pr = p1_report(args.window)
         report = {
             "schema_version": SCHEMA_VERSION,
@@ -287,7 +284,7 @@ def cmd_selftest(args) -> tuple[dict, list[str]]:
     def cech_check():
         for _ in range(10):
             sheaf = random_function_sheaf(rng)
-            cech_complex(sheaf.nerve, sheaf)  # validates delta^2 = 0
+            cech_complex(sheaf.nerve, sheaf)  # checks delta^2 = 0 when built
 
     def tensor_check():
         for _ in range(5):

@@ -1,8 +1,9 @@
 """Bounded cochain complexes of labeled rational spaces.
 
 A complex is a finite graded family K^lo..K^hi with differentials
-d_k : K^k -> K^{k+1} satisfying d.d = 0; cohomology in degree k is the
-subquotient ker d_k / im d_{k-1}.
+d_k : K^k -> K^{k+1} satisfying d.d = 0, which `validate` checks when
+the complex is built; cohomology in degree k is the subquotient
+ker d_k / im d_{k-1}.
 
 Two entry points compute it.  `cohomology` returns explicit
 lifted-cocycle representatives; `cohom complex` and `cohom cech` print
@@ -59,6 +60,7 @@ class CochainComplex:
         for i, d in enumerate(self.diffs):
             if d.domain != self.spaces[i] or d.codomain != self.spaces[i + 1]:
                 raise ValueError(f"differential {self.lo + i} does not match adjacent spaces")
+        validate(self)
 
     def degrees(self) -> range:
         return range(self.lo, self.hi + 1)
@@ -96,7 +98,6 @@ def validate(k: CochainComplex) -> None:
 
 def cohomology(k: CochainComplex) -> CohomologyReport:
     """Subquotient cohomology with lifted-cocycle representatives."""
-    validate(k)
     dims = []
     reps = []
     for deg in k.degrees():
@@ -113,11 +114,7 @@ def cohomology(k: CochainComplex) -> CohomologyReport:
 
 
 def cohomology_dims(k: CochainComplex) -> tuple[int, ...]:
-    """dim H^n = dim K^n - rank d_n - rank d_{n-1}, ranking each d once.
-
-    Does not check d.d = 0: every caller passes a complex validated where
-    it was built (`grid.total`).
-    """
+    """dim H^n = dim K^n - rank d_n - rank d_{n-1}, ranking each d once."""
     return dims_from_ranks([s.dim for s in k.spaces], [rank(d) for d in k.diffs])
 
 

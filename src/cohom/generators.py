@@ -141,9 +141,7 @@ def nonzero_d2_double_complex() -> DoubleComplex:
             else:
                 col.append(LinearMap.zero(cells[p][q], cells[p][q + 1]))
         vert.append(tuple(col))
-    dc = DoubleComplex(2, 1, cells, tuple(horiz), tuple(vert))
-    dc.validate()
-    return dc
+    return DoubleComplex(2, 1, cells, tuple(horiz), tuple(vert))
 
 
 def random_form(rng: random.Random, spec: TorusSpec, q: int,

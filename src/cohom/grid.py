@@ -3,7 +3,8 @@
 Conventions: both differentials of a double complex commute (the sign
 lives in the total differential, never in the stored maps); the total
 differential restricted to cell (p, q) is horiz + (-1)^p vert; cells
-inside a total degree are ordered by ascending first index.
+inside a total degree are ordered by ascending first index.  Every grid
+checks its laws (`validate`) when it is built, as `CochainComplex` does.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import CochainComplex, validate as validate_complex
+from .complexes import CochainComplex
 from .linalg import (
     CohomError,
     LabeledSpace,
@@ -63,49 +64,60 @@ class DoubleComplex:
             raise ValueError("horiz shape does not match bounds")
         if len(self.vert) != self.P + 1 or any(len(col) != self.Q for col in self.vert):
             raise ValueError("vert shape does not match bounds")
-        for p in range(self.P):
-            for q in range(self.Q + 1):
-                m = self.horiz[p][q]
-                if m.domain != self.cells[p][q] or m.codomain != self.cells[p + 1][q]:
-                    raise ValueError(f"horiz map at {(p, q)} has wrong spaces")
-        for p in range(self.P + 1):
-            for q in range(self.Q):
-                m = self.vert[p][q]
-                if m.domain != self.cells[p][q] or m.codomain != self.cells[p][q + 1]:
-                    raise ValueError(f"vert map at {(p, q)} has wrong spaces")
+        for axis, (dp, dq) in enumerate(((1, 0), (0, 1))):
+            for p, q in itertools.product(range(self.P + 1 - dp), range(self.Q + 1 - dq)):
+                m = self.map(axis, p, q)
+                if m.domain != self.cells[p][q] or m.codomain != self.cells[p + dp][q + dq]:
+                    raise ValueError(f"{('horiz', 'vert')[axis]} map at {(p, q)} has wrong spaces")
+        self.validate()
 
     def cell(self, p: int, q: int) -> LabeledSpace:
         return self.cells[p][q]
 
+    def map(self, axis: int, p: int, q: int) -> LinearMap:
+        """horiz (axis 0) or vert (axis 1) out of cell (p, q)."""
+        return (self.horiz, self.vert)[axis][p][q]
+
     def validate(self) -> None:
         """delta.delta = 0, d.d = 0 and commutation on every cell."""
-        for p in range(self.P - 1):
-            for q in range(self.Q + 1):
-                if not self.horiz[p + 1][q].compose(self.horiz[p][q]).is_zero():
-                    raise InvariantViolation((p, q), "horizontal differential squares to zero")
-        for p in range(self.P + 1):
-            for q in range(self.Q - 1):
-                if not self.vert[p][q + 1].compose(self.vert[p][q]).is_zero():
-                    raise InvariantViolation((p, q), "vertical differential squares to zero")
-        for p in range(self.P):
-            for q in range(self.Q):
-                a = self.vert[p + 1][q].compose(self.horiz[p][q])
-                b = self.horiz[p][q + 1].compose(self.vert[p][q])
-                if a.matrix != b.matrix:
-                    raise InvariantViolation((p, q), "horizontal and vertical differentials commute")
+        _check_laws((self.P, self.Q), self.map,
+                    lambda a: f"{('horizontal', 'vertical')[a]} differential squares to zero",
+                    lambda a, b: "horizontal and vertical differentials commute")
 
     def antidiagonal(self, n: int) -> list[tuple[int, int]]:
         """Cells with p + q = n, ascending p."""
         return _antidiagonal(n, self.P, self.Q)
 
     def transpose(self) -> "DoubleComplex":
-        cells = tuple(tuple(self.cells[p][q] for p in range(self.P + 1))
-                      for q in range(self.Q + 1))
-        horiz = tuple(tuple(self.vert[p][q] for p in range(self.P + 1))
-                      for q in range(self.Q))
-        vert = tuple(tuple(self.horiz[p][q] for p in range(self.P))
-                     for q in range(self.Q + 1))
-        return DoubleComplex(self.Q, self.P, cells, horiz, vert)
+        P, Q = self.P, self.Q
+        return DoubleComplex(Q, P, _swap(self.cells, P + 1, Q + 1),
+                             _swap(self.vert, P + 1, Q), _swap(self.horiz, P, Q + 1))
+
+
+def _swap(grid, outer: int, inner: int) -> tuple:
+    """grid[i][j] as [j][i], for an outer x inner grid."""
+    return tuple(tuple(grid[i][j] for i in range(outer)) for j in range(inner))
+
+
+def _shift(cell: tuple, axis: int) -> tuple:
+    return tuple(x + 1 if a == axis else x for a, x in enumerate(cell))
+
+
+def _check_laws(bounds: tuple, map, square_law, commute_law) -> None:
+    """Each map(axis, *cell) squares to zero and each pair commutes, cell by cell;
+    square_law(a) and commute_law(a, b) name the law that fails."""
+    axes = range(len(bounds))
+    for cell in itertools.product(*(range(b + 1) for b in bounds)):
+        for a in axes:
+            if cell[a] + 2 <= bounds[a] and \
+                    not map(a, *_shift(cell, a)).compose(map(a, *cell)).is_zero():
+                raise InvariantViolation(cell, square_law(a))
+        for a, b in itertools.combinations(axes, 2):
+            if cell[a] < bounds[a] and cell[b] < bounds[b]:
+                x = map(b, *_shift(cell, a)).compose(map(a, *cell))
+                y = map(a, *_shift(cell, b)).compose(map(b, *cell))
+                if x.matrix != y.matrix:
+                    raise InvariantViolation(cell, commute_law(a, b))
 
 
 def _antidiagonal(n: int, lo: int, hi: int) -> list[tuple[int, int]]:
@@ -135,7 +147,6 @@ def _merged_map(domain: LabeledSpace, codomain: LabeledSpace, n: int,
 
 def total(k: DoubleComplex) -> CochainComplex:
     """Total complex with differential delta + (-1)^p d on cell (p, q)."""
-    k.validate()
     n_max = k.P + k.Q
     spaces = tuple(LabeledSpace(tuple((p, q, lab) for (p, q) in k.antidiagonal(n)
                                       for lab in k.cells[p][q].labels))
@@ -144,13 +155,7 @@ def total(k: DoubleComplex) -> CochainComplex:
                               lambda p, q: k.cells[p][q].dim,
                               lambda p, q: k.horiz[p][q], lambda p, q: k.vert[p][q])
                   for n in range(n_max))
-    tot = CochainComplex(0, n_max, spaces, diffs)
-    validate_complex(tot)
-    return tot
-
-
-def _shift(cell: tuple, axis: int) -> tuple:
-    return tuple(x + 1 if a == axis else x for a, x in enumerate(cell))
+    return CochainComplex(0, n_max, spaces, diffs)
 
 
 @dataclass(frozen=True)
@@ -185,6 +190,7 @@ class TripleComplex:
                     raise ValueError(f"d{axis + 1} key {key} is outside the grid")
                 if m.domain != self.cell(*key) or m.codomain != self.cell(*_shift(key, axis)):
                     raise ValueError(f"d{axis + 1} map at {key} has wrong spaces")
+        self.validate()
 
     @property
     def bounds(self) -> tuple[int, int, int]:
@@ -203,18 +209,8 @@ class TripleComplex:
 
     def validate(self) -> None:
         """Each d_a squares to zero and each pair d_a, d_b commutes, cell by cell."""
-        bounds = self.bounds
-        for cell in itertools.product(*(range(b + 1) for b in bounds)):
-            for a in range(3):
-                if cell[a] + 2 <= bounds[a]:
-                    if not self.map(a, *_shift(cell, a)).compose(self.map(a, *cell)).is_zero():
-                        raise InvariantViolation(cell, f"d{a + 1} squares to zero")
-            for a, b in itertools.combinations(range(3), 2):
-                if cell[a] < bounds[a] and cell[b] < bounds[b]:
-                    x = self.map(b, *_shift(cell, a)).compose(self.map(a, *cell))
-                    y = self.map(a, *_shift(cell, b)).compose(self.map(b, *cell))
-                    if x.matrix != y.matrix:
-                        raise InvariantViolation(cell, f"d{a + 1} and d{b + 1} commute")
+        _check_laws(self.bounds, self.map, lambda a: f"d{a + 1} squares to zero",
+                    lambda a, b: f"d{a + 1} and d{b + 1} commute")
 
 
 def flatten(n: TripleComplex, axis: int) -> DoubleComplex:
@@ -226,7 +222,6 @@ def flatten(n: TripleComplex, axis: int) -> DoubleComplex:
     differential d2 + (-1)^q d3.  Inside a merged degree the cells are
     ordered by ascending first merged index; labels are ((p, q, r), label).
     """
-    n.validate()
     kept = 2 if axis == 0 else 0
     pair = n.bounds[axis:axis + 2]
     M, T = sum(pair), n.bounds[kept]
@@ -253,10 +248,10 @@ def flatten(n: TripleComplex, axis: int) -> DoubleComplex:
                                      lambda i, j: n.map(axis + 1, *at(i, j, t)))
                          for t in range(T + 1)) for m in range(M))
     vert = tuple(tuple(kept_map(m, t) for t in range(T)) for m in range(M + 1))
-    dc = DoubleComplex(M, T, cells, merged, vert)
-    dc = dc if axis == 0 else dc.transpose()
-    dc.validate()
-    return dc
+    if axis == 0:
+        return DoubleComplex(M, T, cells, merged, vert)
+    return DoubleComplex(T, M, _swap(cells, M + 1, T + 1), _swap(vert, M + 1, T),
+                         _swap(merged, M, T + 1))
 
 
 def flatten_fix_r(n: TripleComplex) -> DoubleComplex:

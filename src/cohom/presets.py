@@ -15,11 +15,11 @@ from fractions import Fraction
 
 from .cech import CoverNerve, HyperResult, SheafOnCover, cech_hyper
 from .forms import TorusSpec, WindowExhausted, truncated_de_rham_complex
-from .linalg import CohomError, LabeledSpace, LawViolation, LinearMap, ONE, ZERO, solve
+from .linalg import LabeledSpace, LawViolation, LinearMap, ONE, ZERO, solve
 
 
-class ParameterOutOfRange(CohomError):
-    pass
+class ParameterOutOfRange(ValueError):
+    """A preset argument outside its range: malformed input, not a broken law."""
 
 
 def build_circle():
@@ -120,9 +120,9 @@ MAX_P1_WINDOW = 128
 
 
 def check_p1_window(weight_window: int) -> None:
-    """Refuse a p1 window above MAX_P1_WINDOW."""
-    if weight_window > MAX_P1_WINDOW:
-        raise ValueError(f"p1 window {weight_window} is over the limit of {MAX_P1_WINDOW}")
+    """Refuse a p1 window outside 3 <= W <= MAX_P1_WINDOW."""
+    if not 3 <= weight_window <= MAX_P1_WINDOW:
+        raise ParameterOutOfRange(f"p1 window {weight_window} is outside 3..{MAX_P1_WINDOW}")
 
 
 @dataclass(frozen=True)

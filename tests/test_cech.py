@@ -19,6 +19,7 @@ from cohom.cech import (
 )
 from cohom.complexes import cohomology
 from cohom.generators import permute_cover, random_function_sheaf, random_cochain_complex
+from cohom.grid import InvariantViolation
 from cohom.linalg import LabeledSpace, LinearMap, freeze_matrix
 
 
@@ -157,9 +158,8 @@ def test_incompatible_restrictions_detected():
         sub = tuple(x for j, x in enumerate((0, 1, 2)) if j != i)
         mat = minus if i == 0 else one
         restrictions[((0, 1, 2), i)] = LinearMap(spaces[sub], spaces[(0, 1, 2)], mat)
-    bad = SheafOnCover(nerve2, spaces, restrictions)
     with pytest.raises(IncompatibleRestrictions):
-        bad.validate()
+        SheafOnCover(nerve2, spaces, restrictions)
 
 
 def test_reordering_opens_preserves_dims():
@@ -243,8 +243,34 @@ def test_level_map_mismatch_detected():
     # break commutation on one face only
     maps[(0,)] = LinearMap(sheaf.space((0,)), sheaf1.space((0,)),
                            freeze_matrix([[1, 0], [0, 1]]))
-    with pytest.raises(LevelMapMismatch):
+    with pytest.raises(InvariantViolation) as err:
         cech_hyper(nerve, [sheaf, sheaf1], [maps])
+    assert err.value.cell == (0, 0)
+    assert err.value.law == "horizontal and vertical differentials commute"
+
+
+def _three_levels_on_one_open(second_maps):
+    """Q -> Q -> Q on a single open, with the identity as the first level map."""
+    nerve = CoverNerve(1, frozenset({(0,)}))
+    sheaves = [SheafOnCover(nerve, {(0,): LabeledSpace.make(f"L{q}", 1)}, {}) for q in range(3)]
+    first = {(0,): LinearMap(sheaves[0].space((0,)), sheaves[1].space((0,)), freeze_matrix([[1]]))}
+    return nerve, sheaves, [first, second_maps(sheaves[1].space((0,)), sheaves[2].space((0,)))]
+
+
+def test_level_maps_that_do_not_compose_to_zero_are_detected():
+    identity = _three_levels_on_one_open(
+        lambda dom, cod: {(0,): LinearMap(dom, cod, freeze_matrix([[1]]))})
+    with pytest.raises(InvariantViolation) as err:
+        cech_hyper(*identity)
+    assert err.value.cell == (0, 0)
+    assert err.value.law == "vertical differential squares to zero"
+    zero = _three_levels_on_one_open(lambda dom, cod: {(0,): LinearMap.zero(dom, cod)})
+    assert cech_hyper(*zero).dims == (0, 0, 1)
+
+
+def test_missing_level_map_is_detected():
+    with pytest.raises(LevelMapMismatch, match="level map 1 missing or mis-shaped"):
+        cech_hyper(*_three_levels_on_one_open(lambda dom, cod: {}))
 
 
 def test_cover_json_roundtrip():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cohom.cech import cover_to_json
+from cohom.cech import MAX_DECLARED_FACES, CoverNerve, cover_to_json
 from cohom.cli import main
 from cohom.complexes import complex_to_json
 from cohom.generators import random_cochain_complex, random_function_sheaf
@@ -187,6 +187,33 @@ def test_declared_dimension_at_the_budget_is_accepted(tmp_path, capsys, command)
     assert run(capsys, command, path)[0] == 0
 
 
+def _disjoint_opens(command, n):
+    """n opens that do not meet: n faces of dimension 0, holding no basis vectors."""
+    if command == "cech":
+        return {"opens": n, "faces": [{"idx": [i], "dim": 0} for i in range(n)], "restrict": []}
+    return {"opens": n, "levels": 1, "faces": [{"idx": [i], "dims": [0]} for i in range(n)]}
+
+
+@pytest.mark.parametrize("command", ["cech", "hyper"])
+def test_face_count_over_the_budget_is_refused_before_any_nerve(
+        tmp_path, capsys, monkeypatch, command):
+    def no_nerve(self):
+        raise AssertionError("a nerve was built")
+
+    monkeypatch.setattr(CoverNerve, "__post_init__", no_nerve)
+    n = MAX_DECLARED_FACES + 1
+    path = write(tmp_path, "faces.json", _disjoint_opens(command, n))
+    code, out, err = run(capsys, command, path)
+    assert code == 1 and out == ""
+    assert f"faces: {n} declared, over the limit of {MAX_DECLARED_FACES}" in err
+
+
+@pytest.mark.parametrize("command", ["cech", "hyper"])
+def test_face_count_at_the_budget_is_accepted(tmp_path, capsys, command):
+    path = write(tmp_path, "faces.json", _disjoint_opens(command, MAX_DECLARED_FACES))
+    assert run(capsys, command, path)[0] == 0
+
+
 def test_failed_self_check_exits_2_naming_the_law(capsys, monkeypatch):
     """A broken kernel makes the cocycle self-check fail: exit 2, no traceback."""
     import cohom.complexes
@@ -263,9 +290,13 @@ def test_preset_unknown_name(capsys):
     assert code == 1
 
 
-def test_preset_out_of_range_is_invariant_error(capsys):
-    code, _, err = run(capsys, "preset", "torus:3,1")
-    assert code == 2
+@pytest.mark.parametrize("argv", [["torus:3,1"], ["p1", "--window", "2"], ["torus:4,4"],
+                                  ["torus:1,-1"]],
+                         ids=["torus_3_1", "p1_window_2", "torus_4_4", "torus_1_-1"])
+def test_preset_out_of_range_is_malformed(capsys, argv):
+    code, out, err = run(capsys, "preset", *argv)
+    assert code == 1 and out == ""
+    assert "Traceback" not in err and "invariant violation" not in err
 
 
 def test_selftest_deterministic(capsys):
@@ -290,6 +321,20 @@ def test_hyper_subcommand(tmp_path, capsys):
     assert code == 0
     report = json.loads(jout)
     assert report["total_dims"] == [0, 0]
+
+
+def test_hyper_level_maps_that_do_not_compose_to_zero_exit_2(tmp_path, capsys):
+    # one open set, three levels Q --id--> Q --id--> Q: d.d != 0 vertically
+    data = {
+        "opens": 1,
+        "levels": 3,
+        "faces": [{"idx": [0], "dims": [1, 1, 1]}],
+        "restrict": [],
+        "level_maps": [{"idx": [0], "maps": [[["1"]], [["1"]]]}],
+    }
+    code, out, err = run(capsys, "hyper", write(tmp_path, "hyper.json", data))
+    assert code == 2 and out == ""
+    assert "vertical differential squares to zero fails at cell (0, 0)" in err
 
 
 def test_preset_p1_refuses_oversized_window_before_any_work(capsys, monkeypatch):

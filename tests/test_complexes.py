@@ -42,12 +42,11 @@ def test_validate_zero_complex():
 
 def test_validate_rejects_id_id():
     s = [LabeledSpace.make(f"K{k}", 1) for k in range(3)]
-    cx = CochainComplex(0, 2, tuple(s), (
-        LinearMap(s[0], s[1], freeze_matrix([[1]])),
-        LinearMap(s[1], s[2], freeze_matrix([[1]])),
-    ))
     with pytest.raises(NotAComplex) as err:
-        validate(cx)
+        CochainComplex(0, 2, tuple(s), (
+            LinearMap(s[0], s[1], freeze_matrix([[1]])),
+            LinearMap(s[1], s[2], freeze_matrix([[1]])),
+        ))
     assert err.value.degree == 0
 
 

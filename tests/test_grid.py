@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from cohom.grid import (
     DoubleComplex,
     GridTooLarge,
     InvariantViolation,
+    TripleComplex,
     flatten_fix_p,
     flatten_fix_r,
     tensor_double_complex,
@@ -79,9 +81,8 @@ def test_validate_reports_failing_cell():
     # d . delta != delta . d : horizontal is identity on row 0 only
     horiz = ((ident, zero),)
     vert = ((ident,), (ident,))
-    dc = DoubleComplex(1, 1, cells, horiz, vert)
     with pytest.raises(InvariantViolation) as err:
-        dc.validate()
+        DoubleComplex(1, 1, cells, horiz, vert)
     assert err.value.cell == (0, 0)
     assert "commute" in err.value.law
 
@@ -163,9 +164,8 @@ def test_broken_commutation_raises_not_silent_false():
                     d3[(p, q, r)] = zero
     from cohom.grid import TripleComplex
 
-    tc = TripleComplex(1, 1, 1, cells, d1, d2, d3)
     with pytest.raises(InvariantViolation):
-        totals_agree(tc)
+        totals_agree(TripleComplex(1, 1, 1, cells, d1, d2, d3))
 
 
 def _unit_triple():
@@ -211,3 +211,50 @@ def test_unit_triple_is_accepted():
     cells, d1 = _unit_triple()
     tc = TripleComplex(1, 0, 0, cells, d1, {}, {})
     assert total(flatten_fix_r(tc)).dims() == (1, 1)
+
+
+def _unit_grid(bounds, maps):
+    """One-dimensional cells over bounds; maps(axis, cell) is 1 or 0 out of cell."""
+    def shift(cell, axis):
+        return tuple(x + (a == axis) for a, x in enumerate(cell))
+
+    grid = itertools.product(*(range(b + 1) for b in bounds))
+    cells = {c: LabeledSpace.make(str(c), 1) for c in grid}
+    d = [{c: LinearMap(s, cells[shift(c, a)], ((F(maps(a, c)),),))
+          for c, s in cells.items() if c[a] < bounds[a]} for a in range(len(bounds))]
+    if len(bounds) == 3:
+        nested = tuple(tuple(tuple(cells[(p, q, r)] for r in range(bounds[2] + 1))
+                             for q in range(bounds[1] + 1)) for p in range(bounds[0] + 1))
+        return TripleComplex(*bounds, nested, *d)
+    P, Q = bounds
+    return DoubleComplex(P, Q,
+                         tuple(tuple(cells[(p, q)] for q in range(Q + 1)) for p in range(P + 1)),
+                         tuple(tuple(d[0][(p, q)] for q in range(Q + 1)) for p in range(P)),
+                         tuple(tuple(d[1][(p, q)] for q in range(Q)) for p in range(P + 1)))
+
+
+@pytest.mark.parametrize("bounds, broken, law", [
+    ((2, 0), 0, "horizontal differential squares to zero"),
+    ((0, 2), 1, "vertical differential squares to zero"),
+    ((2, 0, 0), 0, "d1 squares to zero"),
+    ((0, 2, 0), 1, "d2 squares to zero"),
+    ((0, 0, 2), 2, "d3 squares to zero"),
+])
+def test_each_square_law_is_named(bounds, broken, law):
+    with pytest.raises(InvariantViolation) as err:
+        _unit_grid(bounds, lambda a, cell: 1 if a == broken else 0)
+    assert err.value.law == law and err.value.cell == (0,) * len(bounds)
+
+
+@pytest.mark.parametrize("bounds, pair, law", [
+    ((1, 1), (0, 1), "horizontal and vertical differentials commute"),
+    ((1, 1, 0), (0, 1), "d1 and d2 commute"),
+    ((1, 0, 1), (0, 2), "d1 and d3 commute"),
+    ((0, 1, 1), (1, 2), "d2 and d3 commute"),
+])
+def test_each_commute_law_is_named(bounds, pair, law):
+    a, b = pair
+    # d_a then d_b is 0 (d_b vanishes past the origin), d_b then d_a is 1
+    with pytest.raises(InvariantViolation) as err:
+        _unit_grid(bounds, lambda axis, cell: int(axis == a or not any(cell)))
+    assert err.value.law == law and err.value.cell == (0,) * len(bounds)

@@ -43,3 +43,23 @@ def test_spectral_pages_are_counted_not_eliminated():
                     "image_basis", "solve", "Subspace"}
     assert not names & eliminations
     assert "cohomology_dims" in names
+
+
+def _called_name(call: ast.Call):
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+def test_laws_are_checked_only_where_objects_are_built():
+    """A call to validate(...) or x.validate() sits only inside a __post_init__,
+    so each complex, grid and sheaf checks its laws once, when it is built."""
+    stray = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = {id(node) for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
+                  for node in ast.walk(f)}
+        stray += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and _called_name(node) == "validate"
+                  and id(node) not in inside]
+    assert not stray, f"law checks outside __post_init__: {stray}"
