@@ -357,7 +357,8 @@ def cover_from_json(data: dict) -> tuple[CoverNerve, SheafOnCover]:
     restrictions, seen = {}, set()
     for n, entry in enumerate(data.get("restrict", [])):
         src, dst, drop = _restriction_drop(entry, n, face_dims, seen)
-        mat = matrix_from_json_shaped(entry["matrix"], spaces[dst].dim, spaces[src].dim)
+        mat = matrix_from_json_shaped(entry["matrix"], spaces[dst].dim, spaces[src].dim,
+                                      f"restrict[{n}].matrix")
         restrictions[(dst, drop)] = LinearMap(spaces[src], spaces[dst], mat)
     return nerve, SheafOnCover(nerve, spaces, restrictions)
 
@@ -388,7 +389,8 @@ def hyper_from_json(data: dict):
             restrictions[q][(dst, drop)] = LinearMap(
                 level_spaces[q][src], level_spaces[q][dst],
                 matrix_from_json_shaped(mats[q], level_spaces[q][dst].dim,
-                                        level_spaces[q][src].dim))
+                                        level_spaces[q][src].dim,
+                                        f"restrict[{n}].matrices[{q}]"))
     sheaves = [SheafOnCover(nerve, level_spaces[q], restrictions[q]) for q in range(levels)]
     level_maps, seen = [{} for _ in range(max(levels - 1, 0))], set()
     for n, entry in enumerate(data.get("level_maps", [])):
@@ -401,5 +403,6 @@ def hyper_from_json(data: dict):
             level_maps[q][face] = LinearMap(
                 level_spaces[q][face], level_spaces[q + 1][face],
                 matrix_from_json_shaped(mats[q], level_spaces[q + 1][face].dim,
-                                        level_spaces[q][face].dim))
+                                        level_spaces[q][face].dim,
+                                        f"level_maps[{n}].maps[{q}]"))
     return nerve, sheaves, level_maps

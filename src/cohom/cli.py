@@ -11,25 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 
 from . import __version__
-from .cech import cech_complex, cover_from_json, cech_hyper, hyper_from_json
-from .complexes import cohomology, complex_from_json
-from .forms import (
-    TorusSpec,
-    check_window_budget,
-    derham_cohomology,
-    form_to_text,
-    log_representative,
-    parse_form,
-)
-from .grid import double_complex_from_json, total, totals_agree
 from .linalg import CohomError, rat_to_str
-from .presets import build_circle, check_p1_window, p1_report, torus_report
-from .spectral import certify_convergence, first_pages, page_to_json, second_pages
 
 SCHEMA_VERSION = "1"
 
@@ -78,6 +64,8 @@ def _dims_line(name: str, dims) -> str:
 
 
 def cmd_complex(args) -> tuple[dict, list[str]]:
+    from .complexes import cohomology, complex_from_json
+
     data = _load_json(args.file)
     cx = complex_from_json(data)
     rep = cohomology(cx)
@@ -99,6 +87,9 @@ def cmd_complex(args) -> tuple[dict, list[str]]:
 
 
 def cmd_cech(args) -> tuple[dict, list[str]]:
+    from .cech import cech_complex, cover_from_json
+    from .complexes import cohomology
+
     nerve, sheaf = cover_from_json(_load_json(args.file))
     cx = cech_complex(nerve, sheaf)
     rep = cohomology(cx)
@@ -119,6 +110,9 @@ def cmd_cech(args) -> tuple[dict, list[str]]:
 
 
 def cmd_hyper(args) -> tuple[dict, list[str]]:
+    from .cech import cech_hyper, hyper_from_json
+    from .spectral import page_to_json
+
     nerve, sheaves, level_maps = hyper_from_json(_load_json(args.file))
     res = cech_hyper(nerve, sheaves, level_maps)
     cert = res.certificate
@@ -143,6 +137,9 @@ def cmd_hyper(args) -> tuple[dict, list[str]]:
 
 
 def cmd_spectral(args) -> tuple[dict, list[str]]:
+    from .grid import double_complex_from_json
+    from .spectral import first_pages, page_to_json, second_pages
+
     dc = double_complex_from_json(_load_json(args.file))
     pages_fn = first_pages if args.filtration == "first" else second_pages
     pages = pages_fn(dc, args.pages)
@@ -160,6 +157,9 @@ def cmd_spectral(args) -> tuple[dict, list[str]]:
 
 
 def cmd_derham(args) -> tuple[dict, list[str]]:
+    from .forms import (TorusSpec, check_window_budget, derham_cohomology, form_to_text,
+                        log_representative, parse_form)
+
     try:
         spec = TorusSpec(args.n, args.invert, args.window)
         check_window_budget(spec)
@@ -200,6 +200,10 @@ def cmd_derham(args) -> tuple[dict, list[str]]:
 
 
 def cmd_preset(args) -> tuple[dict, list[str]]:
+    from .cech import cech_complex
+    from .complexes import cohomology
+    from .presets import build_circle, check_p1_window, p1_report, torus_report
+
     name = args.name
     if name == "circle":
         nerve, sheaf = build_circle()
@@ -258,6 +262,11 @@ def cmd_preset(args) -> tuple[dict, list[str]]:
 
 
 def cmd_selftest(args) -> tuple[dict, list[str]]:
+    import random
+
+    from .cech import cech_complex
+    from .complexes import cohomology
+    from .forms import TorusSpec, derham_cohomology
     from .generators import (
         nonzero_d2_double_complex,
         random_cochain_complex,
@@ -265,6 +274,8 @@ def cmd_selftest(args) -> tuple[dict, list[str]]:
         random_tensor_double_complex,
         random_tensor_triple_complex,
     )
+    from .grid import total, totals_agree
+    from .spectral import certify_convergence
 
     rng = random.Random(args.seed)
     checks = []

@@ -165,9 +165,6 @@ def complex_from_json(data: dict) -> CochainComplex:
         raise ValueError("diffs length does not match degree range")
     diffs = []
     for i, rows in enumerate(raw):
-        try:
-            mat = matrix_from_json_shaped(rows, dims[i + 1], dims[i])
-        except ValueError as e:
-            raise ValueError(f"differential {lo + i}: {e}")
+        mat = matrix_from_json_shaped(rows, dims[i + 1], dims[i], f"differential {lo + i}")
         diffs.append(LinearMap(spaces[i], spaces[i + 1], mat))
     return CochainComplex(lo, hi, spaces, tuple(diffs))

@@ -11,8 +11,11 @@ basis consists of the logarithmic generators
 
     w_I = dz_{i1}/z_{i1} /\ ... /\ dz_{iq}/z_{iq},  I subset {1..k}.
 
-The pieces share one cached Koszul skeleton per admissible-axis set and
-`derham_cohomology` ranks them as integer rows.
+The pieces share one cached Koszul skeleton per admissible-axis set, and
+`derham_cohomology` ranks one piece per class of equal ranks: pieces
+with the same admissible axes and the same support S of m are diagonal
+conjugates, D_m = T D_{1_S} T^-1 with T e_J = (prod_{a in J & S} m_a) e_J
+(Eisenbud, Commutative Algebra, section 17).
 """
 
 from __future__ import annotations
@@ -360,16 +363,28 @@ def derham_cohomology(spec: TorusSpec) -> DerhamReport:
 
     Every nonzero multidegree component must be exact (verified by ranking
     its integer Koszul rows); the m = 0 component carries the classes w_I.
+    The integer rows of the first m of each class (admissible axes, support
+    S of m) are ranked, and every other m of the class reuses those ranks:
+    on the basis e_J of the q-subsets J of the admissible axes,
+
+        D_m = T D_{1_S} T^-1,   T e_J = (prod_{a in J & S} m_a) e_J,
+
+    since the entry at (J, J - {a}) is m_a times a sign and m_a = 0 off S.
+    T is invertible, so D_m and D_{1_S} have equal ranks in every degree.
     Each skeleton the ranks used is then checked to square to zero.
     """
     dims = [0] * (spec.n + 1)
     skeletons = {}  # admissible axes -> the skeleton the loop ranked
+    classes = {}    # (admissible axes, support of m) -> ranks and dims of its first m
     for m in multidegree_window(spec):
         pool = _admissible_axes(spec, m)
-        skeletons[pool] = _koszul_skeleton(spec.n, pool)
-        bases, rows = _koszul_int_rows(skeletons[pool], m)
-        ranks = [len(_echelon(d)) for d in rows]
-        part = dims_from_ranks(map(len, bases), ranks)
+        key = (pool, tuple(a for a in pool if m[a - 1]))
+        if key not in classes:
+            skeletons[pool] = _koszul_skeleton(spec.n, pool)
+            bases, rows = _koszul_int_rows(skeletons[pool], m)
+            ranks = [len(_echelon(d)) for d in rows]
+            classes[key] = ranks, dims_from_ranks(map(len, bases), ranks)
+        ranks, part = classes[key]
         if any(m):
             if any(part):
                 raise WindowExhausted(

@@ -336,12 +336,14 @@ def double_complex_from_json(data: dict) -> DoubleComplex:
     horiz = tuple(tuple(LinearMap(cells[p][q], cells[p + 1][q],
                                   matrix_from_json_shaped(data["horiz"][p][q],
                                                           cells[p + 1][q].dim,
-                                                          cells[p][q].dim))
+                                                          cells[p][q].dim,
+                                                          f"horiz[{p}][{q}]"))
                         for q in range(Q + 1)) for p in range(P))
     vert = tuple(tuple(LinearMap(cells[p][q], cells[p][q + 1],
                                  matrix_from_json_shaped(data["vert"][p][q],
                                                          cells[p][q + 1].dim,
-                                                         cells[p][q].dim))
+                                                         cells[p][q].dim,
+                                                         f"vert[{p}][{q}]"))
                        for q in range(Q)) for p in range(P + 1))
     return DoubleComplex(P, Q, cells, horiz, vert)
 

@@ -110,19 +110,24 @@ def matrix_from_json(rows: Sequence[Sequence[str]]) -> Matrix:
                  for i, row in enumerate(rows))
 
 
-def matrix_from_json_shaped(rows: Sequence[Sequence[str]], nrows: int, ncols: int) -> Matrix:
-    """Parse a matrix and validate it against the expected shape.
+def matrix_from_json_shaped(rows: Sequence[Sequence[str]], nrows: int, ncols: int,
+                            field: str) -> Matrix:
+    """Parse the matrix at `field` and validate it against the expected shape;
+    a malformed entry or a wrong shape is a ValueError naming the field.
 
     When either side is zero-dimensional an empty array [] is accepted
     as shorthand for the degenerate matrix.
     """
-    mat = matrix_from_json(rows)
+    try:
+        mat = matrix_from_json(rows)
+    except ValueError as e:
+        raise ValueError(f"{field}: {e}") from None
     if nrows == 0 or ncols == 0:
         if any(row for row in mat):
-            raise ValueError(f"expected a {nrows} x {ncols} matrix, got entries")
+            raise ValueError(f"{field}: expected a {nrows} x {ncols} matrix, got entries")
         return tuple(() for _ in range(nrows))
     if len(mat) != nrows or any(len(r) != ncols for r in mat):
-        raise ValueError(f"matrix has wrong shape (expected {nrows} x {ncols})")
+        raise ValueError(f"{field}: matrix has wrong shape (expected {nrows} x {ncols})")
     return mat
 
 

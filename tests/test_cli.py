@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cohom.cech import MAX_DECLARED_FACES, CoverNerve, cover_to_json
 from cohom.cli import main
@@ -10,6 +15,9 @@ from cohom.generators import random_cochain_complex, random_function_sheaf
 from cohom.grid import double_complex_to_json
 from cohom.linalg import MAX_DECLARED_DIM, LabeledSpace
 from cohom.generators import nonzero_d2_double_complex
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -338,7 +346,6 @@ def test_hyper_level_maps_that_do_not_compose_to_zero_exit_2(tmp_path, capsys):
 
 
 def test_preset_p1_refuses_oversized_window_before_any_work(capsys, monkeypatch):
-    import cohom.cli as cli
     import cohom.presets as presets
     from cohom.presets import MAX_P1_WINDOW, check_p1_window
 
@@ -352,20 +359,20 @@ def test_preset_p1_refuses_oversized_window_before_any_work(capsys, monkeypatch)
     # the library entry point refuses too, before building anything
     with pytest.raises(ValueError, match=str(MAX_P1_WINDOW)):
         presets.p1_report(MAX_P1_WINDOW + 1)
-    monkeypatch.setattr(cli, "p1_report", no_work)
+    monkeypatch.setattr(presets, "p1_report", no_work)
     code, _, err = run(capsys, "preset", "p1", "--window", str(MAX_P1_WINDOW + 1))
     assert code == 1 and str(MAX_P1_WINDOW + 1) in err
     check_p1_window(MAX_P1_WINDOW)
 
 
 def test_derham_refuses_oversized_window_before_any_work(capsys, monkeypatch):
-    import cohom.cli as cli
+    import cohom.forms as forms
     from cohom.forms import MAX_MULTIDEGREES, TorusSpec, check_window_budget, multidegree_count
 
     def no_work(spec):
         raise AssertionError("the de Rham computation started")
 
-    monkeypatch.setattr(cli, "derham_cohomology", no_work)
+    monkeypatch.setattr(forms, "derham_cohomology", no_work)
     code, out, err = run(capsys, "derham", "--n", "9", "--invert", "9", "--format", "json")
     assert code == 1 and out == ""
     assert str(multidegree_count(TorusSpec(9, 9, 4))) in err
@@ -374,3 +381,95 @@ def test_derham_refuses_oversized_window_before_any_work(capsys, monkeypatch):
     assert multidegree_count(TorusSpec(4, 4, 3)) == 1296
     assert multidegree_count(TorusSpec(4, 4, 4)) == 4096
     check_window_budget(TorusSpec(4, 4, 4))
+
+
+ENTRY = "entry at row 0, column 0 is not an integer or a 'p/q' string"
+
+
+MALFORMED_MATRICES = [
+    ("complex", "complex_seed1.json", ("diffs", 0), [["x"], []], f"differential 0: {ENTRY}: 'x'"),
+    ("cech", "cover_seed3.json", ("restrict", 0, "matrix", 0, 0), 1.5,
+     f"restrict[0].matrix: {ENTRY}: 1.5"),
+    ("cech", "cover_seed3.json", ("restrict", 0, "matrix"), [["1"]],
+     "restrict[0].matrix: matrix has wrong shape (expected 1 x 2)"),
+    ("hyper", "p1_w4.hyper.json", ("restrict", 0, "matrices", 0, 0, 0), "x",
+     f"restrict[0].matrices[0]: {ENTRY}: 'x'"),
+    ("hyper", "p1_w4.hyper.json", ("level_maps", 0, "maps", 0, 0, 0), "x",
+     f"level_maps[0].maps[0]: {ENTRY}: 'x'"),
+    ("spectral", "nonzero_d2.dc.json", ("horiz", 1, 0, 0, 0), "x", f"horiz[1][0]: {ENTRY}: 'x'"),
+    ("spectral", "nonzero_d2.dc.json", ("vert", 1, 0, 0, 0), True, f"vert[1][0]: {ENTRY}: True"),
+]
+
+
+@pytest.mark.parametrize("command,file,path,value,message", MALFORMED_MATRICES,
+                         ids=[f"{c[0]}:{c[4].split(': ')[0]}" for c in MALFORMED_MATRICES])
+def test_malformed_matrix_names_its_field(tmp_path, capsys, command, file, path, value, message):
+    data = json.loads((GOLDEN / file).read_text())
+    *head, last = path
+    target = data
+    for key in head:
+        target = target[key]
+    target[last] = value
+    code, out, err = run(capsys, command, write(tmp_path, "bad.json", data))
+    assert code == 1 and out == ""
+    assert message in err
+
+
+LOADER_INPUTS = {"complex": "complex_seed1.json", "cech": "cover_seed3.json",
+                 "hyper": "p1_w4.hyper.json", "spectral": "nonzero_d2.dc.json"}
+DROP = object()
+TYPE_CHANGES = [None, "x", 1.5, True, [], {}, "wrap"]  # "wrap": a list around the value
+REPLACEMENTS = TYPE_CHANGES + [-1, 10 ** 6]
+
+
+def _paths(value, path=()):
+    """Every position in a JSON value, the root excluded."""
+    if path:
+        yield path
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _is_number(value) -> bool:
+    """A JSON integer, or a string the loaders read as a rational."""
+    if isinstance(value, str):
+        try:
+            Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            return False
+        return True
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+@st.composite
+def _mutated_input(draw):
+    command = draw(st.sampled_from(sorted(LOADER_INPUTS)))
+    data = json.loads((GOLDEN / LOADER_INPUTS[command]).read_text())
+    *head, last = draw(st.sampled_from(list(_paths(data))))
+    parent = data
+    for key in head:
+        parent = parent[key]
+    original = parent[last]
+    new = draw(st.sampled_from(REPLACEMENTS + [DROP] if isinstance(parent, dict) else REPLACEMENTS))
+    if new is DROP:
+        del parent[last]
+    else:
+        parent[last] = [original] if new == "wrap" else new
+    return command, data, original, new
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_input())
+def test_a_mutated_golden_input_exits_cleanly(tmp_path_factory, case):
+    """One dropped key or replaced value in a loader input: no exception escapes,
+    the exit code is 0, 1 or 2, and a number replaced by another type is exit 1."""
+    command, data, original, new = case
+    path = tmp_path_factory.mktemp("mutated") / "input.json"
+    path.write_text(json.dumps(data))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, str(path)])
+    assert code in (0, 1, 2)
+    if _is_number(original) and new in TYPE_CHANGES:
+        assert code == 1

@@ -235,7 +235,9 @@ def test_multidegree_complex_matches_reference_koszul():
 
 @pytest.mark.parametrize("spec", small_specs() + [TorusSpec(4, 4, 2)], ids=str)
 def test_derham_component_ranks_match_bareiss_oracle(monkeypatch, spec):
-    """Every rank derham_cohomology counts is the oracle rank of that Koszul matrix."""
+    """Every component's Koszul matrix, ranked on its own by the oracle, has the
+    rank derham_cohomology used for it: that of the first component of its
+    class (admissible axes, support of m), the only one it ranks."""
     seen = []
     echelon = forms._echelon
 
@@ -247,16 +249,28 @@ def test_derham_component_ranks_match_bareiss_oracle(monkeypatch, spec):
 
     monkeypatch.setattr(forms, "_echelon", recording)
     derham_cohomology(spec)
-    expected = [(m, q) for m in multidegree_window(spec) for q in range(spec.n)]
-    assert len(seen) == len(expected)
-    for (m, q), (rows, r) in zip(expected, seen):
+
+    def koszul_class(m):
+        pool = tuple(i for i in range(1, spec.n + 1) if i <= spec.k or m[i - 1] >= 1)
+        return pool, tuple(x != 0 for x in m)
+
+    firsts = {}
+    for m in multidegree_window(spec):
+        firsts.setdefault(koszul_class(m), m)
+    ranked = [(m, q) for m in firsts.values() for q in range(spec.n)]
+    assert len(seen) == len(ranked)
+    used = dict(zip(ranked, seen))
+    for (m, q), (rows, _) in used.items():
         src, _, matrix = reference_koszul(spec, m, q)
         dense = [[0] * len(src) for _ in rows]
         for dense_row, row in zip(dense, rows):
             for j, x in row:
                 dense_row[j] = x
         assert tuple(map(tuple, dense)) == matrix
-        assert r == oracle_rank(matrix)
+    for m in multidegree_window(spec):
+        for q in range(spec.n):
+            _, _, matrix = reference_koszul(spec, m, q)
+            assert oracle_rank(matrix) == used[(firsts[koszul_class(m)], q)][1]
 
 
 def flip_first_d1_sign(skeleton):
@@ -309,9 +323,11 @@ def test_koszul_skeleton_cache_is_keyed_on_structure():
     for k in range(5):
         derham_cohomology(TorusSpec(4, k, 3))
     info = forms._koszul_skeleton.cache_info()
-    # 3,376 components, at most one skeleton per admissible-axis set in {1..4}
-    assert info.hits + info.misses == sum(len(multidegree_window(TorusSpec(4, k, 3)))
-                                          for k in range(5))
+    # one lookup per class (admissible axes, support of m) of the 3,376
+    # components: an inverted axis is always admissible and a polynomial one
+    # exactly when in the support, so each k has 2^4 classes; at most one
+    # skeleton per admissible-axis set in {1..4}
+    assert info.hits + info.misses == 5 * 2 ** 4
     assert info.currsize <= 2 ** 4
 
 

@@ -1,17 +1,23 @@
-"""Every name a `cohom` module imports is used in that module.
+"""What the `cohom` modules import, and what a `cohom` run loads.
 
-A stdlib `ast` scan: deleting a function must not leave behind an
-import that only it needed.  `__init__.py` is exempt, because its
-imports are the package's re-exports.
+A stdlib `ast` scan checks that every imported name is used, so deleting
+a function must not leave behind an import that only it needed.  Child
+processes check that each subcommand loads only its own modules, and
+that the benchmark's layer tracer still sees the calls they make.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cohom"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cohom"
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> set:
@@ -63,3 +69,38 @@ def test_laws_are_checked_only_where_objects_are_built():
                   if isinstance(node, ast.Call) and _called_name(node) == "validate"
                   and id(node) not in inside]
     assert not stray, f"law checks outside __post_init__: {stray}"
+
+
+def _child(*argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, cwd=ROOT, timeout=60)
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["derham", "--n", "2", "--invert", "2", "--window", "2"],
+     ["cli", "complexes", "forms", "linalg"]),
+    (["hyper", "tests/golden/p1_w4.hyper.json"],
+     ["cech", "cli", "complexes", "grid", "linalg", "spectral"]),
+], ids=["derham", "hyper"])
+def test_a_subcommand_loads_only_its_own_modules(argv, loaded):
+    code = ("import io, json, sys, contextlib\n"
+            "import cohom.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cohom.cli.main(sys.argv[1:])\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('cohom.'))]))")
+    proc = _child("-c", code, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, [f"cohom.{m}" for m in loaded]]
+
+
+def test_the_layer_tracer_sees_a_subcommand_call(tmp_path):
+    """The tracer rebinds functions in each module's namespace; a subcommand
+    that imports inside its body reads them there, so the call is traced."""
+    summary = tmp_path / "summary.json"
+    proc = _child("perfbench/traced_cli.py", str(summary),
+                  "derham", "--n", "2", "--invert", "2", "--window", "2", "--reduce", "dz1")
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(summary.read_text())["calls"]
+    assert calls["forms.derham_cohomology"] == 1
+    assert calls["cli.main"] == 1
