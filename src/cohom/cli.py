@@ -36,12 +36,11 @@ def _load_json(path: str) -> dict:
 
 def _rep_listing(report) -> list:
     out = []
-    for i, sub in enumerate(report.representatives):
-        degree_reps = []
-        for col in sub.basis.columns:
-            entries = [[str(lab), rat_to_str(c)]
-                       for lab, c in zip(sub.ambient.labels, col) if c != 0]
-            degree_reps.append(entries)
+    for sub in report.representatives:
+        degree_reps: list = [[] for _ in range(sub.dim)]
+        for lab, row in zip(sub.ambient.labels, sub.basis.nonzero_rows()):
+            for j, c in row:
+                degree_reps[j].append([str(lab), rat_to_str(c)])
         out.append(degree_reps)
     return out
 

@@ -6,8 +6,9 @@ the complex is built; cohomology in degree k is the subquotient
 ker d_k / im d_{k-1}.
 
 Two entry points compute it.  `cohomology` returns explicit
-lifted-cocycle representatives; `cohom complex` and `cohom cech` print
-them.  `cohomology_dims` counts dimensions by rank alone
+lifted-cocycle representatives, read off one sparse column reduction of
+each d_k (`linalg.reduce_columns`); `cohom complex` and `cohom cech`
+print them.  `cohomology_dims` counts dimensions by rank alone
 (dim K^k - rank d_k - rank d_{k-1}) and serves the callers that read
 dimensions only: `cohom hyper` and the convergence certificate.
 `cohom derham` counts its Koszul pieces with the same rule,
@@ -26,14 +27,13 @@ from .linalg import (
     LinearMap,
     Subspace,
     ZERO_SPACE,
+    _echelon,
     check_declared_dim,
-    image_basis,
     int_from_json,
-    kernel_basis,
     matrix_from_json_shaped,
     matrix_to_json,
     rank,
-    subquotient,
+    reduce_columns,
 )
 
 
@@ -97,20 +97,36 @@ def validate(k: CochainComplex) -> None:
 
 
 def cohomology(k: CochainComplex) -> CohomologyReport:
-    """Subquotient cohomology with lifted-cocycle representatives."""
-    dims = []
+    """Cohomology with lifted-cocycle representatives, from one column reduction.
+
+    The columns j of d_n that reduce to zero give kernel vectors V_j equal
+    to the reduced-row-echelon kernel basis; the classes are the free
+    columns outside the rank profile of d_{n-1} restricted to the free rows.
+    """
     reps = []
     for deg in k.degrees():
-        z = kernel_basis(k.diff(deg))
-        b = image_basis(k.diff(deg - 1))
-        q, section = subquotient(z, b)
-        dims.append(q.dim)
-        reps.append(Subspace(k.space(deg), section))
+        space = k.space(deg)
+        kernel = {j: v for j, _, v, low in reduce_columns(k.diff(deg), range(space.dim))
+                  if low is None}
+        prev = k.diff(deg - 1).nonzero_rows()
+        image: list = [[] for _ in range(k.space(deg - 1).dim)]
+        for i in kernel:
+            for j, x in prev[i]:
+                image[j].append((i, x))
+        hit = _echelon(image)
+        classes = [(c, j) for c, j in enumerate(kernel) if j not in hit]
+        rows: list = [[] for _ in range(space.dim)]
+        for col, (_, j) in enumerate(classes):
+            for i, x in kernel[j].items():
+                rows[i].append((col, x))
+        qspace = LabeledSpace(tuple(("cls", c) for c, _ in classes))
+        section = LinearMap._from_nonzeros(qspace, space, rows)
+        reps.append(Subspace(space, section))
         # every representative must be an exact cocycle
         if not k.diff(deg).compose(section).is_zero():
             raise LawViolation("cohomology representatives are cocycles",
                                f"degree {deg}")
-    return CohomologyReport(k.lo, k.hi, tuple(dims), tuple(reps))
+    return CohomologyReport(k.lo, k.hi, tuple(s.dim for s in reps), tuple(reps))
 
 
 def cohomology_dims(k: CochainComplex) -> tuple[int, ...]:

@@ -7,7 +7,9 @@ every reduced row echelon form comes from one sparse, fraction-free
 elimination over the integers (`_echelon`); the reduced row echelon
 form of a matrix is unique, so kernel, image and solution bases do not
 depend on which row is chosen as a pivot and are reproducible across
-runs.  Products and applications multiply nonzero entries only.
+runs.  Cohomology representatives and the spectral pairing come from one
+sparse column reduction (`reduce_columns`).  Products and applications
+multiply nonzero entries only.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class CohomError(Exception):
@@ -237,11 +239,13 @@ class LinearMap:
         """self after other, summing products of nonzero entries only."""
         if other.codomain != self.domain:
             raise AmbientMismatch("composition domain/codomain mismatch")
-        inner = other.nonzero_rows()
+        inner: dict = {}  # the rows of other that self reaches, scanned once each
         out = []
         for row in self.matrix:
             acc: dict = {}
             for j, x in _nonzeros(row):
+                if j not in inner:
+                    inner[j] = _nonzeros(other.matrix[j])
                 for k, y in inner[j]:
                     acc[k] = acc.get(k, ZERO) + x * y
             out.append([(k, t) for k, t in acc.items() if t])
@@ -277,10 +281,6 @@ class Subspace:
     @property
     def vectors(self) -> list[Vector]:
         return self.basis.columns
-
-    @staticmethod
-    def zero(ambient: LabeledSpace) -> "Subspace":
-        return Subspace(ambient, LinearMap.zero(ZERO_SPACE, ambient))
 
     @staticmethod
     def full(ambient: LabeledSpace) -> "Subspace":
@@ -355,6 +355,45 @@ def _echelon(rows) -> dict:
     return pivots
 
 
+def _subtract(y: dict, c: Fraction, x: dict) -> None:
+    """y -= c * x on sparse vectors, dropping zeros."""
+    for i, xi in x.items():
+        t = y.get(i, ZERO) - c * xi
+        if t:
+            y[i] = t
+        else:
+            del y[i]
+
+
+def reduce_columns(m: LinearMap, order: Iterable[int], key=None) -> Iterator[tuple]:
+    """Left-to-right reduction R = m V of the columns in order: each column
+    is reduced by earlier ones until none owns its low, its largest row
+    under key (the row index when key is None).  Yields (j, R_j, V_j, low)
+    with R_j, V_j sparse dicts and low None when R_j = 0; V_j has a 1 at j
+    and is supported on j and the earlier columns with R != 0."""
+    cols: list[dict] = [{} for _ in range(m.domain.dim)]
+    for i, row in enumerate(m.nonzero_rows()):
+        for j, x in row:
+            cols[j][i] = x
+    owner: dict = {}  # low -> (R, V) of the column that owns it
+    for j in order:
+        r, v = cols[j], {j: ONE}
+        while r:
+            low = max(r, key=key)
+            if low not in owner:
+                owner[low] = (r, v)
+                break
+            r_low, v_low = owner[low]
+            c = r[low] / r_low[low]
+            _subtract(r, c, r_low)
+            _subtract(v, c, v_low)
+        else:
+            low = None
+        yield j, r, v, low
+
+
+# rref, kernel_basis, image_basis, solve, invert, SpanBuilder and subquotient stay while
+# perfbench/tracer.py binds them; tests/test_bench_bindings.py requires the bindings to resolve.
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[int], list[Vector]]:
     """Reduced row echelon form.
 
@@ -393,8 +432,6 @@ def rank(m: LinearMap) -> int:
 def kernel_basis(m: LinearMap) -> Subspace:
     """Subspace of the domain spanned by an exact kernel basis."""
     n = m.domain.dim
-    if n == 0:
-        return Subspace.zero(m.domain)
     if m.codomain.dim == 0:
         return Subspace.full(m.domain)
     pivots, reduced = rref(m.matrix)

@@ -2,11 +2,11 @@
 
 All pages come from one filtered column reduction of the total complex
 (the persistence view of a spectral sequence).  For each degree n the
-differential D : Tot^n -> Tot^{n+1} is reduced once, with columns and
-rows ordered by (-p, index) so that a column only ever receives columns
-from its own filtration step F_p = sum_{p' >= p} K^{p', n-p'}.  The
-result R = D V has unique lowest nonzero rows ("lows"), and every basis
-index of Tot^n is exactly one of
+differential D : Tot^n -> Tot^{n+1} is reduced once by
+`linalg.reduce_columns`, with columns and rows ordered by (-p, index) so
+that a column only ever receives columns from its own filtration step
+F_p = sum_{p' >= p} K^{p', n-p'}.  The result R = D V has unique lowest
+nonzero rows ("lows"), and every basis index of Tot^n is exactly one of
 
     an essential   R_j = 0 and j is not a low,
     a source j     paired with its target low(R_j) at distance p_low - p_j,
@@ -15,10 +15,12 @@ index of Tot^n is exactly one of
 A page is a filter on this pairing.  E_r^{p,q} is spanned by the
 essentials at p plus the sources and targets at p whose pair distance
 is >= r (`SpectralPage.span`), and d_r is the matching at distance
-exactly r: it sends each source to its target (`SpectralPage.d_pairs`).
-Page dims are therefore lengths of index lists and the rank of d_r is
-its number of distinct targets.  Representatives are V_j for
-essentials and sources and R_j for the target of source j.
+exactly r: it sends each source to its target.  Each page builds d_r
+once, when it is built, in one pass over its sources at distance r
+(`SpectralPage.d`, read by `d_pairs`).  Page dims are therefore lengths
+of index lists and the rank of d_r is its number of distinct targets.
+Representatives are V_j for essentials and sources and R_j for the
+target of source j.
 
 The row filtration is read from the same total complex, with q in place
 of p as the filtration degree: x -> (-1)^{pq} x carries Tot(K) filtered
@@ -30,13 +32,12 @@ and its representatives lie in Tot(K) itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import CochainComplex, cohomology_dims
 from .grid import DoubleComplex, total
-from .linalg import CohomError, LawViolation, ONE, ZERO
+from .linalg import CohomError, LawViolation, ZERO, reduce_columns
 
 
 class ConvergenceFailure(CohomError):
@@ -48,7 +49,7 @@ class SpectralPage:
     r: int
     span: dict  # (p, q) -> Tot^{p+q} indices alive on E_r, all cells of [0,P] x [0,Q]
     gens: list  # the _pairs pairing, shared by every page of one filtration
-    _d: dict = field(default_factory=dict, compare=False, repr=False)  # d_pairs, once per cell
+    d: dict     # (p, q) -> d_pairs(p, q), for the cells where d_r is nonzero
 
     def dim(self, p: int, q: int) -> int:
         return len(self.span.get((p, q), ()))
@@ -58,13 +59,7 @@ class SpectralPage:
 
     def d_pairs(self, p: int, q: int) -> list[tuple[int, int]]:
         """(source, target) span positions of d_r : E_r^{p,q} -> E_r^{p+r,q-r+1}."""
-        if (p, q) not in self._d:
-            idx = self.span.get((p, q), ())
-            pos = {i: j for j, i in enumerate(self.span.get((p + self.r, q - self.r + 1), ()))}
-            gens = self.gens[p + q] if idx else ()
-            self._d[(p, q)] = [(s, pos[gens[i][2]]) for s, i in enumerate(idx)
-                               if gens[i][0] == self.r and gens[i][2] is not None]
-        return self._d[(p, q)]
+        return self.d.get((p, q), [])
 
     def representatives(self, p: int, q: int) -> list[tuple]:
         """Dense vectors of Tot^{p+q}: V_j for essentials and sources, R_j for targets."""
@@ -83,16 +78,6 @@ class ConvergenceCertificate:
     second_einf: dict
     first_degeneration: int
     second_degeneration: int
-
-
-def _subtract(y: dict, c: Fraction, x: dict) -> None:
-    """y -= c * x on sparse vectors, dropping zeros."""
-    for i, xi in x.items():
-        t = y.get(i, ZERO) - c * xi
-        if t:
-            y[i] = t
-        else:
-            del y[i]
 
 
 def _dense(v: dict, dim: int) -> tuple:
@@ -117,30 +102,16 @@ def _pairs(tot: CochainComplex, axis: int) -> tuple[list, list]:
     gens: list[list] = [[None] * len(lv) for lv in level]
     for n in range(n_max + 1):
         p_of, p_row = level[n], level[n + 1] if n < n_max else []
-        cols: list[dict] = [{} for _ in p_of]
-        for i, row in enumerate(tot.diff(n).nonzero_rows()):
-            for j, x in row:
-                cols[j][i] = x
-        reduced: dict = {}  # low -> (R, V) of the column that owns it
-        for j in sorted(range(len(p_of)), key=lambda i: (-p_of[i], i)):
-            if gens[n][j] is not None:
-                continue  # a target: its column reduces to zero
-            r, v = cols[j], {j: ONE}
-            while r:
-                low = max(r, key=lambda i: (-p_row[i], i))
-                if low not in reduced:
-                    break
-                r_low, v_low = reduced[low]
-                c = r[low] / r_low[low]
-                _subtract(r, c, r_low)
-                _subtract(v, c, v_low)
-            if r:
-                reduced[low] = (r, v)
+        # a target's column reduces to zero, so only the others are reduced
+        order = sorted((j for j, g in enumerate(gens[n]) if g is None),
+                       key=lambda i: (-p_of[i], i))
+        for j, r, v, low in reduce_columns(tot.diff(n), order, key=lambda i: (-p_row[i], i)):
+            if low is None:
+                gens[n][j] = (None, v, None)
+            else:
                 dist = p_row[low] - p_of[j]
                 gens[n][j] = (dist, v, low)
                 gens[n + 1][low] = (dist, r, None)
-            else:
-                gens[n][j] = (None, v, None)
     return level, gens
 
 
@@ -158,24 +129,41 @@ def _compute_pages(k: DoubleComplex, tot: CochainComplex, r_max: int,
     for r in range(1, r_max + 1):
         span = {ab: tuple(i for i, dist in idx if dist is None or dist >= r)
                 for ab, idx in cells.items()}
-        page = SpectralPage(r, span, gens)
+        page = SpectralPage(r, span, gens, _d_r(r, span, gens))
         _check_page(page, pages[-1] if pages else None)
         pages.append(page)
     return pages
 
 
+def _d_r(r: int, span: dict, gens: list) -> dict:
+    """{(p, q): d_pairs(p, q)} of page r, in one pass over its sources at
+    distance r; each target must be alive on E_r^{p+r, q-r+1}."""
+    d = {}
+    for (p, q), idx in span.items():
+        g = gens[p + q]
+        src = [(s, g[i][2]) for s, i in enumerate(idx) if g[i][0] == r and g[i][2] is not None]
+        if src:
+            pos = {i: j for j, i in enumerate(span.get((p + r, q - r + 1), ()))}
+            if any(t not in pos for _, t in src):
+                raise LawViolation("d_r has bidegree (r, 1-r)", f"page {r} at {(p, q)}")
+            d[(p, q)] = [(s, pos[t]) for s, t in src]
+    return d
+
+
 def _check_page(page: SpectralPage, prev: Optional[SpectralPage]) -> None:
     r = page.r
     # d_r . d_r = 0: no target of d_r is itself a source of d_r
-    for p, q in page.span:
-        if {t for _, t in page.d_pairs(p, q)} & {s for s, _ in page.d_pairs(p + r, q - r + 1)}:
+    for (p, q), pairs in page.d.items():
+        if {t for _, t in pairs} & {s for s, _ in page.d_pairs(p + r, q - r + 1)}:
             raise LawViolation("d_r squares to zero", f"page {r} at {(p, q)}")
     # dim E_{r+1} = dim ker d_r - dim im d_r, checked against the previous page
     if prev is not None:
-        for p, q in page.span:
-            ker = prev.dim(p, q) - _rank(prev.d_pairs(p, q))
-            im = _rank(prev.d_pairs(p - prev.r, q + prev.r - 1))
-            if page.dim(p, q) != ker - im:
+        want = {pq: len(idx) for pq, idx in prev.span.items()}
+        for (p, q), pairs in prev.d.items():
+            want[(p, q)] -= _rank(pairs)
+            want[(p + prev.r, q - prev.r + 1)] -= _rank(pairs)
+        for (p, q), idx in page.span.items():
+            if len(idx) != want[(p, q)]:
                 raise LawViolation("E_{r+1} = ker d_r / im d_r",
                                    f"page {r} entry {(p, q)}")
 
@@ -205,12 +193,8 @@ def _einf_sums(pages: list[SpectralPage], P: int, Q: int) -> dict:
 
 
 def _degeneration_page(pages: list[SpectralPage]) -> int:
-    r0 = len(pages) + 1
-    for page in reversed(pages):
-        if any(page.d_pairs(p, q) for p, q in page.span):
-            break
-        r0 = page.r
-    return r0
+    """The first r from which every d_r is zero, given the pages E_1, E_2, ..."""
+    return next((page.r + 1 for page in reversed(pages) if page.d), 1)
 
 
 def _analyse(k: DoubleComplex, tot: CochainComplex, total_dims: tuple):

@@ -223,11 +223,13 @@ def test_face_count_at_the_budget_is_accepted(tmp_path, capsys, command):
 
 
 def test_failed_self_check_exits_2_naming_the_law(capsys, monkeypatch):
-    """A broken kernel makes the cocycle self-check fail: exit 2, no traceback."""
+    """A broken column reducer, which reports every column as a zero column
+    with V_j = e_j, makes the cocycle self-check fail: exit 2, no traceback."""
     import cohom.complexes
-    from cohom.linalg import Subspace
+    from cohom.linalg import ONE
 
-    monkeypatch.setattr(cohom.complexes, "kernel_basis", lambda m: Subspace.full(m.domain))
+    monkeypatch.setattr(cohom.complexes, "reduce_columns",
+                        lambda m, order, key=None: [(j, {}, {j: ONE}, None) for j in order])
     code, out, err = run(capsys, "preset", "circle")
     assert code == 2 and out == ""
     assert "law 'cohomology representatives are cocycles' fails" in err

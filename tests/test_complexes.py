@@ -6,7 +6,7 @@ import pytest
 
 from oracles import rank_of_rows as oracle_rank
 
-from cohom.cech import cech_sheaf_double_complex
+from cohom.cech import cech_complex, cech_sheaf_double_complex
 from cohom.complexes import (
     CochainComplex,
     NotAComplex,
@@ -18,9 +18,21 @@ from cohom.complexes import (
     euler_characteristic,
     validate,
 )
-from cohom.generators import random_cochain_complex, random_tensor_double_complex
+from cohom.generators import (
+    conjugate_complex,
+    random_cochain_complex,
+    random_function_sheaf,
+    random_tensor_double_complex,
+)
 from cohom.grid import total
-from cohom.linalg import LabeledSpace, LinearMap, freeze_matrix
+from cohom.linalg import (
+    LabeledSpace,
+    LinearMap,
+    freeze_matrix,
+    image_basis,
+    kernel_basis,
+    subquotient,
+)
 from cohom.presets import build_p1
 
 F = Fraction
@@ -139,6 +151,10 @@ def _dims_cases():
     cases = [("random", random_cochain_complex(rng)[0]) for _ in range(25)]
     cases += [("tensor", total(random_tensor_double_complex(rng)[0])) for _ in range(8)]
     cases.append(("p1_w4", total(cech_sheaf_double_complex(*build_p1(4)))))
+    cases += [("conjugated", conjugate_complex(rng, random_cochain_complex(rng)[0]))
+              for _ in range(25)]
+    cases += [("cech", cech_complex(sheaf.nerve, sheaf))
+              for sheaf in (random_function_sheaf(rng) for _ in range(25))]
     return cases
 
 
@@ -151,3 +167,26 @@ def test_cohomology_dims_match_representatives_and_oracle(kind):
         assert dims == cohomology(cx).dims == _oracle_dims(cx)
     if kind == "p1_w4":
         assert dims == (1, 0, 1)
+
+
+def _dense_cohomology(cx):
+    """Per degree, the classes and section of the dense Gauss-Jordan
+    subquotient ker d_n / im d_{n-1}."""
+    return [subquotient(kernel_basis(cx.diff(k)), image_basis(cx.diff(k - 1)))
+            for k in cx.degrees()]
+
+
+@pytest.mark.parametrize("kind", ["random", "conjugated", "tensor", "cech", "p1_w4"])
+def test_representatives_match_the_dense_subquotient(kind):
+    """The column reducer picks the same classes, with the same labels and
+    the same representative matrices, as the dense subquotient; its dims
+    also equal the Bareiss rank-nullity count."""
+    cases = [cx for k, cx in _dims_cases() if k == kind]
+    assert cases
+    for cx in cases:
+        rep = cohomology(cx)
+        dense = _dense_cohomology(cx)
+        assert rep.dims == tuple(q.dim for q, _ in dense) == _oracle_dims(cx)
+        for sub, (q, section) in zip(rep.representatives, dense):
+            assert sub.basis.domain == q
+            assert sub.basis.matrix == section.matrix

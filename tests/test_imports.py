@@ -39,8 +39,9 @@ def test_every_import_is_used(path):
 
 
 def test_spectral_pages_are_counted_not_eliminated():
-    """Page dims and d_r ranks are counts on the pairing, so spectral.py
-    imports no elimination routine; the convergence certificate still
+    """Page dims and d_r ranks are counts on the pairing, which spectral.py
+    takes from the shared column reducer linalg.reduce_columns; it imports
+    no other elimination routine, so the convergence certificate still
     cross-checks the pages against the separate rank count of
     complexes.cohomology_dims."""
     tree = ast.parse((SRC / "spectral.py").read_text())
@@ -48,7 +49,15 @@ def test_spectral_pages_are_counted_not_eliminated():
     eliminations = {"rank", "rank_of_rows", "rref", "_echelon", "kernel_basis",
                     "image_basis", "solve", "Subspace"}
     assert not names & eliminations
-    assert "cohomology_dims" in names
+    assert {"cohomology_dims", "reduce_columns"} <= names
+
+
+def test_cohomology_representatives_come_from_the_column_reducer():
+    """complexes.cohomology reads its representatives off linalg.reduce_columns,
+    not off the dense Gauss-Jordan family."""
+    names = _imported_names(ast.parse((SRC / "complexes.py").read_text()))
+    assert not names & {"kernel_basis", "image_basis", "subquotient", "rref"}
+    assert "reduce_columns" in names
 
 
 def _called_name(call: ast.Call):

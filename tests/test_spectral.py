@@ -383,13 +383,32 @@ def _target_farther_than_its_source(gens):
     gens[1][0] = (dist + 1, column, target)
 
 
-@pytest.mark.parametrize("mutate, pages, law", [
-    (_target_also_a_source, "1", "d_r squares to zero"),
-    (_target_farther_than_its_source, "2", "E_{r+1} = ker d_r / im d_r"),
-], ids=["target_is_a_source", "distance_mismatch"])
-def test_mutated_pairing_fails_its_page_law(tmp_path, capsys, monkeypatch, mutate, pages, law):
-    path = tmp_path / "line.json"
-    path.write_text(json.dumps(LINE))
+def _target_off_its_cell(gens):
+    dist, column, _ = gens[0][0]
+    gens[0][0] = (dist, column, 5)  # Tot^1 has one index, so 5 lies on no cell
+
+
+# two one-dimensional copies of LINE's first map side by side: two sources
+# in Tot^0, each paired with its own target in Tot^1 at distance 1
+TWO_LINES = {"P": 1, "Q": 0, "dims": [[2], [2]], "horiz": [[[["1", "0"], ["0", "1"]]]],
+             "vert": [[], []]}
+
+
+def _two_sources_share_a_target(gens):
+    dist, column, _ = gens[0][1]
+    gens[0][1] = (dist, column, gens[0][0][2])
+
+
+@pytest.mark.parametrize("grid, mutate, pages, law", [
+    (LINE, _target_also_a_source, "1", "d_r squares to zero"),
+    (LINE, _target_farther_than_its_source, "2", "E_{r+1} = ker d_r / im d_r"),
+    (LINE, _target_off_its_cell, "1", "d_r has bidegree (r, 1-r)"),
+    (TWO_LINES, _two_sources_share_a_target, "2", "E_{r+1} = ker d_r / im d_r"),
+], ids=["target_is_a_source", "distance_mismatch", "target_off_its_cell", "shared_target"])
+def test_mutated_pairing_fails_its_page_law(tmp_path, capsys, monkeypatch, grid, mutate,
+                                            pages, law):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
     assert main(["spectral", str(path), "--pages", pages]) == 0
     capsys.readouterr()
     pairs = spectral._pairs
