@@ -24,7 +24,6 @@ from .linalg import (
     LabeledSpace,
     LinearMap,
     ONE,
-    ZERO,
     check_declared_dim,
     int_from_json,
     matrix_from_json_shaped,
@@ -133,24 +132,26 @@ class SheafOnCover:
                 f_j = f[:j] + f[j + 1:]
                 via_i = self.restriction(f, i).compose(self.restriction(f_i, j - 1))
                 via_j = self.restriction(f, j).compose(self.restriction(f_j, i))
-                if via_i.matrix != via_j.matrix:
+                if via_i != via_j:
                     raise IncompatibleRestrictions(
                         f"restriction squares into {f} (drops {f[i]}, {f[j]}) do not commute")
 
 
-def cech_space(nerve: CoverNerve, sheaf: SheafOnCover, p: int) -> LabeledSpace:
-    labels = tuple((face, lab)
-                   for face in nerve.faces_of_dim(p)
-                   for lab in sheaf.space(face).labels)
-    return LabeledSpace(labels)
-
-
 def cech_complex(nerve: CoverNerve, sheaf: SheafOnCover) -> CochainComplex:
     """The Cech complex with the alternating-sum coboundary."""
+    spaces, diffs = _cech_cochains(nerve, sheaf)
+    return CochainComplex(0, nerve.max_dim, spaces, diffs)
+
+
+def _cech_cochains(nerve: CoverNerve, sheaf: SheafOnCover) -> tuple:
+    """(spaces, coboundaries) of the Cech complex, with delta.delta = 0 left
+    to whichever complex or grid is built from them."""
     if sheaf.nerve != nerve:
         raise ValueError("sheaf data belongs to a different nerve")
     top = nerve.max_dim
-    spaces = tuple(cech_space(nerve, sheaf, p) for p in range(top + 1))
+    spaces = tuple(LabeledSpace(tuple((face, lab) for face in nerve.faces_of_dim(p)
+                                      for lab in sheaf.space(face).labels))
+                   for p in range(top + 1))
     diffs = []
     for p in range(top):
         src_faces = nerve.faces_of_dim(p)
@@ -167,7 +168,7 @@ def cech_complex(nerve: CoverNerve, sheaf: SheafOnCover) -> CochainComplex:
         diffs.append(LinearMap.from_blocks(spaces[p], spaces[p + 1],
                                            [sheaf.space(f).dim for f in src_faces],
                                            [sheaf.space(f).dim for f in dst_faces], blocks))
-    return CochainComplex(0, top, spaces, tuple(diffs))
+    return spaces, tuple(diffs)
 
 
 def cech_cohomology(nerve: CoverNerve, sheaf: SheafOnCover) -> CohomologyReport:
@@ -209,11 +210,9 @@ def function_sheaf(points: Sequence) -> SheafOnCover:
             continue
         for i in range(len(f)):
             sub = f[:i] + f[i + 1:]
-            rows = []
-            for pt in spaces[f].labels:
-                rows.append(tuple(ONE if pt == src else ZERO
-                                  for src in spaces[sub].labels))
-            restrictions[(f, i)] = LinearMap(spaces[sub], spaces[f], tuple(rows))
+            index = {pt: j for j, pt in enumerate(spaces[sub].labels)}
+            rows = [((index[pt], ONE),) for pt in spaces[f].labels]
+            restrictions[(f, i)] = LinearMap.sparse(spaces[sub], spaces[f], rows)
     return SheafOnCover(nerve, spaces, restrictions)
 
 
@@ -239,7 +238,7 @@ def cech_sheaf_double_complex(nerve: CoverNerve, sheaves: Sequence[SheafOnCover]
     levels = len(sheaves)
     if len(level_maps) != max(levels - 1, 0):
         raise LevelMapMismatch("need one family of level maps per adjacent level pair")
-    cech_complexes = [cech_complex(nerve, s) for s in sheaves]
+    cochains = [_cech_cochains(nerve, s) for s in sheaves]
     for q, maps in enumerate(level_maps):
         for face in nerve.faces:
             m = maps.get(face)
@@ -248,10 +247,8 @@ def cech_sheaf_double_complex(nerve: CoverNerve, sheaves: Sequence[SheafOnCover]
                 raise LevelMapMismatch(f"level map {q} missing or mis-shaped on face {face}")
     P = nerve.max_dim
     Q = levels - 1
-    cells = tuple(tuple(cech_complexes[q].space(p) for q in range(Q + 1))
-                  for p in range(P + 1))
-    horiz = tuple(tuple(cech_complexes[q].diff(p) for q in range(Q + 1))
-                  for p in range(P))
+    cells = tuple(tuple(cochains[q][0][p] for q in range(Q + 1)) for p in range(P + 1))
+    horiz = tuple(tuple(cochains[q][1][p] for q in range(Q + 1)) for p in range(P))
 
     def vert(p, q):
         faces = nerve.faces_of_dim(p)

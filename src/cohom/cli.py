@@ -38,7 +38,7 @@ def _rep_listing(report) -> list:
     out = []
     for sub in report.representatives:
         degree_reps: list = [[] for _ in range(sub.dim)]
-        for lab, row in zip(sub.ambient.labels, sub.basis.nonzero_rows()):
+        for lab, row in zip(sub.ambient.labels, sub.basis.rows):
             for j, c in row:
                 degree_reps[j].append([str(lab), rat_to_str(c)])
         out.append(degree_reps)

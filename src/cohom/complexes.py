@@ -108,19 +108,12 @@ def cohomology(k: CochainComplex) -> CohomologyReport:
         space = k.space(deg)
         kernel = {j: v for j, _, v, low in reduce_columns(k.diff(deg), range(space.dim))
                   if low is None}
-        prev = k.diff(deg - 1).nonzero_rows()
-        image: list = [[] for _ in range(k.space(deg - 1).dim)]
-        for i in kernel:
-            for j, x in prev[i]:
-                image[j].append((i, x))
-        hit = _echelon(image)
+        hit = _echelon([(i, x) for i, x in col if i in kernel]
+                       for col in k.diff(deg - 1).transpose().rows)
         classes = [(c, j) for c, j in enumerate(kernel) if j not in hit]
-        rows: list = [[] for _ in range(space.dim)]
-        for col, (_, j) in enumerate(classes):
-            for i, x in kernel[j].items():
-                rows[i].append((col, x))
         qspace = LabeledSpace(tuple(("cls", c) for c, _ in classes))
-        section = LinearMap._from_nonzeros(qspace, space, rows)
+        section = LinearMap.sparse(space, qspace,
+                                   [kernel[j].items() for _, j in classes]).transpose()
         reps.append(Subspace(space, section))
         # every representative must be an exact cocycle
         if not k.diff(deg).compose(section).is_zero():

@@ -36,7 +36,6 @@ from .linalg import (
     ONE,
     ZERO,
     _echelon,
-    rank_of_rows,
     rat_to_str,
 )
 
@@ -295,8 +294,9 @@ def multidegree_complex(spec: TorusSpec, m: tuple) -> CochainComplex:
     """
     bases, rows = _koszul_int_rows(_koszul_skeleton(spec.n, _admissible_axes(spec, m)), m)
     spaces = tuple(LabeledSpace(tuple((m, I) for I in basis)) for basis in bases)
-    nz = [[[(j, Fraction(v)) for j, v in row] for row in d] for d in rows]
-    diffs = tuple(LinearMap._from_nonzeros(spaces[q], spaces[q + 1], d) for q, d in enumerate(nz))
+    diffs = tuple(LinearMap.sparse(spaces[q], spaces[q + 1],
+                                   [[(j, Fraction(v)) for j, v in row] for row in d])
+                  for q, d in enumerate(rows))
     return CochainComplex(0, spec.n, spaces, diffs)
 
 
@@ -604,7 +604,7 @@ def pole_filtration_dims(spec: TorusSpec, n_max: int) -> PoleFiltrationReport:
     for m in multidegree_window(spec):
         cx = multidegree_complex(spec, m)
         bases = [cx.space(q).labels for q in range(spec.n + 1)]
-        images = [cx.diff(q).columns for q in range(spec.n + 1)]  # d e_j per degree
+        images = [cx.diff(q).transpose().rows for q in range(spec.n + 1)]  # d e_j, sparse
         for level in range(n_max + 1):
             # S^q: the basis forms whose inverted exponents are >= -level.
             # The level is L^q = S^q + d S^{q-1}, so d L^q = d S^q and
@@ -614,15 +614,15 @@ def pole_filtration_dims(spec: TorusSpec, n_max: int) -> PoleFiltrationReport:
                     if all(m[i] - (1 if (i + 1) in I else 0) >= -level
                            for i in range(spec.k))]
                    for q in range(spec.n + 1)]
-            img_rank = [rank_of_rows([images[q][j] for j in sel[q]])
+            img_rank = [len(_echelon(images[q][j] for j in sel[q]))
                         for q in range(spec.n + 1)]
             for q in range(spec.n + 1):
                 dim_level, prev_rank = len(sel[q]), 0
                 if q > 0:
                     inside = set(sel[q])
-                    off = [tuple(x for i, x in enumerate(images[q - 1][j]) if i not in inside)
+                    off = [[(i, x) for i, x in images[q - 1][j] if i not in inside]
                            for j in sel[q - 1]]
-                    dim_level += rank_of_rows(off)
+                    dim_level += len(_echelon(off))
                     prev_rank = img_rank[q - 1]
                 per_level[level][q] += dim_level - img_rank[q] - prev_rank
     levels = tuple(tuple(l) for l in per_level)

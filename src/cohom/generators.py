@@ -16,19 +16,25 @@ from .cech import CoverNerve, SheafOnCover, function_sheaf
 from .complexes import CochainComplex
 from .forms import AlgebraicForm, TorusSpec, exterior_derivative, log_form
 from .grid import DoubleComplex, TripleComplex, tensor_double_complex, tensor_triple_complex
-from .linalg import LabeledSpace, LinearMap, ONE, ZERO, invert
+from .linalg import LabeledSpace, LinearMap, ONE, ZERO
 
 
-def random_invertible(rng: random.Random, n: int, ops: int = None) -> LinearMap:
+def random_invertible(rng: random.Random, n: int, ops: int = None) -> tuple:
+    """(m, m^-1): m = E_k ... E_1 applies random elementary row operations to
+    the identity, and m^-1 = E_1^-1 ... E_k^-1 undoes them in reverse order;
+    it is built alongside m, each E^-1 applied as a column operation."""
     space = LabeledSpace.make("v", n)
     rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    inv = [list(r) for r in rows]
     if ops is None:
         ops = 2 * n
     for _ in range(ops if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
         c = Fraction(rng.choice([-2, -1, 1, 2]))
         rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
-    return LinearMap(space, space, tuple(tuple(r) for r in rows))
+        for r in inv:
+            r[j] -= c * r[i]
+    return tuple(LinearMap(space, space, tuple(map(tuple, m))) for m in (rows, inv))
 
 
 def random_cochain_complex(rng: random.Random, max_top: int = 4,
@@ -66,8 +72,10 @@ def random_cochain_complex(rng: random.Random, max_top: int = 4,
 
 def conjugate_complex(rng: random.Random, cx: CochainComplex) -> CochainComplex:
     """Change of basis in every degree; cohomology dims are untouched."""
-    ps = [LinearMap(s, s, random_invertible(rng, s.dim).matrix) for s in cx.spaces]
-    new_diffs = tuple(ps[i + 1].compose(d).compose(invert(ps[i])) for i, d in enumerate(cx.diffs))
+    ps = [[LinearMap.sparse(s, s, m.rows) for m in random_invertible(rng, s.dim)]
+          for s in cx.spaces]
+    new_diffs = tuple(ps[i + 1][0].compose(d).compose(ps[i][1])
+                      for i, d in enumerate(cx.diffs))
     return CochainComplex(cx.lo, cx.hi, cx.spaces, new_diffs)
 
 

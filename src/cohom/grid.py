@@ -116,7 +116,7 @@ def _check_laws(bounds: tuple, map, square_law, commute_law) -> None:
             if cell[a] < bounds[a] and cell[b] < bounds[b]:
                 x = map(b, *_shift(cell, a)).compose(map(a, *cell))
                 y = map(a, *_shift(cell, b)).compose(map(b, *cell))
-                if x.matrix != y.matrix:
+                if x != y:
                     raise InvariantViolation(cell, commute_law(a, b))
 
 
@@ -276,9 +276,10 @@ class TotalsComparison:
 def totals_agree(n: TripleComplex) -> TotalsComparison:
     """Compare the single complexes of the two flattenings bit-exactly.
 
-    Both totals are permuted to the canonical ordering of the underlying
-    (p, q, r) cells (lexicographic) before the matrices are compared, so
-    the result is independent of the grouping order of each flattening.
+    Each total differential is compared as its set of (row cell label,
+    column cell label, entry) nonzero entries, with the ((p,q,r), label)
+    cell labels of the triple, so the result is independent of the
+    grouping order of each flattening.
     """
     ta = total(flatten_fix_r(n))
     tb = total(flatten_fix_p(n))
@@ -286,27 +287,17 @@ def totals_agree(n: TripleComplex) -> TotalsComparison:
         for deg in ta.degrees():
             if ta.space(deg).dim != tb.space(deg).dim:
                 return TotalsComparison(False, deg)
-    perms_a = [_canonical_permutation(ta.space(d)) for d in ta.degrees()]
-    perms_b = [_canonical_permutation(tb.space(d)) for d in tb.degrees()]
     for i, deg in enumerate(range(ta.lo, ta.hi)):
-        ma = _permute_matrix(ta.diffs[i].matrix, perms_a[i + 1], perms_a[i])
-        mb = _permute_matrix(tb.diffs[i].matrix, perms_b[i + 1], perms_b[i])
-        if ma != mb:
+        if _cell_entries(ta.diffs[i]) != _cell_entries(tb.diffs[i]):
             return TotalsComparison(False, deg)
     return TotalsComparison(True, None)
 
 
-def _canonical_permutation(space: LabeledSpace) -> list[int]:
-    """Indices sorted by the flattened ((p,q,r), label) cell labels."""
-    def key(i):
-        lab = space.labels[i]
-        # total() wraps flattening labels as (x, y, ((p,q,r), inner))
-        return lab[2]
-    return sorted(range(space.dim), key=key)
-
-
-def _permute_matrix(matrix, row_perm, col_perm):
-    return tuple(tuple(matrix[i][j] for j in col_perm) for i in row_perm)
+def _cell_entries(m: LinearMap) -> set:
+    """The nonzero entries of a total differential keyed by cell labels;
+    total() wraps flattening labels as (x, y, ((p,q,r), inner))."""
+    rows, cols = m.codomain.labels, m.domain.labels
+    return {(rows[i][2], cols[j][2], x) for i, row in enumerate(m.rows) for j, x in row}
 
 
 def double_complex_to_json(k: DoubleComplex) -> dict:
@@ -350,10 +341,11 @@ def double_complex_from_json(data: dict) -> DoubleComplex:
 
 def _kron(domain: LabeledSpace, codomain: LabeledSpace, *factors: LinearMap) -> LinearMap:
     """Kronecker product of the factor matrices, first factor outermost."""
-    rows = [(ONE,)]
+    rows = [((0, ONE),)]
     for m in factors:
-        rows = [tuple(x * y for x in a for y in b) for a in rows for b in m.matrix]
-    return LinearMap(domain, codomain, tuple(rows))
+        n = m.domain.dim
+        rows = [[(j * n + k, x * y) for j, x in a for k, y in b] for a in rows for b in m.rows]
+    return LinearMap.sparse(domain, codomain, rows)
 
 
 def _tensor_grid(factors: tuple[CochainComplex, ...]):

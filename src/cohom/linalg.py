@@ -8,8 +8,11 @@ elimination over the integers (`_echelon`); the reduced row echelon
 form of a matrix is unique, so kernel, image and solution bases do not
 depend on which row is chosen as a pivot and are reproducible across
 runs.  Cohomology representatives and the spectral pairing come from one
-sparse column reduction (`reduce_columns`).  Products and applications
-multiply nonzero entries only.
+sparse column reduction (`reduce_columns`).  A `LinearMap` stores only
+its nonzero entries, row by row, so products, block copies and
+eliminations read them directly; it is densified (`LinearMap.matrix`)
+only for JSON output and for the dense functions the benchmark tracer
+still binds (rref, kernel_basis, image_basis, solve, invert, subquotient).
 """
 
 from __future__ import annotations
@@ -91,9 +94,9 @@ def int_from_json(x, field: str, signed: bool = False) -> int:
     raise ValueError(f"{field} must be {kind}, got {x!r}")
 
 
-# Most basis vectors one JSON input may declare in all.  Measured with
-# Python 3.11 on a 2-vCPU container: `cohom complex` on {"dims": [0, N],
-# "diffs": [[]]} takes 1.1 s and 48 MB at N = 1000, 4.4 s and 140 MB at N = 2000.
+# Most basis vectors one JSON input may declare in all.  Measured with Python
+# 3.11 on a 2-vCPU container with this limit lifted, `cohom complex` on {"dims":
+# [0, N], "diffs": [[]]} takes 0.16 s and 19 MB at N = 1000, 0.32 s and 29 MB at 10,000.
 MAX_DECLARED_DIM = 1000
 
 
@@ -155,39 +158,52 @@ class LabeledSpace:
 ZERO_SPACE = LabeledSpace(())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LinearMap:
-    """Matrix of shape codomain.dim x domain.dim acting on column vectors."""
+    """Matrix of shape codomain.dim x domain.dim acting on column vectors.
+
+    Stored sparse: rows[i] holds the (column, entry) pairs of the nonzero
+    entries of row i in increasing column order, so equal matrices have
+    equal rows and `==` and `hash` keep their dense meaning.
+    """
 
     domain: LabeledSpace
     codomain: LabeledSpace
-    matrix: Matrix
+    rows: tuple
 
-    def __post_init__(self):
-        if len(self.matrix) != self.codomain.dim:
+    def __init__(self, domain: LabeledSpace, codomain: LabeledSpace, matrix: Matrix):
+        """The map with the dense matrix `matrix`."""
+        if any(len(row) != domain.dim for row in matrix):
+            raise ValueError("column count does not match domain dimension")
+        self._store(domain, codomain, tuple(map(tuple, map(_nonzeros, matrix))))
+
+    @classmethod
+    def sparse(cls, domain: LabeledSpace, codomain: LabeledSpace, rows) -> "LinearMap":
+        """The map whose row i has the nonzero (column, entry) pairs rows[i],
+        in any order and each column at most once."""
+        m = cls.__new__(cls)
+        m._store(domain, codomain, tuple(map(tuple, map(sorted, rows))))
+        return m
+
+    def _store(self, domain: LabeledSpace, codomain: LabeledSpace, rows: tuple) -> None:
+        if len(rows) != codomain.dim:
             raise ValueError("row count does not match codomain dimension")
-        for row in self.matrix:
-            if len(row) != self.domain.dim:
-                raise ValueError("column count does not match domain dimension")
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "rows", rows)
 
     @staticmethod
     def zero(domain: LabeledSpace, codomain: LabeledSpace) -> "LinearMap":
-        return LinearMap(domain, codomain, ((ZERO,) * domain.dim,) * codomain.dim)
+        return LinearMap.sparse(domain, codomain, [()] * codomain.dim)
 
     @staticmethod
     def identity(space: LabeledSpace) -> "LinearMap":
-        n = space.dim
-        return LinearMap(space, space,
-                         tuple(tuple(ONE if i == j else ZERO for j in range(n))
-                               for i in range(n)))
+        return LinearMap.sparse(space, space, [((i, ONE),) for i in range(space.dim)])
 
     @staticmethod
     def from_columns(domain: LabeledSpace, codomain: LabeledSpace,
                      columns: Sequence[Vector]) -> "LinearMap":
-        if len(columns) != domain.dim:
-            raise ValueError("need one column per domain basis vector")
-        rows = tuple(tuple(col[i] for col in columns) for i in range(codomain.dim))
-        return LinearMap(domain, codomain, rows)
+        return LinearMap(codomain, domain, columns).transpose()
 
     @staticmethod
     def from_blocks(domain: LabeledSpace, codomain: LabeledSpace,
@@ -203,62 +219,58 @@ class LinearMap:
         rows: list = [[] for _ in range(codomain.dim)]
         for (i, j), block in blocks.items():
             r0, c0 = dst_offsets[i], src_offsets[j]
-            for r, row in enumerate(block.nonzero_rows()):
+            for r, row in enumerate(block.rows):
                 rows[r0 + r].extend((c0 + c, x) for c, x in row)
-        return LinearMap._from_nonzeros(domain, codomain, rows)
+        return LinearMap.sparse(domain, codomain, rows)
 
-    @staticmethod
-    def _from_nonzeros(domain: LabeledSpace, codomain: LabeledSpace,
-                       nz_rows: list) -> "LinearMap":
-        """Map whose row i has the nonzero (column, entry) pairs nz_rows[i]."""
-        n = domain.dim
-        dense = []
-        for row in nz_rows:
-            r = [ZERO] * n
+    @property
+    def matrix(self) -> Matrix:
+        """The dense matrix, for JSON output and the dense readers."""
+        out = []
+        for row in self.rows:
+            dense = [ZERO] * self.domain.dim
             for j, x in row:
-                r[j] = x
-            dense.append(tuple(r))
-        return LinearMap(domain, codomain, tuple(dense))
+                dense[j] = x
+            out.append(tuple(dense))
+        return tuple(out)
 
-    def nonzero_rows(self) -> list:
-        """Per row, the (column, entry) pairs of its nonzero entries."""
-        return [_nonzeros(row) for row in self.matrix]
+    def transpose(self) -> "LinearMap":
+        cols: list = [[] for _ in range(self.domain.dim)]
+        for i, row in enumerate(self.rows):
+            for j, x in row:
+                cols[j].append((i, x))
+        return LinearMap.sparse(self.codomain, self.domain, cols)
 
     @property
     def columns(self) -> list[Vector]:
-        return [tuple(row[j] for row in self.matrix) for j in range(self.domain.dim)]
+        return list(self.transpose().matrix)
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.domain.dim:
             raise ValueError("vector length does not match domain")
         nz = dict(_nonzeros(v))
-        return tuple(sum((x * nz[j] for j, x in _nonzeros(row) if j in nz), ZERO)
-                     for row in self.matrix)
+        return tuple(sum((x * nz[j] for j, x in row if j in nz), ZERO) for row in self.rows)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other, summing products of nonzero entries only."""
         if other.codomain != self.domain:
             raise AmbientMismatch("composition domain/codomain mismatch")
-        inner: dict = {}  # the rows of other that self reaches, scanned once each
         out = []
-        for row in self.matrix:
+        for row in self.rows:
             acc: dict = {}
-            for j, x in _nonzeros(row):
-                if j not in inner:
-                    inner[j] = _nonzeros(other.matrix[j])
-                for k, y in inner[j]:
+            for j, x in row:
+                for k, y in other.rows[j]:
                     acc[k] = acc.get(k, ZERO) + x * y
             out.append([(k, t) for k, t in acc.items() if t])
-        return LinearMap._from_nonzeros(other.domain, self.codomain, out)
+        return LinearMap.sparse(other.domain, self.codomain, out)
 
     def scale(self, c) -> "LinearMap":
         c = rat(c)
-        return LinearMap._from_nonzeros(self.domain, self.codomain,
-                                        [[(j, c * x) for j, x in row]
-                                         for row in self.nonzero_rows()])
+        rows = [[(j, c * x) for j, x in row] for row in self.rows] if c else [()] * len(self.rows)
+        return LinearMap.sparse(self.domain, self.codomain, rows)
 
     def is_zero(self) -> bool:
-        return not any(_nonzeros(row) for row in self.matrix)
+        return not any(self.rows)
 
 
 @dataclass(frozen=True)
@@ -371,10 +383,7 @@ def reduce_columns(m: LinearMap, order: Iterable[int], key=None) -> Iterator[tup
     under key (the row index when key is None).  Yields (j, R_j, V_j, low)
     with R_j, V_j sparse dicts and low None when R_j = 0; V_j has a 1 at j
     and is supported on j and the earlier columns with R != 0."""
-    cols: list[dict] = [{} for _ in range(m.domain.dim)]
-    for i, row in enumerate(m.nonzero_rows()):
-        for j, x in row:
-            cols[j][i] = x
+    cols = [dict(col) for col in m.transpose().rows]
     owner: dict = {}  # low -> (R, V) of the column that owns it
     for j in order:
         r, v = cols[j], {j: ONE}
@@ -420,13 +429,9 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[int], list[Vector]]:
     return pivots, reduced
 
 
-def rank_of_rows(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(_echelon(map(_nonzeros, rows)))
-
-
 def rank(m: LinearMap) -> int:
     """Exact rank over the rationals."""
-    return len(_echelon(m.nonzero_rows()))
+    return len(_echelon(m.rows))
 
 
 def kernel_basis(m: LinearMap) -> Subspace:
@@ -437,20 +442,16 @@ def kernel_basis(m: LinearMap) -> Subspace:
     pivots, reduced = rref(m.matrix)
     pivot_set = set(pivots)
     free_cols = [j for j in range(n) if j not in pivot_set]
-    vectors = []
-    for f in free_cols:
-        v = [ZERO] * n
-        v[f] = ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -reduced[i][f]
-        vectors.append(tuple(v))
+    vectors = [[(f, ONE)] + [(pc, -row[f]) for pc, row in zip(pivots, reduced) if row[f]]
+               for f in free_cols]
     dom = LabeledSpace(tuple(("ker", j) for j in free_cols))
-    return Subspace(m.domain, LinearMap.from_columns(dom, m.domain, vectors))
+    return Subspace(m.domain, LinearMap.sparse(m.domain, dom, vectors).transpose())
 
 
 def image_basis(m: LinearMap) -> Subspace:
     """Span of the columns of m; basis = earliest independent columns."""
-    kept = [tuple(row[j] for row in m.matrix) for j in sorted(_echelon(m.nonzero_rows()))]
+    columns = m.columns
+    kept = [columns[j] for j in sorted(_echelon(m.rows))]
     dom = LabeledSpace(tuple(("im", i) for i in range(len(kept))))
     return Subspace(m.codomain, LinearMap.from_columns(dom, m.codomain, kept))
 

@@ -101,7 +101,8 @@ def test_delta_squared_zero_on_random_function_sheaves():
     rng = random.Random(32)
     for _ in range(50):
         sheaf = random_function_sheaf(rng)
-        cech_complex(sheaf.nerve, sheaf)  # validate() inside raises otherwise
+        cx = cech_complex(sheaf.nerve, sheaf)  # validate() inside raises otherwise
+        assert hash(cx) == hash(cech_complex(sheaf.nerve, sheaf))  # a hashable value
 
 
 @st.composite

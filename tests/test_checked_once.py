@@ -13,11 +13,12 @@ from pathlib import Path
 import pytest
 
 import cohom.complexes
-from cohom.cech import SheafOnCover, cech_hyper
+from cohom.cech import SheafOnCover, cech_hyper, cech_sheaf_double_complex, function_sheaf
 from cohom.cli import main
 from cohom.complexes import cohomology
 from cohom.generators import random_tensor_double_complex, random_tensor_triple_complex
 from cohom.grid import DoubleComplex, TripleComplex, total, totals_agree
+from cohom.linalg import LinearMap
 from cohom.presets import build_p1
 from cohom.spectral import certify_convergence
 
@@ -77,3 +78,22 @@ def test_no_object_is_checked_twice(checked, case):
     ids = [id(x) for x in checked]
     assert checked and len(ids) == len(set(ids))
     assert all(id(x) in ids for x in must_be_checked)
+
+
+def test_cech_grid_checks_delta_squared_only_as_its_grid_law(monkeypatch):
+    """Three opens with a triple overlap, two levels: the grid checks two
+    horizontal squares and two commuting squares, 6 compose calls; no Cech
+    complex per level checks delta.delta = 0 again."""
+    sheaf = function_sheaf([{0, 1}, {1, 2}, {1, 3}])
+    assert sheaf.nerve.max_dim == 2
+    zero = {f: LinearMap.zero(sheaf.space(f), sheaf.space(f)) for f in sheaf.nerve.faces}
+    calls = []
+    compose = LinearMap.compose
+
+    def counted(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(LinearMap, "compose", counted)
+    cech_sheaf_double_complex(sheaf.nerve, [sheaf, sheaf], [zero])
+    assert len(calls) == 6

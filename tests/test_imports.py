@@ -80,6 +80,23 @@ def test_laws_are_checked_only_where_objects_are_built():
     assert not stray, f"law checks outside __post_init__: {stray}"
 
 
+def test_only_json_output_reads_the_dense_matrix():
+    """A LinearMap stores its nonzero rows; outside linalg.py the dense
+    `.matrix` is read only as the argument of matrix_to_json."""
+    stray = []
+    for path in MODULES:
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {id(node.args[0]) for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and _called_name(node) == "matrix_to_json"
+                   and node.args}
+        stray += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "matrix"
+                  and id(node) not in allowed]
+    assert not stray, f"dense matrix reads outside JSON output: {stray}"
+
+
 def _child(*argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True,

@@ -6,6 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import rank_of_rows as oracle_rank
 
+from cohom.generators import (
+    random_cochain_complex,
+    random_function_sheaf,
+    random_invertible,
+    random_tensor_double_complex,
+)
 from cohom.linalg import (
     AmbientMismatch,
     ContainmentViolated,
@@ -255,3 +261,54 @@ def test_compose_and_apply_match_dense_products():
              for _ in range(m)]
         assert a.apply(v) == tuple(sum((a.matrix[i][j] * v[j] for j in range(m)), F(0))
                                    for i in range(n))
+
+
+def _stored_canonically(m):
+    """Every stored row has nonzero entries only, in strictly increasing column order."""
+    return all(x != 0 for row in m.rows for _, x in row) and \
+        all(all(a[0] < b[0] for a, b in zip(row, row[1:])) for row in m.rows)
+
+
+def test_sparse_and_dense_constructors_agree():
+    rng = random.Random(2718)
+    for _ in range(100):
+        n, m = rng.randint(0, 5), rng.randint(0, 5)
+        dense = lmap(_random_rational_rows(rng, n, m), ncols=m)
+        pairs = [[(j, x) for j, x in enumerate(row) if x] for row in dense.matrix]
+        for row in pairs:
+            rng.shuffle(row)
+        sparse = LinearMap.sparse(dense.domain, dense.codomain, pairs)
+        assert sparse == dense and hash(sparse) == hash(dense)
+        assert _stored_canonically(sparse)
+
+
+def test_generated_maps_survive_the_dense_round_trip():
+    rng = random.Random(314)
+    maps = []
+    for _ in range(20):
+        maps += random_cochain_complex(rng)[0].diffs
+        maps += random_invertible(rng, rng.randint(0, 4))
+        dc = random_tensor_double_complex(rng)[0]
+        maps += [m for col in dc.horiz + dc.vert for m in col]
+        maps += random_function_sheaf(rng).restrictions.values()
+    for m in maps:
+        assert LinearMap(m.domain, m.codomain, m.matrix) == m
+        assert _stored_canonically(m)
+
+
+def test_no_zero_is_stored_after_cancellation():
+    a = lmap([[1, 1]])
+    ab = a.compose(LinearMap(LabeledSpace.make("e", 1), a.domain, freeze_matrix([[1], [-1]])))
+    assert ab.rows == ((),) and ab.is_zero()
+    assert lmap([[2, 0, 3], [0, 0, 1]]).scale(0).rows == ((), ())
+    assert lmap([[2, 0, 3]]).scale(F(-1, 2)).rows == (((0, F(-1)), (2, F(-3, 2))),)
+    m = lmap([[1, 2], [3, 4]])
+    assert all(_stored_canonically(x) for x in (m.compose(invert(m)), m.scale(0), m.transpose()))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_invertible_returns_its_inverse(seed, n):
+    m, inv = random_invertible(random.Random(seed), n)
+    eye = LinearMap.identity(m.domain)
+    assert m.compose(inv) == eye and inv.compose(m) == eye

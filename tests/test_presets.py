@@ -2,10 +2,14 @@ from math import comb
 
 import pytest
 
+from oracles import rank_of_rows as oracle_rank
+
 from cohom.cech import cech_cohomology, cech_hyper
 from cohom.forms import derham_cohomology
+from cohom.linalg import LabeledSpace, LinearMap
 from cohom.presets import (
     ParameterOutOfRange,
+    _is_coboundary,
     build_circle,
     build_p1,
     build_torus,
@@ -100,6 +104,21 @@ def test_p1_window_stability():
 def test_p1_window_validation():
     with pytest.raises(ParameterOutOfRange):
         build_p1(2)
+
+
+def test_coboundary_test_matches_the_dense_rank_oracle():
+    """The appended column goes after the last column of d.  A map wider
+    than tall, like d_1 : Tot^1 -> Tot^2 at every p1 window, has a real
+    column at index codomain.dim."""
+    wide = LinearMap(LabeledSpace.make("a", 3), LabeledSpace.make("b", 2),
+                     ((0, 0, 1), (0, 0, 0)))
+    for d in (wide, cech_hyper(*build_p1(4)).total.diff(1)):
+        assert d.domain.dim > d.codomain.dim
+        dense, base = d.matrix, oracle_rank(d.matrix)
+        got = [_is_coboundary(d, i) for i in range(d.codomain.dim)]
+        want = [oracle_rank([row + (int(k == i),) for k, row in enumerate(dense)]) == base
+                for i in range(d.codomain.dim)]
+        assert got == want and True in got and False in got
 
 
 def test_p1_h1_of_functions_vanishes():

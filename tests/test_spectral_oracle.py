@@ -66,7 +66,7 @@ def zigzag_grid(rng) -> DoubleComplex:
                     arrows["v"].append((prev, y))
     cells = tuple(tuple(LabeledSpace.make(f"c{p}{q}", count[(p, q)]) for q in range(Q + 1))
                   for p in range(P + 1))
-    basis = {pq: random_invertible(rng, n).matrix for pq, n in count.items()}
+    basis = {pq: random_invertible(rng, n)[0].matrix for pq, n in count.items()}
 
     def space_map(src, dst, kind):
         dom, cod = cells[src[0]][src[1]], cells[dst[0]][dst[1]]
