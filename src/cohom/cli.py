@@ -24,6 +24,13 @@ class InputError(Exception):
     """Malformed file or argument; maps to exit code 1."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as InputError (exit 1), keeping exit 2 for violated laws."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -36,9 +43,9 @@ def _load_json(path: str) -> dict:
 
 def _rep_listing(report) -> list:
     out = []
-    for sub in report.representatives:
-        degree_reps: list = [[] for _ in range(sub.dim)]
-        for lab, row in zip(sub.ambient.labels, sub.basis.rows):
+    for section in report.representatives:
+        degree_reps: list = [[] for _ in range(section.domain.dim)]
+        for lab, row in zip(section.codomain.labels, section.rows):
             for j, c in row:
                 degree_reps[j].append([str(lab), rat_to_str(c)])
         out.append(degree_reps)
@@ -183,17 +190,17 @@ def cmd_derham(args) -> tuple[dict, list[str]]:
             phi = parse_form(args.reduce, spec.n)
         except ValueError as e:
             raise InputError(f"--reduce: {e}")
-        vec, xi = log_representative(phi, spec)
-        coeffs = [{"I": list(I), "c": rat_to_str(c)} for I, c in sorted(vec.as_dict().items())]
+        found, xi = log_representative(phi, spec)
+        coeffs = sorted(found.items())
         report["reduce"] = {
             "input": form_to_text(phi),
-            "log_coefficients": coeffs,
+            "log_coefficients": [{"I": list(I), "c": rat_to_str(c)} for I, c in coeffs],
             "witness": form_to_text(xi),
         }
         lines.append(f"reduce {form_to_text(phi)}:")
         lines.append(f"  log coefficients: "
                      + (", ".join(f"{_gen_name(I)} -> {rat_to_str(c)}"
-                                  for I, c in sorted(vec.as_dict().items())) or "all 0"))
+                                  for I, c in coeffs) or "all 0"))
         lines.append(f"  exactness witness: {form_to_text(xi)}")
     return report, lines
 
@@ -346,9 +353,8 @@ class SelftestFailure(Exception):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json"), default="table")
-    common.add_argument("--seed", type=int, default=0)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cohom",
         description="Exact rational cohomology engine",
     )
@@ -393,15 +399,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", parents=[common],
                        help="generator-backed self checks")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_selftest)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     start = time.monotonic()
     try:
+        args = build_parser().parse_args(argv)
         report, lines = args.fn(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

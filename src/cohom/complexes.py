@@ -25,7 +25,6 @@ from .linalg import (
     LabeledSpace,
     LawViolation,
     LinearMap,
-    Subspace,
     ZERO_SPACE,
     _echelon,
     check_declared_dim,
@@ -53,6 +52,8 @@ class CochainComplex:
     def __post_init__(self):
         if self.hi < self.lo:
             raise ValueError("empty degree range")
+        if not isinstance(self.spaces, tuple) or not isinstance(self.diffs, tuple):
+            raise ValueError("spaces and diffs must be tuples, so the complex hashes")
         if len(self.spaces) != self.hi - self.lo + 1:
             raise ValueError("wrong number of spaces for degree range")
         if len(self.diffs) != self.hi - self.lo:
@@ -85,7 +86,7 @@ class CohomologyReport:
     lo: int
     hi: int
     dims: tuple[int, ...]
-    representatives: tuple[Subspace, ...]  # per degree, lifted cocycles in K^k
+    representatives: tuple[LinearMap, ...]  # per degree, classes -> K^k; columns are cocycles
 
 
 def validate(k: CochainComplex) -> None:
@@ -114,12 +115,12 @@ def cohomology(k: CochainComplex) -> CohomologyReport:
         qspace = LabeledSpace(tuple(("cls", c) for c, _ in classes))
         section = LinearMap.sparse(space, qspace,
                                    [kernel[j].items() for _, j in classes]).transpose()
-        reps.append(Subspace(space, section))
+        reps.append(section)
         # every representative must be an exact cocycle
         if not k.diff(deg).compose(section).is_zero():
             raise LawViolation("cohomology representatives are cocycles",
                                f"degree {deg}")
-    return CohomologyReport(k.lo, k.hi, tuple(s.dim for s in reps), tuple(reps))
+    return CohomologyReport(k.lo, k.hi, tuple(s.domain.dim for s in reps), tuple(reps))
 
 
 def cohomology_dims(k: CochainComplex) -> tuple[int, ...]:

@@ -25,7 +25,6 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .complexes import CochainComplex, dims_from_ranks
 from .linalg import (
@@ -131,9 +130,6 @@ class AlgebraicForm:
         return AlgebraicForm(self.n, self.degree,
                              tuple((e, d, x * c) for e, d, x in self.terms))
 
-    def multidegrees(self) -> set:
-        return {term_multidegree(exps, dI) for exps, dI, _ in self.terms}
-
 
 def term_multidegree(exps: tuple, dI: tuple) -> tuple:
     return tuple(e + (1 if i + 1 in dI else 0) for i, e in enumerate(exps))
@@ -195,41 +191,6 @@ class TorusSpec:
     def inverted(self, i: int) -> bool:
         """1-based axis index."""
         return 1 <= i <= self.k
-
-
-@dataclass(frozen=True)
-class LogClassVector:
-    """Coefficients on the classes [w_I], |I| = q, lexicographic subsets."""
-
-    k: int
-    q: int
-    coeffs: tuple  # Fraction per subset in lex order
-
-    def __post_init__(self):
-        if len(self.coeffs) != comb(self.k, self.q):
-            raise ValueError("wrong number of coefficients")
-
-    @staticmethod
-    def subsets(k: int, q: int) -> list[tuple]:
-        return list(itertools.combinations(range(1, k + 1), q))
-
-    @staticmethod
-    def from_dict(k: int, q: int, d: dict) -> "LogClassVector":
-        return LogClassVector(k, q, tuple(Fraction(d.get(I, ZERO))
-                                          for I in LogClassVector.subsets(k, q)))
-
-    def as_dict(self) -> dict:
-        return {I: c for I, c in zip(LogClassVector.subsets(self.k, self.q), self.coeffs)
-                if c != 0}
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def to_form(self, n: int) -> AlgebraicForm:
-        out = AlgebraicForm.zero(n, self.q)
-        for I, c in self.as_dict().items():
-            out = out + log_form(n, I).scale(c)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -437,22 +398,19 @@ def _split_dz_axis(w: AlgebraicForm, axis: int):
             AlgebraicForm.build(w.n, w.degree, beta))
 
 
-def _laurent_coefficient(w: AlgebraicForm, axis: int, order: int) -> AlgebraicForm:
-    """Coefficient of z_axis^{-order}: terms with that exponent, exponent zeroed."""
-    acc: dict = {}
+def _pole_parts(w: AlgebraicForm, axis: int):
+    """(holomorphic part, {j: coefficient of z_axis^-j}) of w, in one pass over
+    its terms; each coefficient has its axis exponent zeroed."""
+    holo: dict = {}
+    poles: dict = {}
     for exps, dI, c in w.terms:
-        if exps[axis - 1] == -order:
-            new = tuple(0 if j == axis - 1 else x for j, x in enumerate(exps))
-            acc[(new, dI)] = c
-    return AlgebraicForm.build(w.n, w.degree, acc)
-
-
-def _holomorphic_part(w: AlgebraicForm, axis: int) -> AlgebraicForm:
-    acc: dict = {}
-    for exps, dI, c in w.terms:
-        if exps[axis - 1] >= 0:
-            acc[(exps, dI)] = c
-    return AlgebraicForm.build(w.n, w.degree, acc)
+        e = exps[axis - 1]
+        if e >= 0:
+            holo[(exps, dI)] = c
+        else:
+            poles.setdefault(-e, {})[(exps[:axis - 1] + (0,) + exps[axis:], dI)] = c
+    return (AlgebraicForm.build(w.n, w.degree, holo),
+            {j: AlgebraicForm.build(w.n, w.degree, t) for j, t in poles.items()})
 
 
 def _shift_axis(w: AlgebraicForm, axis: int, by: int) -> AlgebraicForm:
@@ -477,24 +435,18 @@ def pole_reduce(w: AlgebraicForm, spec: TorusSpec, axis: int):
         raise NotClosed("pole reduction needs a closed form")
 
     alpha, beta = _split_dz_axis(w, axis)
-    max_order = max((-exps[axis - 1] for exps, _, _ in w.terms), default=0)
-    r = max(max_order, 0)
-
-    alpha0 = _holomorphic_part(alpha, axis)
-    beta0 = _holomorphic_part(beta, axis)
-    alphas = {j: _laurent_coefficient(alpha, axis, j) for j in range(1, r + 1)}
-    betas = {j: _laurent_coefficient(beta, axis, j) for j in range(1, r + 1)}
+    alpha0, alphas = _pole_parts(alpha, axis)
+    beta0, betas = _pole_parts(beta, axis)
+    r = max(alphas.keys() | betas.keys(), default=0)
 
     dz = AlgebraicForm.monomial(w.n, 1, (0,) * w.n, (axis,))
     w0 = wedge(dz, alpha0) + beta0
     a1 = alphas.get(1, AlgebraicForm.zero(w.n, max(w.degree - 1, 0)))
 
     theta = AlgebraicForm.zero(w.n, max(w.degree - 1, 0))
-    for j in range(2, r + 1):
-        aj = alphas[j]
-        if aj.is_zero():
-            continue
-        theta = theta - _shift_axis(aj, axis, -(j - 1)).scale(Fraction(1, j - 1))
+    for j, aj in alphas.items():
+        if j > 1:
+            theta = theta - _shift_axis(aj, axis, -(j - 1)).scale(Fraction(1, j - 1))
 
     # the closedness relations forced by d w = 0
     if not exterior_derivative(a1).is_zero():
@@ -518,24 +470,8 @@ def pole_reduce(w: AlgebraicForm, spec: TorusSpec, axis: int):
 # Logarithmic representatives via the multidegree homotopy
 
 
-def _contract(w: AlgebraicForm, axis: int) -> AlgebraicForm:
-    """Interior-product style contraction in index-set coordinates.
-
-    Removes dz_axis with its permutation sign and raises the axis
-    exponent by one (z^{m - chi_I} dz_I -> z^{m - chi_{I-axis}} dz_{I-axis}).
-    """
-    acc: dict = {}
-    for exps, dI, c in w.terms:
-        if axis not in dI:
-            continue
-        rest = tuple(i for i in dI if i != axis)
-        new = tuple(x + 1 if j == axis - 1 else x for j, x in enumerate(exps))
-        acc[(new, rest)] = c * _sign_remove(axis, dI)
-    return AlgebraicForm.build(w.n, max(w.degree - 1, 0), acc)
-
-
 def log_representative(w: AlgebraicForm, spec: TorusSpec):
-    """Coefficients c_I with w - sum c_I w_I = d(xi), plus the witness xi.
+    """Nonzero coefficients {I: c_I} with w - sum c_I w_I = d(xi), plus the witness xi.
 
     Works one multidegree at a time: the m = 0 component is literally a
     combination of the w_I; every m != 0 component is killed by the
@@ -544,25 +480,27 @@ def log_representative(w: AlgebraicForm, spec: TorusSpec):
     check_poles(w, spec)
     if not exterior_derivative(w).is_zero():
         raise NotClosed("log representatives are defined for closed forms")
-    q = w.degree
     coeffs: dict = {}
-    xi = AlgebraicForm.zero(w.n, max(q - 1, 0))
+    xi = AlgebraicForm.zero(w.n, max(w.degree - 1, 0))
     for m, part in split_by_multidegree(w).items():
         if not any(m):
             for exps, dI, c in part.terms:
                 coeffs[dI] = c
             continue
         axis = next(i for i in range(1, spec.n + 1) if m[i - 1] != 0)
-        xi_m = _contract(part, axis).scale(Fraction(1, m[axis - 1]))
+        # the Koszul homotopy: contract dz_axis, raise the axis exponent by one
+        alpha, _ = _split_dz_axis(part, axis)
+        xi_m = _shift_axis(alpha, axis, 1).scale(Fraction(1, m[axis - 1]))
         if exterior_derivative(xi_m) != part:
             raise WindowExhausted(
                 f"cannot certify exactness of the multidegree {m} component")
         xi = xi + xi_m
-    vec = LogClassVector.from_dict(spec.k, q, coeffs)
-    residue = w - vec.to_form(w.n) - exterior_derivative(xi)
+    residue = w - exterior_derivative(xi)
+    for I, c in coeffs.items():
+        residue = residue - log_form(w.n, I).scale(c)
     if not residue.is_zero():
         raise LawViolation("log representative: w = sum c_I w_I + d(xi)")
-    return vec, xi
+    return coeffs, xi
 
 
 def cup_table(spec: TorusSpec) -> dict:
@@ -573,10 +511,7 @@ def cup_table(spec: TorusSpec) -> dict:
             for I in itertools.combinations(range(1, spec.k + 1), qa):
                 for J in itertools.combinations(range(1, spec.k + 1), qb):
                     prod = wedge(log_form(spec.n, I), log_form(spec.n, J))
-                    if prod.is_zero():
-                        table[(I, J)] = LogClassVector.from_dict(spec.k, qa + qb, {})
-                    else:
-                        table[(I, J)], _ = log_representative(prod, spec)
+                    table[(I, J)], _ = log_representative(prod, spec)
     return table
 
 

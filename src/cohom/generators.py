@@ -19,16 +19,14 @@ from .grid import DoubleComplex, TripleComplex, tensor_double_complex, tensor_tr
 from .linalg import LabeledSpace, LinearMap, ONE, ZERO
 
 
-def random_invertible(rng: random.Random, n: int, ops: int = None) -> tuple:
-    """(m, m^-1): m = E_k ... E_1 applies random elementary row operations to
-    the identity, and m^-1 = E_1^-1 ... E_k^-1 undoes them in reverse order;
+def random_invertible(rng: random.Random, n: int) -> tuple:
+    """(m, m^-1): m = E_k ... E_1 applies k = 2n random elementary row operations
+    to the identity, and m^-1 = E_1^-1 ... E_k^-1 undoes them in reverse order;
     it is built alongside m, each E^-1 applied as a column operation."""
     space = LabeledSpace.make("v", n)
     rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     inv = [list(r) for r in rows]
-    if ops is None:
-        ops = 2 * n
-    for _ in range(ops if n > 1 else 0):
+    for _ in range(2 * n if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
         c = Fraction(rng.choice([-2, -1, 1, 2]))
         rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
@@ -37,8 +35,7 @@ def random_invertible(rng: random.Random, n: int, ops: int = None) -> tuple:
     return tuple(LinearMap(space, space, tuple(map(tuple, m))) for m in (rows, inv))
 
 
-def random_cochain_complex(rng: random.Random, max_top: int = 4,
-                           max_dim: int = 3, conjugate: bool = True):
+def random_cochain_complex(rng: random.Random, max_top: int = 4, max_dim: int = 3):
     """Random valid bounded complex; returns (complex, true cohomology dims).
 
     Layout before conjugation: in degree k the first two_term[k-1]
@@ -64,10 +61,7 @@ def random_cochain_complex(rng: random.Random, max_top: int = 4,
         for t in range(two_term[k]):
             rows[t][src_off + t] = ONE
         diffs.append(LinearMap(spaces[k], spaces[k + 1], tuple(tuple(r) for r in rows)))
-    cx = CochainComplex(0, top, spaces, tuple(diffs))
-    if conjugate:
-        cx = conjugate_complex(rng, cx)
-    return cx, tuple(rem)
+    return conjugate_complex(rng, CochainComplex(0, top, spaces, tuple(diffs))), tuple(rem)
 
 
 def conjugate_complex(rng: random.Random, cx: CochainComplex) -> CochainComplex:

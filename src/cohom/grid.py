@@ -88,11 +88,6 @@ class DoubleComplex:
         """Cells with p + q = n, ascending p."""
         return _antidiagonal(n, self.P, self.Q)
 
-    def transpose(self) -> "DoubleComplex":
-        P, Q = self.P, self.Q
-        return DoubleComplex(Q, P, _swap(self.cells, P + 1, Q + 1),
-                             _swap(self.vert, P + 1, Q), _swap(self.horiz, P, Q + 1))
-
 
 def _swap(grid, outer: int, inner: int) -> tuple:
     """grid[i][j] as [j][i], for an outer x inner grid."""

@@ -8,10 +8,10 @@ F_p Tot^n = sum_{p' >= p} K^{p', n-p'} it builds
     E_r^{p,q} = Z_r^{p,q} / ( Z_{r-1}^{p+1,q-1} + D Z_{r-1}^{p-r+1,q+r-2} ),
 
 and d_r by applying D to representatives and solving for coordinates
-in the target page entry.  From the package it uses only `total` and
-`LinearMap.apply`; its spans, solves and ranks are its own, so its d_r
-ranks share no elimination code with the pages it checks.  Pass
-`dc.transpose()` for the row filtration.
+in the target page entry.  From the package it uses only `total`,
+`LinearMap.apply` and the `DoubleComplex` constructor; its spans, solves
+and ranks are its own, so its d_r ranks share no elimination code with
+the pages it checks.  Pass `transpose(dc)` for the row filtration.
 """
 
 from __future__ import annotations
@@ -23,6 +23,18 @@ from oracles import rank_of_rows
 from cohom.grid import DoubleComplex, total
 
 ZERO = Fraction(0)
+
+
+def transpose(dc: DoubleComplex) -> DoubleComplex:
+    """The grid with p and q exchanged: cell (q, p) of the result is cell (p, q)
+    of dc, and the vertical maps become the horizontal ones."""
+    P, Q = dc.P, dc.Q
+
+    def swap(grid, outer, inner):
+        return tuple(tuple(grid[i][j] for i in range(outer)) for j in range(inner))
+
+    return DoubleComplex(Q, P, swap(dc.cells, P + 1, Q + 1),
+                         swap(dc.vert, P + 1, Q), swap(dc.horiz, P, Q + 1))
 
 
 def _dot(pairs, vec) -> Fraction:

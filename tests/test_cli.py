@@ -317,6 +317,28 @@ def test_selftest_deterministic(capsys):
     assert all(c["ok"] for c in json.loads(out1)["checks"])
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["derham", "--n", "x", "--invert", "1"], "argument --n: invalid int value: 'x'"),
+    (["complex"], "the following arguments are required: file"),
+    (["spectral", "f", "--filtration", "third"], "argument --filtration: invalid choice"),
+    (["complex", "f", "--seed", "1"], "unrecognized arguments: --seed 1"),
+], ids=["derham_n_not_int", "complex_without_file", "spectral_third_filtration",
+        "seed_outside_selftest"])
+def test_usage_errors_exit_1(capsys, argv, message):
+    """Exit 2 is reserved for a violated law, so a command-line usage error is
+    malformed input: exit 1 with an `error:` line and no usage dump."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0 and capsys.readouterr().out
+
+
 def test_hyper_subcommand(tmp_path, capsys):
     # one open set, two levels Q --id--> Q : cohomology (0, 0)
     data = {

@@ -62,6 +62,16 @@ def test_validate_rejects_id_id():
     assert err.value.degree == 0
 
 
+def test_list_fields_are_refused():
+    """A complex is hashed (for instance by a tracer keyed on its inputs), so
+    spaces or diffs given as lists are refused when it is built."""
+    cx = identity_complex()
+    for spaces, diffs in ((list(cx.spaces), cx.diffs), (cx.spaces, list(cx.diffs))):
+        with pytest.raises(ValueError, match="must be tuples"):
+            CochainComplex(0, 1, spaces, diffs)
+    assert hash(cx) == hash(identity_complex())
+
+
 def test_cohomology_of_point():
     assert cohomology(single_space_complex()).dims == (1,)
 
@@ -125,7 +135,7 @@ def test_representatives_are_cocycles():
         rep = cohomology(cx)
         for deg in cx.degrees():
             d = cx.diff(deg)
-            for col in rep.representatives[deg - cx.lo].vectors:
+            for col in rep.representatives[deg - cx.lo].columns:
                 assert all(x == 0 for x in d.apply(col))
 
 
@@ -187,6 +197,6 @@ def test_representatives_match_the_dense_subquotient(kind):
         rep = cohomology(cx)
         dense = _dense_cohomology(cx)
         assert rep.dims == tuple(q.dim for q, _ in dense) == _oracle_dims(cx)
-        for sub, (q, section) in zip(rep.representatives, dense):
-            assert sub.basis.domain == q
-            assert sub.basis.matrix == section.matrix
+        for sparse, (q, section) in zip(rep.representatives, dense):
+            assert sparse.domain == q
+            assert sparse.matrix == section.matrix

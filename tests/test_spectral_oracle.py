@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from spectral_oracle import oracle_pages
+from spectral_oracle import oracle_pages, transpose
 from test_spectral import identity_cone, nullhomotopic_cone
 
 from cohom.cech import cech_sheaf_double_complex
@@ -85,7 +85,7 @@ def zigzag_grid(rng) -> DoubleComplex:
                  for p in range(P + 1))
     dc = DoubleComplex(P, Q, cells, horiz, vert)
     dc.validate()
-    return dc.transpose() if rng.random() < 0.5 else dc
+    return transpose(dc) if rng.random() < 0.5 else dc
 
 
 def _zigzag_grids():
@@ -137,7 +137,7 @@ def test_pages_match_oracle(family):
     for dc in FAMILIES[family]():
         r_inf = max(dc.P, dc.Q) + 2
         want_first = oracle_pages(dc, r_inf)
-        want_second = oracle_pages(dc.transpose(), r_inf)
+        want_second = oracle_pages(transpose(dc), r_inf)
         assert _as_oracle_pages(first_pages(dc, r_inf)) == want_first
         assert _as_oracle_pages(second_pages(dc, r_inf)) == want_second
         cert = certify_convergence(dc)
