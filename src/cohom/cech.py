@@ -161,10 +161,7 @@ def _cech_cochains(nerve: CoverNerve, sheaf: SheafOnCover) -> tuple:
         for gi, g in enumerate(dst_faces):
             for i in range(len(g)):
                 sub = g[:i] + g[i + 1:]
-                m = sheaf.restriction(g, i)
-                if i % 2 == 1:
-                    m = m.scale(-1)
-                blocks[(gi, src_index[sub])] = m
+                blocks[(gi, src_index[sub])] = (-1 if i % 2 else 1, sheaf.restriction(g, i))
         diffs.append(LinearMap.from_blocks(spaces[p], spaces[p + 1],
                                            [sheaf.space(f).dim for f in src_faces],
                                            [sheaf.space(f).dim for f in dst_faces], blocks))
@@ -255,7 +252,7 @@ def cech_sheaf_double_complex(nerve: CoverNerve, sheaves: Sequence[SheafOnCover]
         return LinearMap.from_blocks(cells[p][q], cells[p][q + 1],
                                      [sheaves[q].space(f).dim for f in faces],
                                      [sheaves[q + 1].space(f).dim for f in faces],
-                                     {(i, i): level_maps[q][f] for i, f in enumerate(faces)})
+                                     {(i, i): (1, level_maps[q][f]) for i, f in enumerate(faces)})
 
     return DoubleComplex(P, Q, cells, horiz,
                          tuple(tuple(vert(p, q) for q in range(Q)) for p in range(P + 1)))

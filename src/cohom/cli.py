@@ -163,8 +163,8 @@ def cmd_spectral(args) -> tuple[dict, list[str]]:
 
 
 def cmd_derham(args) -> tuple[dict, list[str]]:
-    from .forms import (TorusSpec, check_window_budget, derham_cohomology, form_to_text,
-                        log_representative, parse_form)
+    from .forms import (TorusSpec, check_poles, check_window_budget, derham_cohomology,
+                        exterior_derivative, form_to_text, log_representative, parse_form)
 
     try:
         spec = TorusSpec(args.n, args.invert, args.window)
@@ -186,9 +186,13 @@ def cmd_derham(args) -> tuple[dict, list[str]]:
         _dims_line("cohomology dims", rep.dims),
     ]
     if args.reduce is not None:
+        # a bad form is input error; only a failure inside the reduction exits 2
         try:
             phi = parse_form(args.reduce, spec.n)
-        except ValueError as e:
+            check_poles(phi, spec)
+            if not exterior_derivative(phi).is_zero():
+                raise ValueError("the form is not closed")
+        except (ValueError, CohomError) as e:
             raise InputError(f"--reduce: {e}")
         found, xi = log_representative(phi, spec)
         coeffs = sorted(found.items())

@@ -143,7 +143,7 @@ def direct_sum(a: CochainComplex, b: CochainComplex) -> CochainComplex:
     diffs = tuple(LinearMap.from_blocks(spaces[deg - lo], spaces[deg - lo + 1],
                                         [a.space(deg).dim, b.space(deg).dim],
                                         [a.space(deg + 1).dim, b.space(deg + 1).dim],
-                                        {(0, 0): a.diff(deg), (1, 1): b.diff(deg)})
+                                        {(0, 0): (1, a.diff(deg)), (1, 1): (1, b.diff(deg))})
                   for deg in range(lo, hi))
     return CochainComplex(lo, hi, spaces, diffs)
 

@@ -375,7 +375,8 @@ def truncated_de_rham_complex(spec: TorusSpec) -> CochainComplex:
     diffs = tuple(LinearMap.from_blocks(spaces[q], spaces[q + 1],
                                         [cx.space(q).dim for cx in components],
                                         [cx.space(q + 1).dim for cx in components],
-                                        {(i, i): cx.diff(q) for i, cx in enumerate(components)})
+                                        {(i, i): (1, cx.diff(q))
+                                         for i, cx in enumerate(components)})
                   for q in range(spec.n))
     return CochainComplex(0, spec.n, spaces, diffs)
 

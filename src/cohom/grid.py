@@ -5,6 +5,9 @@ lives in the total differential, never in the stored maps); the total
 differential restricted to cell (p, q) is horiz + (-1)^p vert; cells
 inside a total degree are ordered by ascending first index.  Every grid
 checks its laws (`validate`) when it is built, as `CochainComplex` does.
+A double complex keeps its total complex, a pure function of the grid,
+from the first `total` call, so the cohomology, both page sequences and
+the certificate of one grid share one checked `CochainComplex`.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .linalg import (
     LabeledSpace,
     LinearMap,
     ONE,
+    ZERO_SPACE,
     check_declared_dim,
     int_from_json,
     matrix_from_json_shaped,
@@ -84,10 +88,6 @@ class DoubleComplex:
                     lambda a: f"{('horizontal', 'vertical')[a]} differential squares to zero",
                     lambda a, b: "horizontal and vertical differentials commute")
 
-    def antidiagonal(self, n: int) -> list[tuple[int, int]]:
-        """Cells with p + q = n, ascending p."""
-        return _antidiagonal(n, self.P, self.Q)
-
 
 def _swap(grid, outer: int, inner: int) -> tuple:
     """grid[i][j] as [j][i], for an outer x inner grid."""
@@ -120,37 +120,42 @@ def _antidiagonal(n: int, lo: int, hi: int) -> list[tuple[int, int]]:
     return [(i, n - i) for i in range(max(0, n - hi), min(lo, n) + 1)]
 
 
-def _merged_map(domain: LabeledSpace, codomain: LabeledSpace, n: int,
-                bounds: tuple[int, int], dim, first, second) -> LinearMap:
-    """first + (-1)^i second from the antidiagonal n into n + 1.
+def _merged_map(domain: LabeledSpace, codomain: LabeledSpace, src: tuple, dst: tuple,
+                bounds: tuple[int, int], first, second) -> LinearMap:
+    """first + (-1)^i second from one antidiagonal into the next.
 
-    dim(i, j) is the dimension of cell (i, j); first(i, j) maps it to
-    (i + 1, j) and second(i, j) to (i, j + 1).
+    src and dst are the (cells, dims) of the two antidiagonals; first(i, j)
+    maps cell (i, j) to (i + 1, j) and second(i, j) to (i, j + 1).
     """
-    src, dst = _antidiagonal(n, *bounds), _antidiagonal(n + 1, *bounds)
-    dst_index = {cell: k for k, cell in enumerate(dst)}
+    dst_index = {cell: k for k, cell in enumerate(dst[0])}
     blocks = {}
-    for k, (i, j) in enumerate(src):
+    for k, (i, j) in enumerate(src[0]):
         if i < bounds[0]:
-            blocks[(dst_index[(i + 1, j)], k)] = first(i, j)
+            blocks[(dst_index[(i + 1, j)], k)] = (1, first(i, j))
         if j < bounds[1]:
-            m = second(i, j)
-            blocks[(dst_index[(i, j + 1)], k)] = m if i % 2 == 0 else m.scale(-1)
-    return LinearMap.from_blocks(domain, codomain, [dim(*c) for c in src],
-                                 [dim(*c) for c in dst], blocks)
+            blocks[(dst_index[(i, j + 1)], k)] = (-1 if i % 2 else 1, second(i, j))
+    return LinearMap.from_blocks(domain, codomain, src[1], dst[1], blocks)
 
 
 def total(k: DoubleComplex) -> CochainComplex:
-    """Total complex with differential delta + (-1)^p d on cell (p, q)."""
-    n_max = k.P + k.Q
-    spaces = tuple(LabeledSpace(tuple((p, q, lab) for (p, q) in k.antidiagonal(n)
-                                      for lab in k.cells[p][q].labels))
-                   for n in range(n_max + 1))
-    diffs = tuple(_merged_map(spaces[n], spaces[n + 1], n, (k.P, k.Q),
-                              lambda p, q: k.cells[p][q].dim,
+    """Total complex with differential delta + (-1)^p d on cell (p, q),
+    built and checked on the first call and kept on the grid."""
+    tot = k.__dict__.get("_total")
+    if tot is not None:
+        return tot
+    cells = k.cells
+    diag = []  # (cells, dims) of each antidiagonal
+    for n in range(k.P + k.Q + 1):
+        cs = _antidiagonal(n, k.P, k.Q)
+        diag.append((cs, [cells[p][q].dim for p, q in cs]))
+    spaces = tuple(LabeledSpace(tuple((p, q, lab) for p, q in cs for lab in cells[p][q].labels))
+                   for cs, _ in diag)
+    diffs = tuple(_merged_map(spaces[n], spaces[n + 1], diag[n], diag[n + 1], (k.P, k.Q),
                               lambda p, q: k.horiz[p][q], lambda p, q: k.vert[p][q])
-                  for n in range(n_max))
-    return CochainComplex(0, n_max, spaces, diffs)
+                  for n in range(k.P + k.Q))
+    tot = CochainComplex(0, k.P + k.Q, spaces, diffs)
+    object.__setattr__(k, "_total", tot)
+    return tot
 
 
 @dataclass(frozen=True)
@@ -195,7 +200,9 @@ class TripleComplex:
         return all(0 <= x <= b for x, b in zip(cell, self.bounds))
 
     def cell(self, p, q, r) -> LabeledSpace:
-        return self.cells[p][q][r] if self._inside((p, q, r)) else LabeledSpace(())
+        if 0 <= p <= self.P and 0 <= q <= self.Q and 0 <= r <= self.R:
+            return self.cells[p][q][r]
+        return ZERO_SPACE
 
     def map(self, axis: int, p, q, r) -> LinearMap:
         """d_{axis+1} out of cell (p, q, r); the zero map where none is stored."""
@@ -224,22 +231,24 @@ def flatten(n: TripleComplex, axis: int) -> DoubleComplex:
     def at(i, j, t):  # (p, q, r) of merged pair (i, j) at kept index t
         return (i, j, t) if axis == 0 else (t, i, j)
 
-    def space(m, t):
-        return LabeledSpace(tuple((at(i, j, t), lab) for (i, j) in _antidiagonal(m, *pair)
-                                  for lab in n.cell(*at(i, j, t)).labels))
-
-    cells = tuple(tuple(space(m, t) for t in range(T + 1)) for m in range(M + 1))
+    # diag[m][t]: (cells, dims) of the antidiagonal m of the merged pair at kept index t
+    diag = []
+    for m in range(M + 1):
+        ij = _antidiagonal(m, *pair)
+        diag.append([(ij, [n.cell(*at(i, j, t)).dim for i, j in ij]) for t in range(T + 1)])
+    cells = tuple(tuple(LabeledSpace(tuple((at(i, j, t), lab) for i, j in diag[m][t][0]
+                                           for lab in n.cell(*at(i, j, t)).labels))
+                        for t in range(T + 1)) for m in range(M + 1))
 
     def kept_map(m, t):  # block-diagonal d on the kept axis
-        src = _antidiagonal(m, *pair)
-        return LinearMap.from_blocks(
-            cells[m][t], cells[m][t + 1], [n.cell(*at(i, j, t)).dim for (i, j) in src],
-            [n.cell(*at(i, j, t + 1)).dim for (i, j) in src],
-            {(k, k): n.map(kept, *at(i, j, t)) for k, (i, j) in enumerate(src)})
+        ij = diag[m][t][0]
+        return LinearMap.from_blocks(cells[m][t], cells[m][t + 1], diag[m][t][1],
+                                     diag[m][t + 1][1],
+                                     {(k, k): (1, n.map(kept, *at(i, j, t)))
+                                      for k, (i, j) in enumerate(ij)})
 
-    merged = tuple(tuple(_merged_map(cells[m][t], cells[m + 1][t], m, pair,
-                                     lambda i, j: n.cell(*at(i, j, t)).dim,
-                                     lambda i, j: n.map(axis, *at(i, j, t)),
+    merged = tuple(tuple(_merged_map(cells[m][t], cells[m + 1][t], diag[m][t], diag[m + 1][t],
+                                     pair, lambda i, j: n.map(axis, *at(i, j, t)),
                                      lambda i, j: n.map(axis + 1, *at(i, j, t)))
                          for t in range(T + 1)) for m in range(M))
     vert = tuple(tuple(kept_map(m, t) for t in range(T)) for m in range(M + 1))

@@ -10,9 +10,10 @@ depend on which row is chosen as a pivot and are reproducible across
 runs.  Cohomology representatives and the spectral pairing come from one
 sparse column reduction (`reduce_columns`).  A `LinearMap` stores only
 its nonzero entries, row by row, so products, block copies and
-eliminations read them directly; it is densified (`LinearMap.matrix`)
-only for JSON output and for the dense functions the benchmark tracer
-still binds (rref, kernel_basis, image_basis, solve, invert, subquotient).
+eliminations read them directly; `from_blocks` negates a block of sign
+-1 as it copies it.  A map is densified (`LinearMap.matrix`) only for
+JSON output and for the dense functions the benchmark tracer still binds
+(rref, kernel_basis, image_basis, solve, invert, subquotient).
 """
 
 from __future__ import annotations
@@ -209,7 +210,8 @@ class LinearMap:
     def from_blocks(domain: LabeledSpace, codomain: LabeledSpace,
                     src_dims: Sequence[int], dst_dims: Sequence[int],
                     blocks: dict) -> "LinearMap":
-        """Block map from {(i, j): LinearMap from source block j to target block i}.
+        """Block map from signed blocks {(i, j): (sign, LinearMap from source
+        block j to target block i)}, sign 1 or -1.
 
         The domain is the direct sum of blocks of dims src_dims, the
         codomain that of dst_dims, both in order; absent blocks are zero.
@@ -217,10 +219,13 @@ class LinearMap:
         src_offsets = list(accumulate(src_dims, initial=0))
         dst_offsets = list(accumulate(dst_dims, initial=0))
         rows: list = [[] for _ in range(codomain.dim)]
-        for (i, j), block in blocks.items():
-            r0, c0 = dst_offsets[i], src_offsets[j]
-            for r, row in enumerate(block.rows):
-                rows[r0 + r].extend((c0 + c, x) for c, x in row)
+        for (i, j), (sign, block) in blocks.items():
+            c0 = src_offsets[j]
+            for r, row in enumerate(block.rows, dst_offsets[i]):
+                if sign < 0:
+                    rows[r] += [(c0 + c, -x) for c, x in row]
+                elif row:
+                    rows[r] += [(c0 + c, x) for c, x in row] if c0 else row
         return LinearMap.sparse(domain, codomain, rows)
 
     @property
@@ -263,11 +268,6 @@ class LinearMap:
                     acc[k] = acc.get(k, ZERO) + x * y
             out.append([(k, t) for k, t in acc.items() if t])
         return LinearMap.sparse(other.domain, self.codomain, out)
-
-    def scale(self, c) -> "LinearMap":
-        c = rat(c)
-        rows = [[(j, c * x) for j, x in row] for row in self.rows] if c else [()] * len(self.rows)
-        return LinearMap.sparse(self.domain, self.codomain, rows)
 
     def is_zero(self) -> bool:
         return not any(self.rows)

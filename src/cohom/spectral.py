@@ -15,8 +15,11 @@ nonzero rows ("lows"), and every basis index of Tot^n is exactly one of
 A page is a filter on this pairing.  E_r^{p,q} is spanned by the
 essentials at p plus the sources and targets at p whose pair distance
 is >= r (`SpectralPage.span`), and d_r is the matching at distance
-exactly r: it sends each source to its target.  Each page builds d_r
-once, when it is built, in one pass over its sources at distance r
+exactly r: it sends each source to its target.  One sweep over the
+pairing reads off E_1 and files every source, and every cell holding a
+pair, by distance.  E_{r+1} then rebuilds only the cells that d_r
+touches and shares every other cell's index list with E_r, and each
+page builds its d_r once, from the sources at distance r
 (`SpectralPage.d`, read by `d_pairs`).  Page dims are therefore lengths
 of index lists and the rank of d_r is its number of distinct targets.
 Representatives are V_j for essentials and sources and R_j for the
@@ -120,33 +123,48 @@ def _compute_pages(k: DoubleComplex, tot: CochainComplex, r_max: int,
     """Pages E_1..E_r_max of total(k) = tot filtered by label position axis.
 
     Page entry (a, b) sits at filtration level a in total degree a + b.
+    E_{r+1} rebuilds the cells in dying[r] and shares the others with E_r.
     """
     level, gens = _pairs(tot, axis)
     A, B = (k.P, k.Q) if axis == 0 else (k.Q, k.P)
-    cells = {(a, b): [(i, g[0]) for i, g in enumerate(gens[a + b]) if level[a + b][i] == a]
-             for a in range(A + 1) for b in range(B + 1)}
+    cells: dict = {(a, b): [] for a in range(A + 1) for b in range(B + 1)}
+    dying: dict = {}    # r -> cells with an index at distance r, rebuilt on E_{r+1}
+    sources: dict = {}  # r -> {cell: [(source, target)]} at distance r
+    for n, g in enumerate(gens):
+        for i, (dist, _, target) in enumerate(g):
+            if dist == 0:
+                continue  # a pair at distance 0 lies inside one cell and is gone from E_1
+            a = level[n][i]
+            cells[(a, n - a)].append(i)
+            if dist is not None:
+                dying.setdefault(dist, set()).add((a, n - a))
+                if target is not None:
+                    sources.setdefault(dist, {}).setdefault((a, n - a), []).append((i, target))
+    span = {ab: tuple(idx) for ab, idx in cells.items()}
     pages: list[SpectralPage] = []
     for r in range(1, r_max + 1):
-        span = {ab: tuple(i for i, dist in idx if dist is None or dist >= r)
-                for ab, idx in cells.items()}
-        page = SpectralPage(r, span, gens, _d_r(r, span, gens))
+        if pages:
+            span = dict(span)
+            for a, b in dying.get(r - 1, ()):
+                g = gens[a + b]
+                span[(a, b)] = tuple(i for i in span[(a, b)] if g[i][0] != r - 1)
+        page = SpectralPage(r, span, gens, _d_r(r, span, sources.get(r, {})))
         _check_page(page, pages[-1] if pages else None)
         pages.append(page)
     return pages
 
 
-def _d_r(r: int, span: dict, gens: list) -> dict:
-    """{(p, q): d_pairs(p, q)} of page r, in one pass over its sources at
-    distance r; each target must be alive on E_r^{p+r, q-r+1}."""
+def _d_r(r: int, span: dict, sources: dict) -> dict:
+    """{(p, q): d_pairs(p, q)} of page r from its sources at distance r,
+    {(p, q): [(source, target)]}; each target must be alive on
+    E_r^{p+r, q-r+1}."""
     d = {}
-    for (p, q), idx in span.items():
-        g = gens[p + q]
-        src = [(s, g[i][2]) for s, i in enumerate(idx) if g[i][0] == r and g[i][2] is not None]
-        if src:
-            pos = {i: j for j, i in enumerate(span.get((p + r, q - r + 1), ()))}
-            if any(t not in pos for _, t in src):
-                raise LawViolation("d_r has bidegree (r, 1-r)", f"page {r} at {(p, q)}")
-            d[(p, q)] = [(s, pos[t]) for s, t in src]
+    for (p, q), pairs in sources.items():
+        pos = {i: j for j, i in enumerate(span[(p, q)])}
+        dst = {i: j for j, i in enumerate(span.get((p + r, q - r + 1), ()))}
+        if any(t not in dst for _, t in pairs):
+            raise LawViolation("d_r has bidegree (r, 1-r)", f"page {r} at {(p, q)}")
+        d[(p, q)] = [(pos[i], dst[t]) for i, t in pairs]
     return d
 
 

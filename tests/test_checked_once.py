@@ -20,7 +20,7 @@ from cohom.generators import random_tensor_double_complex, random_tensor_triple_
 from cohom.grid import DoubleComplex, TripleComplex, total, totals_agree
 from cohom.linalg import LinearMap
 from cohom.presets import build_p1
-from cohom.spectral import certify_convergence
+from cohom.spectral import certify_convergence, first_pages, second_pages
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -54,6 +54,7 @@ def _p1_hyper():
 def _tensor_cohomology_and_certificate():
     dc = random_tensor_double_complex(random.Random(5))[0]
     tot = total(dc)
+    assert total(dc) is tot
     cohomology(tot)
     certify_convergence(dc)
     return [dc, tot]
@@ -78,6 +79,19 @@ def test_no_object_is_checked_twice(checked, case):
     ids = [id(x) for x in checked]
     assert checked and len(ids) == len(set(ids))
     assert all(id(x) in ids for x in must_be_checked)
+
+
+@pytest.mark.parametrize("calls", [
+    lambda dc: (cohomology(total(dc)), certify_convergence(dc)),
+    lambda dc: (first_pages(dc, 2), second_pages(dc, 2), certify_convergence(dc)),
+], ids=["cohomology_then_certificate", "pages_then_certificate"])
+def test_a_grid_builds_and_checks_its_total_once(checked, calls):
+    """The total is built and checked on the first call and kept on the grid."""
+    dc = random_tensor_double_complex(random.Random(5))[0]
+    checked.clear()
+    calls(dc)
+    assert total(dc) is total(dc)
+    assert len(checked) == 1 and checked[0] is total(dc)
 
 
 def test_cech_grid_checks_delta_squared_only_as_its_grid_law(monkeypatch):

@@ -275,6 +275,18 @@ def test_derham_rejects_bad_form(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("invert, form, message", [
+    ("1", "z1^2", "the form is not closed"),
+    ("0", "z1^-1", "negative exponent on non-inverted variable z1"),
+], ids=["not_closed", "pole_off_the_inverted_axes"])
+def test_derham_reduce_refuses_bad_forms_as_input(capsys, fmt, invert, form, message):
+    code, out, err = run(capsys, "derham", "--n", "1", "--invert", invert,
+                         "--reduce", form, "--format", fmt)
+    assert code == 1 and out == ""
+    assert err == f"error: --reduce: {message}\n"
+
+
 def test_preset_torus_json(capsys):
     code, jout, _ = run(capsys, "preset", "torus:2,2", "--format", "json")
     assert code == 0

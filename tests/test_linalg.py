@@ -300,10 +300,33 @@ def test_no_zero_is_stored_after_cancellation():
     a = lmap([[1, 1]])
     ab = a.compose(LinearMap(LabeledSpace.make("e", 1), a.domain, freeze_matrix([[1], [-1]])))
     assert ab.rows == ((),) and ab.is_zero()
-    assert lmap([[2, 0, 3], [0, 0, 1]]).scale(0).rows == ((), ())
-    assert lmap([[2, 0, 3]]).scale(F(-1, 2)).rows == (((0, F(-1)), (2, F(-3, 2))),)
     m = lmap([[1, 2], [3, 4]])
-    assert all(_stored_canonically(x) for x in (m.compose(invert(m)), m.scale(0), m.transpose()))
+    zero = LinearMap.zero(m.domain, m.domain)
+    assert m.compose(zero).rows == ((), ())
+    row = lmap([[2, 0, 3]])
+    half = LinearMap(row.domain, row.domain,
+                     freeze_matrix([[F(-1, 2), 0, 0], [0, 1, 0], [0, 0, F(-1, 2)]]))
+    assert row.compose(half).rows == (((0, F(-1)), (2, F(-3, 2))),)
+    assert all(_stored_canonically(x) for x in (m.compose(invert(m)), m.compose(zero),
+                                                 m.transpose()))
+
+
+def test_negated_block_is_the_entrywise_negation():
+    rng = random.Random(1618)
+    for _ in range(50):
+        nrows, ncols = rng.randint(0, 4), rng.randint(0, 4)
+        m = lmap([[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)]
+                  for _ in range(nrows)], ncols)
+        negated = LinearMap.from_blocks(m.domain, m.codomain, [ncols], [nrows],
+                                        {(0, 0): (-1, m)})
+        assert negated == LinearMap(m.domain, m.codomain,
+                                    tuple(tuple(-x for x in row) for row in m.matrix))
+        dom = LabeledSpace.make("s", 2 * ncols)
+        both = LinearMap.from_blocks(dom, m.codomain, [ncols, ncols], [nrows],
+                                     {(0, 0): (1, m), (0, 1): (-1, m)})
+        assert both == LinearMap(dom, m.codomain,
+                                 tuple(row + tuple(-x for x in row) for row in m.matrix))
+        assert _stored_canonically(negated) and _stored_canonically(both)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5])

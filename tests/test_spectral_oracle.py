@@ -1,7 +1,9 @@
 """Pages read off the filtered reduction against the approximate-cycle oracle.
 
 For both filtrations the engine's pages must match spectral_oracle.py on
-every page dim, every d_r rank and the degeneration page.
+every page dim, every d_r rank and the degeneration page, and each page's
+index sets and d_r must match a filter of the pairing made for that page
+alone.
 """
 
 import random
@@ -143,3 +145,39 @@ def test_pages_match_oracle(family):
         cert = certify_convergence(dc)
         assert cert.first_degeneration == _degeneration(want_first)
         assert cert.second_degeneration == _degeneration(want_second)
+
+
+def _filtered_pages(dc, axis, gens, r_max):
+    """(span, d) of E_1..E_r_max, each filtered from the pairing on its own:
+    E_r^{a,b} keeps the indices of Tot^{a+b} at level a whose distance is
+    None or >= r, and d_r sends each source at distance r to the position
+    of its target on E_r^{a+r, b-r+1}.  Tot^n lists its cells by ascending
+    first index."""
+    A, B = (dc.P, dc.Q) if axis == 0 else (dc.Q, dc.P)
+    level = [[(p, n - p)[axis] for p in range(dc.P + 1) if 0 <= n - p <= dc.Q
+              for _ in range(dc.cell(p, n - p).dim)] for n in range(dc.P + dc.Q + 1)]
+    pages = []
+    for r in range(1, r_max + 1):
+        span = {(a, b): tuple(i for i, g in enumerate(gens[a + b])
+                              if level[a + b][i] == a and (g[0] is None or g[0] >= r))
+                for a in range(A + 1) for b in range(B + 1)}
+        d = {}
+        for (p, q), idx in span.items():
+            g = gens[p + q]
+            src = [(s, g[i][2]) for s, i in enumerate(idx) if g[i][0] == r and g[i][2] is not None]
+            if src:
+                d[(p, q)] = [(s, span[(p + r, q - r + 1)].index(t)) for s, t in src]
+        pages.append((span, d))
+    return pages
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_pages_match_a_per_page_filter_of_the_pairing(family):
+    for dc in FAMILIES[family]():
+        r_inf = max(dc.P, dc.Q) + 2
+        for axis, pages_fn in enumerate((first_pages, second_pages)):
+            pages = pages_fn(dc, r_inf)
+            gens = pages[0].gens
+            assert all(page.gens is gens for page in pages)
+            assert [(page.span, page.d) for page in pages] == \
+                _filtered_pages(dc, axis, gens, r_inf)
