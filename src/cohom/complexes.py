@@ -6,11 +6,11 @@ the complex is built; cohomology in degree k is the subquotient
 ker d_k / im d_{k-1}.
 
 Two entry points compute it.  `cohomology` returns explicit
-lifted-cocycle representatives, read off one sparse column reduction of
-each d_k (`linalg.reduce_columns`); `cohom complex` and `cohom cech`
-print them.  `cohomology_dims` counts dimensions by rank alone
-(dim K^k - rank d_k - rank d_{k-1}) and serves the callers that read
-dimensions only: `cohom hyper` and the convergence certificate.
+lifted-cocycle representatives, read off one fraction-free column
+reduction of each d_k (`linalg.reduce_columns`); `cohom complex` and
+`cohom cech` print them.  `cohomology_dims` counts dimensions by rank
+alone (dim K^k - rank d_k - rank d_{k-1}) and serves the callers that
+read dimensions only: `cohom hyper` and the convergence certificate.
 `cohom derham` counts its Koszul pieces with the same rule,
 `dims_from_ranks`, from integer rows that `forms` ranks directly.
 """
@@ -31,6 +31,7 @@ from .linalg import (
     int_from_json,
     matrix_from_json_shaped,
     matrix_to_json,
+    quotient,
     rank,
     reduce_columns,
 )
@@ -91,35 +92,39 @@ class CohomologyReport:
 
 def validate(k: CochainComplex) -> None:
     """Check d_{j+1} . d_j = 0 exactly for every degree j."""
-    for j in range(k.lo, k.hi - 1):
-        comp = k.diff(j + 1).compose(k.diff(j))
-        if not comp.is_zero():
+    for j, (d, e) in enumerate(zip(k.diffs, k.diffs[1:]), k.lo):
+        if not e.compose(d).is_zero():
             raise NotAComplex(j)
 
 
 def cohomology(k: CochainComplex) -> CohomologyReport:
     """Cohomology with lifted-cocycle representatives, from one column reduction.
 
-    The columns j of d_n that reduce to zero give kernel vectors V_j equal
-    to the reduced-row-echelon kernel basis; the classes are the free
+    The columns j of d_n that reduce to zero give kernel vectors V_j / V_j[j]
+    equal to the reduced-row-echelon kernel basis; the classes are the free
     columns outside the rank profile of d_{n-1} restricted to the free rows.
+    Each d_n's columns are read once, for degrees n and n + 1; a section
+    column is checked as a cocycle on the integer V_j, then divided.
     """
     reps = []
-    for deg in k.degrees():
-        space = k.space(deg)
-        kernel = {j: v for j, _, v, low in reduce_columns(k.diff(deg), range(space.dim))
+    prev: Sequence = ()  # the columns of d_{n-1}; none below lo
+    for n, space in enumerate(k.spaces):
+        d = k.diffs[n] if n < len(k.diffs) else None
+        cols = d.transpose().rows if d is not None else ((),) * space.dim
+        kernel = {j: v for j, _, v, low in reduce_columns(cols, range(space.dim))
                   if low is None}
-        hit = _echelon([(i, x) for i, x in col if i in kernel]
-                       for col in k.diff(deg - 1).transpose().rows)
+        hit = _echelon([(i, x) for i, x in col if i in kernel] for col in prev)
         classes = [(c, j) for c, j in enumerate(kernel) if j not in hit]
         qspace = LabeledSpace(tuple(("cls", c) for c, _ in classes))
-        section = LinearMap.sparse(space, qspace,
-                                   [kernel[j].items() for _, j in classes]).transpose()
-        reps.append(section)
         # every representative must be an exact cocycle
-        if not k.diff(deg).compose(section).is_zero():
+        if d is not None and not d.compose(LinearMap.sparse_columns(
+                qspace, space, [kernel[j].items() for _, j in classes])).is_zero():
             raise LawViolation("cohomology representatives are cocycles",
-                               f"degree {deg}")
+                               f"degree {k.lo + n}")
+        reps.append(LinearMap.sparse_columns(qspace, space, [
+            [(i, quotient(x, kernel[j][j])) for i, x in kernel[j].items()]
+            for _, j in classes]))
+        prev = cols
     return CohomologyReport(k.lo, k.hi, tuple(s.domain.dim for s in reps), tuple(reps))
 
 

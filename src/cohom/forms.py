@@ -71,7 +71,7 @@ class AlgebraicForm:
 
     n: int
     degree: int
-    terms: tuple  # sorted tuple of (exps tuple, dI tuple, Fraction), no zeros
+    terms: tuple  # sorted tuple of (exps tuple, dI tuple, int or Fraction), no zeros
 
     def __post_init__(self):
         for exps, dI, c in self.terms:
@@ -255,9 +255,7 @@ def multidegree_complex(spec: TorusSpec, m: tuple) -> CochainComplex:
     """
     bases, rows = _koszul_int_rows(_koszul_skeleton(spec.n, _admissible_axes(spec, m)), m)
     spaces = tuple(LabeledSpace(tuple((m, I) for I in basis)) for basis in bases)
-    diffs = tuple(LinearMap.sparse(spaces[q], spaces[q + 1],
-                                   [[(j, Fraction(v)) for j, v in row] for row in d])
-                  for q, d in enumerate(rows))
+    diffs = tuple(LinearMap.sparse(spaces[q], spaces[q + 1], d) for q, d in enumerate(rows))
     return CochainComplex(0, spec.n, spaces, diffs)
 
 

@@ -28,7 +28,7 @@ def random_invertible(rng: random.Random, n: int) -> tuple:
     inv = [list(r) for r in rows]
     for _ in range(2 * n if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
-        c = Fraction(rng.choice([-2, -1, 1, 2]))
+        c = rng.choice([-2, -1, 1, 2])
         rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
         for r in inv:
             r[j] -= c * r[i]

@@ -2,15 +2,17 @@
 
 Everything downstream (cochain complexes, spectral pages, Cech covers,
 de Rham forms) reduces to ranks, kernels, images and subquotients of
-matrices with Fraction entries.  All results are exact.  Every rank and
-every reduced row echelon form comes from one sparse, fraction-free
-elimination over the integers (`_echelon`); the reduced row echelon
-form of a matrix is unique, so kernel, image and solution bases do not
-depend on which row is chosen as a pivot and are reproducible across
-runs.  Cohomology representatives and the spectral pairing come from one
-sparse column reduction (`reduce_columns`).  A `LinearMap` stores only
-its nonzero entries, row by row, so products, block copies and
-eliminations read them directly; `from_blocks` negates a block of sign
+rational matrices.  A stored entry is an `int` when integral and a
+`Fraction` otherwise (`rat`), so integer inputs pay for no `Fraction`
+arithmetic; both compare and hash alike.  All results are exact: no
+entry is divided with `/`.  Every rank and every reduced row echelon
+form comes from one sparse, fraction-free elimination over the integers
+(`_echelon`); the reduced row echelon form is unique, so kernel, image
+and solution bases are reproducible.  Cohomology representatives and
+the spectral pairing come from one fraction-free sparse column
+reduction (`reduce_columns`) whose integer columns callers divide by
+their one scale only on output (`quotient`).  A `LinearMap` stores only
+its nonzero entries, row by row; `from_blocks` negates a block of sign
 -1 as it copies it.  A map is densified (`LinearMap.matrix`) only for
 JSON output and for the dense functions the benchmark tracer still binds
 (rref, kernel_basis, image_basis, solve, invert, subquotient).
@@ -18,10 +20,10 @@ JSON output and for the dense functions the benchmark tracer still binds
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -45,18 +47,26 @@ class ContainmentViolated(CohomError):
     pass
 
 
-Vector = tuple[Fraction, ...]
+Vector = tuple  # of int or Fraction entries
 Matrix = tuple[Vector, ...]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
-def rat(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def rat(x):
+    """The int or Fraction x as a stored entry: an int when integral."""
+    if type(x) is int or isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    raise TypeError(f"an entry must be an int or a Fraction, not {x!r}")
 
 
-def rat_to_str(x: Fraction) -> str:
+def quotient(x: int, s: int):
+    """The rational x / s of two ints, as a stored entry."""
+    return x // s if x % s == 0 else Fraction(x, s)
+
+
+def rat_to_str(x) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -68,20 +78,21 @@ def matrix_to_json(rows: Matrix) -> list[list[str]]:
     return [[rat_to_str(x) for x in row] for row in rows]
 
 
-def _rat_from_json(x, i: int, j: int) -> Fraction:
-    """A JSON integer or a string Fraction parses; floats and booleans are refused.
-
-    Zero entries are the shared ZERO, which `_nonzeros` skips by identity.
-    """
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x) if x else ZERO
-    if isinstance(x, str):
+def _rat_from_json(x, i: int, j: int):
+    """A JSON integer, or a string read to the value Fraction gives it, as a
+    stored entry; floats and booleans are refused.  int() reads the integer
+    strings Fraction reads; what it refuses (a fraction, or more digits than
+    its limit) goes to Fraction.  Zeros are the shared ZERO, which
+    `_nonzeros` skips by identity."""
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         try:
-            v = Fraction(x)
+            return int(x) or ZERO
+        except ValueError:
+            pass
+        try:
+            return rat(Fraction(x)) or ZERO
         except (ValueError, ZeroDivisionError):
             pass
-        else:
-            return v if v else ZERO
     raise ValueError(f"entry at row {i}, column {j} is not an integer or a "
                      f"'p/q' string: {x!r}")
 
@@ -142,14 +153,12 @@ class LabeledSpace:
     """Finite-dimensional rational vector space with ordered, distinct labels."""
 
     labels: tuple
+    dim: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
+        object.__setattr__(self, "dim", len(self.labels))
+        if len(set(self.labels)) != self.dim:
             raise ValueError("labels must be pairwise distinct")
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
 
     @staticmethod
     def make(prefix: str, dim: int) -> "LabeledSpace":
@@ -186,12 +195,23 @@ class LinearMap:
         m._store(domain, codomain, tuple(map(tuple, map(sorted, rows))))
         return m
 
+    @classmethod
+    def sparse_columns(cls, domain: LabeledSpace, codomain: LabeledSpace,
+                       cols) -> "LinearMap":
+        """The map whose column c has the nonzero (row, entry) pairs cols[c];
+        built column by column, its rows come out sorted."""
+        rows: list = [[] for _ in range(codomain.dim)]
+        for c, col in enumerate(cols):
+            for i, x in col:
+                rows[i].append((c, x))
+        m = cls.__new__(cls)
+        m._store(domain, codomain, tuple(map(tuple, rows)))
+        return m
+
     def _store(self, domain: LabeledSpace, codomain: LabeledSpace, rows: tuple) -> None:
         if len(rows) != codomain.dim:
             raise ValueError("row count does not match codomain dimension")
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "rows", rows)
+        self.__dict__.update(domain=domain, codomain=codomain, rows=rows)
 
     @staticmethod
     def zero(domain: LabeledSpace, codomain: LabeledSpace) -> "LinearMap":
@@ -240,21 +260,17 @@ class LinearMap:
         return tuple(out)
 
     def transpose(self) -> "LinearMap":
-        cols: list = [[] for _ in range(self.domain.dim)]
-        for i, row in enumerate(self.rows):
-            for j, x in row:
-                cols[j].append((i, x))
-        return LinearMap.sparse(self.codomain, self.domain, cols)
+        return LinearMap.sparse_columns(self.codomain, self.domain, self.rows)
 
     @property
     def columns(self) -> list[Vector]:
         return list(self.transpose().matrix)
 
-    def apply(self, v: Sequence[Fraction]) -> Vector:
+    def apply(self, v: Sequence) -> Vector:
         if len(v) != self.domain.dim:
             raise ValueError("vector length does not match domain")
         nz = dict(_nonzeros(v))
-        return tuple(sum((x * nz[j] for j, x in row if j in nz), ZERO) for row in self.rows)
+        return tuple(rat(sum(x * nz[j] for j, x in row if j in nz)) for row in self.rows)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other, summing products of nonzero entries only."""
@@ -265,8 +281,8 @@ class LinearMap:
             acc: dict = {}
             for j, x in row:
                 for k, y in other.rows[j]:
-                    acc[k] = acc.get(k, ZERO) + x * y
-            out.append([(k, t) for k, t in acc.items() if t])
+                    acc[k] = acc.get(k, 0) + x * y
+            out.append([(k, t if type(t) is int else rat(t)) for k, t in acc.items() if t])
         return LinearMap.sparse(other.domain, self.codomain, out)
 
     def is_zero(self) -> bool:
@@ -300,21 +316,20 @@ class Subspace:
 
 
 # ---------------------------------------------------------------------------
-# Row reduction.  One kernel, `_echelon`, serves every rank and every
-# reduced row echelon form: rows are cleared to integers and kept sparse
-# (column -> int), and each elimination step cross-multiplies two rows
-# and divides out the gcd of the result.  Fractions reappear only in the
-# rows that `rref` returns.
+# Row and column reduction.  `_echelon` serves every rank and reduced row
+# echelon form, `reduce_columns` every pairing: vectors are cleared to
+# integers and kept sparse (index -> int), and each step cross-multiplies
+# two of them and divides out the gcd of the result.
 
 
-def _nonzeros(row: Sequence[Fraction]) -> list:
-    """The (column, entry) pairs of the nonzero entries of a dense row.
+def _nonzeros(row: Sequence) -> list:
+    """The (column, stored entry) pairs of the nonzero entries of a dense row.
 
     Entries that are the shared ZERO are skipped by identity, without a
-    Fraction comparison, which is why every module takes its zero from
-    here.
+    comparison, which is why every module takes its zero from here; every
+    other entry goes through `rat`, so a False or a 0.0 is refused too.
     """
-    return [(j, x) for j, x in enumerate(row) if x is not ZERO and x]
+    return [(j, rat(x)) for j, x in enumerate(row) if x is not ZERO and (x or rat(x))]
 
 
 def _primitive(row: dict) -> dict:
@@ -323,29 +338,36 @@ def _primitive(row: dict) -> dict:
     return {j: x // g for j, x in row.items()} if g > 1 else row
 
 
-def _int_row(nz: list) -> dict:
-    """A primitive integer multiple of the sparse rational row nz."""
-    scale = 1
-    for _, x in nz:
-        d = x.denominator
-        if d != 1:
-            scale = scale * d // gcd(scale, d)
-    return _primitive({j: x.numerator * (scale // x.denominator) for j, x in nz})
+def _scaled(nz) -> tuple[dict, int]:
+    """(s x, s) for the sparse rational vector x given as (index, entry)
+    pairs, with s the lcm of its denominators, so s x has int entries."""
+    x = dict(nz)
+    for t in x.values():
+        if type(t) is not int:
+            break
+    else:
+        return x, 1
+    s = lcm(*(t.denominator for t in x.values()))
+    return {i: t.numerator * (s // t.denominator) for i, t in x.items()}, s
 
 
 def _cancel(r: dict, s: dict, c: int) -> dict:
     """The primitive integer combination of r and s with column c cleared."""
     a, p = r[c], s[c]
     g = gcd(a, p)
-    a, p = a // g, p // g
-    out = {j: p * x for j, x in r.items()}
-    for j, y in s.items():
-        t = out.get(j, 0) - a * y
+    return _primitive(_combine(p // g, r, a // g, s))
+
+
+def _combine(p: int, x: dict, a: int, y: dict) -> dict:
+    """p x - a y on sparse integer vectors, dropping zeros."""
+    out = {i: p * t for i, t in x.items()} if p != 1 else dict(x)
+    for i, t in y.items():
+        t = out.get(i, 0) - a * t
         if t:
-            out[j] = t
+            out[i] = t
         else:
-            del out[j]
-    return _primitive(out)
+            del out[i]
+    return out
 
 
 def _echelon(rows) -> dict:
@@ -356,7 +378,7 @@ def _echelon(rows) -> dict:
     """
     pivots: dict = {}
     for nz in rows:
-        r = _int_row(nz)
+        r = _primitive(_scaled(nz)[0])
         while r:
             c = min(r)
             s = pivots.get(c)
@@ -367,35 +389,37 @@ def _echelon(rows) -> dict:
     return pivots
 
 
-def _subtract(y: dict, c: Fraction, x: dict) -> None:
-    """y -= c * x on sparse vectors, dropping zeros."""
-    for i, xi in x.items():
-        t = y.get(i, ZERO) - c * xi
-        if t:
-            y[i] = t
-        else:
-            del y[i]
+def reduce_columns(cols: Sequence, order: Iterable[int], key=None) -> Iterator[tuple]:
+    """Left-to-right reduction R = m V of the columns of a map m, cols[j]
+    holding the (row, entry) pairs of column j, in order: each column is
+    reduced by earlier ones until none owns its low, its largest row under
+    key (the row index when key is None).
 
-
-def reduce_columns(m: LinearMap, order: Iterable[int], key=None) -> Iterator[tuple]:
-    """Left-to-right reduction R = m V of the columns in order: each column
-    is reduced by earlier ones until none owns its low, its largest row
-    under key (the row index when key is None).  Yields (j, R_j, V_j, low)
-    with R_j, V_j sparse dicts and low None when R_j = 0; V_j has a 1 at j
-    and is supported on j and the earlier columns with R != 0."""
-    cols = [dict(col) for col in m.transpose().rows]
+    Fraction-free: column j starts as s times itself, V = {j: s}, with s
+    the lcm of its denominators; each step cancels the low by integer
+    cross-multiplication and divides R and V by their joint gcd.  Yields
+    (j, R_j, V_j, low), R_j and V_j sparse dicts of ints, low None when
+    R_j = 0, and V_j supported on j and earlier columns with R != 0.  The
+    rational reduction (a 1 at j) is R_j / V_j[j] and V_j / V_j[j].
+    """
     owner: dict = {}  # low -> (R, V) of the column that owns it
     for j in order:
-        r, v = cols[j], {j: ONE}
+        r, s = _scaled(cols[j])
+        v = {j: s}
         while r:
             low = max(r, key=key)
             if low not in owner:
                 owner[low] = (r, v)
                 break
             r_low, v_low = owner[low]
-            c = r[low] / r_low[low]
-            _subtract(r, c, r_low)
-            _subtract(v, c, v_low)
+            a, b = r[low], r_low[low]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            r, v = _combine(b, r, a, r_low), _combine(b, v, a, v_low)
+            g = gcd(*r.values(), *v.values())
+            if g > 1:
+                r = {i: x // g for i, x in r.items()}
+                v = {i: x // g for i, x in v.items()}
         else:
             low = None
         yield j, r, v, low
@@ -403,7 +427,7 @@ def reduce_columns(m: LinearMap, order: Iterable[int], key=None) -> Iterator[tup
 
 # rref, kernel_basis, image_basis, solve, invert, SpanBuilder and subquotient stay while
 # perfbench/tracer.py binds them; tests/test_bench_bindings.py requires the bindings to resolve.
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[int], list[Vector]]:
+def rref(rows: Sequence[Sequence]) -> tuple[list[int], list[Vector]]:
     """Reduced row echelon form.
 
     Returns (pivot column indices in increasing order, the nonzero
@@ -424,7 +448,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[int], list[Vector]]:
         r, lead = done[c], done[c][c]
         v = [ZERO] * ncols
         for j, x in r.items():
-            v[j] = Fraction(x, lead)
+            v[j] = quotient(x, lead)
         reduced.append(tuple(v))
     return pivots, reduced
 
@@ -445,7 +469,7 @@ def kernel_basis(m: LinearMap) -> Subspace:
     vectors = [[(f, ONE)] + [(pc, -row[f]) for pc, row in zip(pivots, reduced) if row[f]]
                for f in free_cols]
     dom = LabeledSpace(tuple(("ker", j) for j in free_cols))
-    return Subspace(m.domain, LinearMap.sparse(m.domain, dom, vectors).transpose())
+    return Subspace(m.domain, LinearMap.sparse_columns(dom, m.domain, vectors))
 
 
 def image_basis(m: LinearMap) -> Subspace:
@@ -456,7 +480,7 @@ def image_basis(m: LinearMap) -> Subspace:
     return Subspace(m.codomain, LinearMap.from_columns(dom, m.codomain, kept))
 
 
-def solve(m: LinearMap, target: Sequence[Fraction]) -> Optional[Vector]:
+def solve(m: LinearMap, target: Sequence) -> Optional[Vector]:
     """Deterministic solution x of m x = target, or None if inconsistent.
 
     Free variables are set to zero; pivots are chosen in fixed scan order.
@@ -503,7 +527,7 @@ class SpanBuilder:
         self.rows: list[Vector] = []     # each with leading coefficient 1
         self.pivots: list[int] = []      # strictly increasing is NOT required
 
-    def reduce(self, v: Sequence[Fraction]) -> Vector:
+    def reduce(self, v: Sequence) -> Vector:
         v = list(v)
         for piv, row in zip(self.pivots, self.rows):
             a = v[piv]
@@ -511,14 +535,14 @@ class SpanBuilder:
                 v = [x - a * y for x, y in zip(v, row)]
         return tuple(v)
 
-    def add(self, v: Sequence[Fraction]) -> bool:
+    def add(self, v: Sequence) -> bool:
         """Add v to the span; True iff it enlarged the span."""
         res = self.reduce(v)
         piv = next((i for i, x in enumerate(res) if x != 0), None)
         if piv is None:
             return False
         lead = res[piv]
-        self.rows.append(tuple(x / lead for x in res))
+        self.rows.append(tuple(rat(Fraction(x, lead)) for x in res))
         self.pivots.append(piv)
         return True
 

@@ -11,7 +11,6 @@ under W -> W + 2 is the correctness guard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cech import CoverNerve, HyperResult, SheafOnCover, cech_hyper
 from .forms import TorusSpec, WindowExhausted, truncated_de_rham_complex
@@ -76,7 +75,7 @@ def build_p1(weight_window: int):
         each codomain label at most once."""
         index = {lab: i for i, lab in enumerate(cod.labels)}
         cols = [[(index[tgt], c) for tgt, c in images.get(lab, [])] for lab in dom.labels]
-        return LinearMap.sparse(cod, dom, cols).transpose()
+        return LinearMap.sparse_columns(dom, cod, cols)
 
     r0 = {
         (U01, 1): matrix(s0[U0], s0[U01],
@@ -95,13 +94,13 @@ def build_p1(weight_window: int):
 
     d_maps = {
         U0: matrix(s0[U0], s1[U0],
-                   {(U0, "z", j): [((U0, "zdz", j - 1), Fraction(j))]
+                   {(U0, "z", j): [((U0, "zdz", j - 1), j)]
                     for j in range(1, W + 1)}),
         U1: matrix(s0[U1], s1[U1],
-                   {(U1, "w", j): [((U1, "wdw", j - 1), Fraction(j))]
+                   {(U1, "w", j): [((U1, "wdw", j - 1), j)]
                     for j in range(1, W + 1)}),
         U01: matrix(s0[U01], s1[U01],
-                    {(U01, "z", j): [((U01, "zdz", j - 1), Fraction(j))]
+                    {(U01, "z", j): [((U01, "zdz", j - 1), j)]
                      for j in range(-W, W + 1) if j != 0}),
     }
     return nerve, [sheaf0, sheaf1], [d_maps]

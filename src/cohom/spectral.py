@@ -23,7 +23,8 @@ page builds its d_r once, from the sources at distance r
 (`SpectralPage.d`, read by `d_pairs`).  Page dims are therefore lengths
 of index lists and the rank of d_r is its number of distinct targets.
 Representatives are V_j for essentials and sources and R_j for the
-target of source j.
+target of source j, kept as ints with the one scale V_j[j] that
+`SpectralPage.representatives` divides them by.
 
 The row filtration is read from the same total complex, with q in place
 of p as the filtration degree: x -> (-1)^{pq} x carries Tot(K) filtered
@@ -40,7 +41,7 @@ from typing import Optional
 
 from .complexes import CochainComplex, cohomology_dims
 from .grid import DoubleComplex, total
-from .linalg import CohomError, LawViolation, ZERO, reduce_columns
+from .linalg import CohomError, LawViolation, ZERO, quotient, reduce_columns
 
 
 class ConvergenceFailure(CohomError):
@@ -67,7 +68,7 @@ class SpectralPage:
     def representatives(self, p: int, q: int) -> list[tuple]:
         """Dense vectors of Tot^{p+q}: V_j for essentials and sources, R_j for targets."""
         gens = self.gens[p + q]
-        return [_dense(gens[i][1], len(gens)) for i in self.span[(p, q)]]
+        return [_dense(*gens[i][1], len(gens)) for i in self.span[(p, q)]]
 
 
 def _rank(pairs: list) -> int:
@@ -83,10 +84,10 @@ class ConvergenceCertificate:
     second_degeneration: int
 
 
-def _dense(v: dict, dim: int) -> tuple:
+def _dense(v: dict, s: int, dim: int) -> tuple:
     out = [ZERO] * dim
     for i, x in v.items():
-        out[i] = x
+        out[i] = quotient(x, s)
     return tuple(out)
 
 
@@ -96,25 +97,29 @@ def _pairs(tot: CochainComplex, axis: int) -> tuple[list, list]:
     The level of a basis index is position `axis` of its (p, q, label)
     label: 0 filters by columns, 1 by rows.  Returns (level, gens):
     level[n][i] is the level of index i of Tot^n, and gens[n][i] =
-    (distance, column, target) with distance None for essentials, the
-    sparse column V_j (R_j for a target) as a dict, and target the
-    paired index of Tot^{n+1} for sources.
+    (distance, (column, scale), target) with distance None for
+    essentials, the integer column V_j (R_j for a target) as a dict with
+    the scale V_j[j] that divides it, and target the paired index of
+    Tot^{n+1} for sources.  (-level, index) orders the indices.
     """
     n_max = tot.hi
     level = [[lab[axis] for lab in tot.space(n).labels] for n in range(n_max + 1)]
+    ranked = [sorted(range(len(lv)), key=[-a for a in lv].__getitem__) for lv in level]
+    pos = [sorted(range(len(idx)), key=idx.__getitem__) for idx in ranked]  # inverses
     gens: list[list] = [[None] * len(lv) for lv in level]
     for n in range(n_max + 1):
-        p_of, p_row = level[n], level[n + 1] if n < n_max else []
+        p_of = level[n]
+        cols = tot.diff(n).transpose().rows if n < n_max else ((),) * len(p_of)
         # a target's column reduces to zero, so only the others are reduced
-        order = sorted((j for j, g in enumerate(gens[n]) if g is None),
-                       key=lambda i: (-p_of[i], i))
-        for j, r, v, low in reduce_columns(tot.diff(n), order, key=lambda i: (-p_row[i], i)):
+        order = [j for j in ranked[n] if gens[n][j] is None]
+        key = pos[n + 1].__getitem__ if n < n_max else None
+        for j, r, v, low in reduce_columns(cols, order, key):
             if low is None:
-                gens[n][j] = (None, v, None)
+                gens[n][j] = (None, (v, v[j]), None)
             else:
-                dist = p_row[low] - p_of[j]
-                gens[n][j] = (dist, v, low)
-                gens[n + 1][low] = (dist, r, None)
+                dist = level[n + 1][low] - p_of[j]
+                gens[n][j] = (dist, (v, v[j]), low)
+                gens[n + 1][low] = (dist, (r, v[j]), None)
     return level, gens
 
 

@@ -104,3 +104,32 @@ def per_point_cech_dims(points) -> list[int]:
 def pad(dims, length) -> list[int]:
     out = list(dims) + [0] * (length - len(dims))
     return out[:length]
+
+
+def reduce_columns_by_fractions(matrix, ncols: int, order, key=None) -> dict:
+    """The textbook left-to-right column reduction R = M V over Fraction.
+
+    matrix is a list of dense rows, ncols long each.  Columns are taken in order; a column
+    is reduced by an earlier one while that one owns its low (its largest
+    nonzero row under key), subtracting the multiple that clears the low.
+    Returns {j: (R_j, V_j, low)} with R_j and V_j dense lists, V_j[j] = 1
+    and low None when R_j = 0.
+    """
+    nrows = len(matrix)
+    owner: dict = {}
+    out = {}
+    for j in order:
+        r = [Fraction(matrix[i][j]) for i in range(nrows)]
+        v = [ONE if k == j else ZERO for k in range(ncols)]
+        while True:
+            low = max((i for i in range(nrows) if r[i] != 0), key=key, default=None)
+            if low is None or low not in owner:
+                break
+            r_low, v_low = owner[low]
+            c = r[low] / r_low[low]
+            r = [x - c * y for x, y in zip(r, r_low)]
+            v = [x - c * y for x, y in zip(v, v_low)]
+        if low is not None:
+            owner[low] = (r, v)
+        out[j] = (r, v, low)
+    return out

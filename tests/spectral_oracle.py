@@ -124,7 +124,7 @@ class _Filtration:
             labels = self.tot.space(n + 1).labels
             for i, row in enumerate(self.tot.diff(n).matrix):
                 rows_by_block.setdefault(labels[i][0], []).append(
-                    [(j, c) for j, c in enumerate(row) if c != 0])
+                    [(j, Fraction(c)) for j, c in enumerate(row) if c != 0])
         for t in range(0, self.P + 1):
             for pairs in rows_by_block.get(t, []):
                 vals = [_dot(pairs, b) for b in basis]
@@ -153,7 +153,8 @@ class _Filtration:
         return self.z_spaces(max(p, 0), n)[max(min(t, self.P + 1), 0)]
 
     def apply_d(self, n: int, v):
-        return self.tot.diff(n).apply(v) if n < self.n_max else ()
+        # entries are ints where integral; Fractions keep the divisions exact
+        return tuple(map(Fraction, self.tot.diff(n).apply(v))) if n < self.n_max else ()
 
 
 def oracle_pages(dc: DoubleComplex, r_max: int) -> list[dict]:

@@ -60,6 +60,17 @@ def test_cohomology_representatives_come_from_the_column_reducer():
     assert "reduce_columns" in names
 
 
+def test_no_entry_is_divided_with_a_true_division():
+    """Entries are ints or Fractions; `/` on two ints gives a float, so every
+    division of entries is written as `Fraction(a, b)` or `linalg.quotient`."""
+    stray = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        stray += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Div)]
+    assert not stray, f"true divisions: {stray}"
+
+
 def _called_name(call: ast.Call):
     f = call.func
     return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)

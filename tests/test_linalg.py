@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import rank_of_rows as oracle_rank
+from oracles import rank_of_rows as oracle_rank, reduce_columns_by_fractions
 
 from cohom.generators import (
     random_cochain_complex,
@@ -25,7 +25,9 @@ from cohom.linalg import (
     kernel_basis,
     matrix_from_json,
     rank,
+    rat,
     rat_to_str,
+    reduce_columns,
     solve,
     subquotient,
 )
@@ -147,15 +149,22 @@ def test_matrix_from_json_accepts_integers_and_rational_strings():
     assert matrix_from_json([[1, "-2/3"], ["4", 0]]) == ((F(1), F(-2, 3)), (F(4), F(0)))
 
 
+def _is_stored_entry(got, value) -> bool:
+    """got equals value, and is an int exactly when value is integral."""
+    return got == value and (type(got) is int) == (value.denominator == 1) \
+        and type(got) in (int, Fraction)
+
+
 def test_matrix_from_json_zeros_are_the_shared_zero():
-    ((a, b, c),) = matrix_from_json([[0, "0/5", "-0"]])
-    assert a is ZERO and b is ZERO and c is ZERO
+    ((a, b, c, d, e),) = matrix_from_json([[0, "0/5", "-0", "+0", "0/7"]])
+    assert all(x is ZERO and _is_stored_entry(x, Fraction(0)) for x in (a, b, c, d, e))
 
 
 @pytest.mark.parametrize("text", ["--5", "+5", " 5 ", "1_0", "\u0663", "-0", "007", "3/6",
-                                  "12", "-40", "9" * 5000])
+                                  "12", "-40", "+0", "0/7", " 12 ", "\uff11\uff12", "4/2",
+                                  "1.5", "2e3", "9" * 5000])
 def test_matrix_from_json_strings_parse_as_fraction_does(text):
-    """Every string entry reads exactly as Fraction reads it."""
+    """Every string entry reads exactly as Fraction reads it, an int when integral."""
     try:
         expected = Fraction(text)
     except ValueError:
@@ -163,7 +172,7 @@ def test_matrix_from_json_strings_parse_as_fraction_does(text):
             matrix_from_json([[text]])
         return
     ((got,),) = matrix_from_json([[text]])
-    assert type(got) is Fraction and got == expected
+    assert _is_stored_entry(got, expected)
     assert (got is ZERO) == (expected == 0)
 
 
@@ -171,6 +180,22 @@ def test_matrix_from_json_strings_parse_as_fraction_does(text):
 def test_matrix_from_json_names_the_bad_entry(bad):
     with pytest.raises(ValueError, match="row 1, column 0"):
         matrix_from_json([["1", "2"], [bad, "3"]])
+
+
+def test_rat_gives_stored_entries_and_refuses_floats_and_booleans():
+    assert type(rat(7)) is int and rat(7) == 7
+    assert type(rat(F(4, 2))) is int and rat(F(4, 2)) == 2
+    assert rat(F(-3, 6)) == F(-1, 2) and type(rat(F(-3, 6))) is Fraction
+    for bad in (0.1, 1.0, True, False, "1/2", None):
+        with pytest.raises(TypeError, match=repr(bad).replace(".", r"\.")):
+            rat(bad)
+    with pytest.raises(TypeError):
+        freeze_matrix([[F(3, 2), False]])
+    for bad in (1.5, 0.0, True, False):
+        with pytest.raises(TypeError):
+            LinearMap(LabeledSpace.make("d", 1), LabeledSpace.make("c", 1), ((bad,),))
+    ((a, b),) = freeze_matrix([[F(6, 3), F(1, 3)]])
+    assert type(a) is int and a == 2 and b == F(1, 3)
 
 
 small_fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
@@ -335,3 +360,51 @@ def test_random_invertible_returns_its_inverse(seed, n):
     m, inv = random_invertible(random.Random(seed), n)
     eye = LinearMap.identity(m.domain)
     assert m.compose(inv) == eye and inv.compose(m) == eye
+
+
+@st.composite
+def column_problems(draw):
+    """(dense rows, column count, column levels, row levels): rational
+    entries, some non-integral, with zero columns and repeated (rescaled)
+    columns."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    cols = []
+    for _ in range(ncols):
+        kind = draw(st.sampled_from(["random", "random", "zero", "repeat"]))
+        if kind == "zero" or nrows == 0:
+            cols.append([F(0)] * nrows)
+        elif kind == "repeat" and cols:
+            c = draw(st.sampled_from([F(1), F(-1), F(2), F(1, 3)]))
+            cols.append([c * x for x in draw(st.sampled_from(cols))])
+        else:
+            cols.append([draw(small_fractions) if draw(st.booleans()) else F(0)
+                         for _ in range(nrows)])
+    rows = [[col[i] for col in cols] for i in range(nrows)]
+    levels = st.lists(st.integers(0, 2), min_size=ncols, max_size=ncols)
+    row_levels = st.lists(st.integers(0, 2), min_size=nrows, max_size=nrows)
+    return rows, ncols, draw(levels), draw(row_levels)
+
+
+@given(column_problems(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_reduce_columns_matches_the_fraction_reduction(problem, filtered):
+    """The fraction-free reducer gives the lows of the Fraction reduction, and
+    its integer R_j / V_j[j] and V_j / V_j[j] equal the Fraction R_j and V_j,
+    under the index order and under the (-p, index) filtration order."""
+    rows, ncols, p_col, p_row = problem
+    m = lmap(rows, ncols=ncols)
+    if filtered:
+        order = sorted(range(ncols), key=lambda j: (-p_col[j], j))
+        key = lambda i: (-p_row[i], i)  # noqa: E731
+    else:
+        order, key = range(ncols), None
+    want = reduce_columns_by_fractions(rows, ncols, order, key)
+    got = list(reduce_columns(m.transpose().rows, order, key))
+    assert [j for j, *_ in got] == list(order)
+    for j, r, v, low in got:
+        w_r, w_v, w_low = want[j]
+        assert low == w_low
+        assert all(type(x) is int and x for x in (*r.values(), *v.values()))
+        s = v[j]
+        assert [F(r.get(i, 0), s) for i in range(len(rows))] == w_r
+        assert [F(v.get(k, 0), s) for k in range(ncols)] == w_v
