@@ -14,7 +14,6 @@ data checks those squares (`SheafOnCover.validate`) when it is built.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 from .complexes import CochainComplex, CohomologyReport, cohomology, cohomology_dims
@@ -24,6 +23,7 @@ from .linalg import (
     LabeledSpace,
     LinearMap,
     ONE,
+    Record,
     check_declared_dim,
     int_from_json,
     matrix_from_json_shaped,
@@ -51,8 +51,7 @@ class LevelMapMismatch(CohomError):
 MAX_DECLARED_FACES = 1024
 
 
-@dataclass(frozen=True)
-class CoverNerve:
+class CoverNerve(Record):
     """Nerve of a finite cover: opens 0..N-1 and nonempty-intersection faces."""
 
     opens: int
@@ -83,8 +82,7 @@ class CoverNerve:
         return sorted(f for f in self.faces if len(f) == p + 1)
 
 
-@dataclass(frozen=True)
-class SheafOnCover:
+class SheafOnCover(Record):
     """Section spaces over the nerve faces plus single-drop restriction maps.
 
     restrictions[(face, i)] maps F(face with position i removed) into
@@ -213,8 +211,7 @@ def function_sheaf(points: Sequence) -> SheafOnCover:
     return SheafOnCover(nerve, spaces, restrictions)
 
 
-@dataclass(frozen=True)
-class HyperResult:
+class HyperResult(Record):
     double: DoubleComplex
     total: CochainComplex
     dims: tuple  # dim H^n of the total complex, n = 0..P+Q

@@ -17,7 +17,6 @@ read dimensions only: `cohom hyper` and the convergence certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .linalg import (
@@ -25,6 +24,7 @@ from .linalg import (
     LabeledSpace,
     LawViolation,
     LinearMap,
+    Record,
     ZERO_SPACE,
     _echelon,
     check_declared_dim,
@@ -43,8 +43,7 @@ class NotAComplex(CohomError):
         super().__init__(message or f"d . d != 0 starting at degree {degree}")
 
 
-@dataclass(frozen=True)
-class CochainComplex:
+class CochainComplex(Record):
     lo: int
     hi: int
     spaces: tuple[LabeledSpace, ...]   # indexed by k - lo, length hi - lo + 1
@@ -82,8 +81,7 @@ class CochainComplex:
         return tuple(s.dim for s in self.spaces)
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(Record):
     lo: int
     hi: int
     dims: tuple[int, ...]

@@ -12,9 +12,9 @@ basis consists of the logarithmic generators
     w_I = dz_{i1}/z_{i1} /\ ... /\ dz_{iq}/z_{iq},  I subset {1..k}.
 
 The pieces share one cached Koszul skeleton per admissible-axis set, and
-`derham_cohomology` ranks one piece per class of equal ranks: pieces
-with the same admissible axes and the same support S of m are diagonal
-conjugates, D_m = T D_{1_S} T^-1 with T e_J = (prod_{a in J & S} m_a) e_J
+`derham_cohomology` ranks only the first piece of each class of equal
+ranks: pieces with the same admissible axes and the same support S of m
+are diagonal conjugates, D_m = T D_{1_S} T^-1, T e_J = (prod_{a in J & S} m_a) e_J
 (Eisenbud, Commutative Algebra, section 17).
 """
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import CochainComplex, dims_from_ranks
@@ -33,6 +32,7 @@ from .linalg import (
     LawViolation,
     LinearMap,
     ONE,
+    Record,
     ZERO,
     _echelon,
     rat_to_str,
@@ -65,8 +65,7 @@ def _sign_remove(i: int, dI: tuple) -> int:
     return -1 if dI.index(i) % 2 else 1
 
 
-@dataclass(frozen=True)
-class AlgebraicForm:
+class AlgebraicForm(Record):
     """Homogeneous q-form; terms maps (exponents, dz index set) to coefficients."""
 
     n: int
@@ -174,8 +173,7 @@ def log_form(n: int, I) -> AlgebraicForm:
     return AlgebraicForm.monomial(n, 1, exps, I)
 
 
-@dataclass(frozen=True)
-class TorusSpec:
+class TorusSpec(Record):
     """Variables 1..k inverted (divisor z_1...z_k = 0), exponent window W."""
 
     n: int
@@ -288,13 +286,8 @@ def multidegree_window(spec: TorusSpec) -> list[tuple]:
     """
     check_window_budget(spec)
     W = spec.window
-    ranges = []
-    for i in range(1, spec.n + 1):
-        if spec.inverted(i):
-            ranges.append(range(-W + 1, W + 1))
-        else:
-            ranges.append(range(0, W + 1))
-    return [tuple(m) for m in itertools.product(*ranges)]
+    return list(itertools.product(*(range(-W + 1 if spec.inverted(i) else 0, W + 1)
+                                    for i in range(1, spec.n + 1))))
 
 
 def multidegree_split(spec: TorusSpec) -> dict:
@@ -310,8 +303,7 @@ def split_by_multidegree(w: AlgebraicForm) -> dict:
     return {m: AlgebraicForm.build(w.n, w.degree, t) for m, t in sorted(parts.items())}
 
 
-@dataclass(frozen=True)
-class DerhamReport:
+class DerhamReport(Record):
     k: int
     dims: tuple           # per form degree q = 0..n
     generators: tuple     # per q: tuple of index sets I with |I| = q
@@ -322,28 +314,29 @@ def derham_cohomology(spec: TorusSpec) -> DerhamReport:
 
     Every nonzero multidegree component must be exact (verified by ranking
     its integer Koszul rows); the m = 0 component carries the classes w_I.
-    The integer rows of the first m of each class (admissible axes, support
-    S of m) are ranked, and every other m of the class reuses those ranks:
-    on the basis e_J of the q-subsets J of the admissible axes,
+    The window's components fall into 2^n classes (admissible axes, support
+    S of m), and every m of a class has the ranks of its first: on the basis
+    e_J of the q-subsets J of the admissible axes,
 
         D_m = T D_{1_S} T^-1,   T e_J = (prod_{a in J & S} m_a) e_J,
 
     since the entry at (J, J - {a}) is m_a times a sign and m_a = 0 off S.
     T is invertible, so D_m and D_{1_S} have equal ranks in every degree.
-    Each skeleton the ranks used is then checked to square to zero.
+    Only the first m of each class in window order is ranked: per axis, the
+    first m_i != 0 and m_i = 0 are -W+1 and 0 on an inverted axis when W > 1,
+    else 0 and 1.  Each skeleton the ranks used is then checked to square to zero.
     """
+    check_window_budget(spec)
+    W = spec.window
     dims = [0] * (spec.n + 1)
     skeletons = {}  # admissible axes -> the skeleton the loop ranked
-    classes = {}    # (admissible axes, support of m) -> ranks and dims of its first m
-    for m in multidegree_window(spec):
+    for m in itertools.product(*((-W + 1, 0) if spec.inverted(i) and W > 1 else (0, 1)
+                                 for i in range(1, spec.n + 1))):
         pool = _admissible_axes(spec, m)
-        key = (pool, tuple(a for a in pool if m[a - 1]))
-        if key not in classes:
-            skeletons[pool] = _koszul_skeleton(spec.n, pool)
-            bases, rows = _koszul_int_rows(skeletons[pool], m)
-            ranks = [len(_echelon(d)) for d in rows]
-            classes[key] = ranks, dims_from_ranks(map(len, bases), ranks)
-        ranks, part = classes[key]
+        skeletons[pool] = _koszul_skeleton(spec.n, pool)
+        bases, rows = _koszul_int_rows(skeletons[pool], m)
+        ranks = [len(_echelon(d)) for d in rows]
+        part = dims_from_ranks(map(len, bases), ranks)
         if any(m):
             if any(part):
                 raise WindowExhausted(
@@ -518,8 +511,7 @@ def cup_table(spec: TorusSpec) -> dict:
 # Pole-order filtration (direct-limit model)
 
 
-@dataclass(frozen=True)
-class PoleFiltrationReport:
+class PoleFiltrationReport(Record):
     levels: tuple          # per level 0..n_max: dims tuple per form degree
     stabilization: int
 
@@ -561,11 +553,8 @@ def pole_filtration_dims(spec: TorusSpec, n_max: int) -> PoleFiltrationReport:
                 per_level[level][q] += dim_level - img_rank[q] - prev_rank
     levels = tuple(tuple(l) for l in per_level)
     stabilization = n_max
-    for t in range(n_max, -1, -1):
-        if levels[t] == levels[n_max]:
-            stabilization = t
-        else:
-            break
+    while stabilization > 0 and levels[stabilization - 1] == levels[n_max]:
+        stabilization -= 1
     return PoleFiltrationReport(levels, stabilization)
 
 

@@ -13,7 +13,6 @@ the certificate of one grid share one checked `CochainComplex`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import CochainComplex
@@ -22,6 +21,7 @@ from .linalg import (
     LabeledSpace,
     LinearMap,
     ONE,
+    Record,
     ZERO_SPACE,
     check_declared_dim,
     int_from_json,
@@ -43,8 +43,7 @@ class GridTooLarge(CohomError):
     pass
 
 
-@dataclass(frozen=True)
-class DoubleComplex:
+class DoubleComplex(Record):
     """First-quadrant grid K^{p,q}, 0 <= p <= P, 0 <= q <= Q.
 
     horiz[p][q] : K^{p,q} -> K^{p+1,q}  (p < P)
@@ -140,9 +139,8 @@ def _merged_map(domain: LabeledSpace, codomain: LabeledSpace, src: tuple, dst: t
 def total(k: DoubleComplex) -> CochainComplex:
     """Total complex with differential delta + (-1)^p d on cell (p, q),
     built and checked on the first call and kept on the grid."""
-    tot = k.__dict__.get("_total")
-    if tot is not None:
-        return tot
+    if "_total" in k.__dict__:
+        return k._total
     cells = k.cells
     diag = []  # (cells, dims) of each antidiagonal
     for n in range(k.P + k.Q + 1):
@@ -158,8 +156,7 @@ def total(k: DoubleComplex) -> CochainComplex:
     return tot
 
 
-@dataclass(frozen=True)
-class TripleComplex:
+class TripleComplex(Record):
     """Trigraded grid with three commuting differentials d1, d2, d3.
 
     d1, d2 and d3 map (p, q, r) to the cell one step along the first,
@@ -268,8 +265,7 @@ def flatten_fix_p(n: TripleComplex) -> DoubleComplex:
     return flatten(n, 1)
 
 
-@dataclass(frozen=True)
-class TotalsComparison:
+class TotalsComparison(Record):
     agree: bool
     first_mismatch_degree: Optional[int]
 

@@ -15,15 +15,16 @@ their one scale only on output (`quotient`).  A `LinearMap` stores only
 its nonzero entries, row by row; `from_blocks` negates a block of sign
 -1 as it copies it.  A map is densified (`LinearMap.matrix`) only for
 JSON output and for the dense functions the benchmark tracer still binds
-(rref, kernel_basis, image_basis, solve, invert, subquotient).
+(rref, kernel_basis, image_basis, solve, invert, subquotient).  Every
+value type is a `Record`: defining one generates no code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -148,17 +149,66 @@ def matrix_from_json_shaped(rows: Sequence[Sequence[str]], nrows: int, ncols: in
     return mat
 
 
-@dataclass(frozen=True)
-class LabeledSpace:
-    """Finite-dimensional rational vector space with ordered, distinct labels."""
+class Record:
+    """An immutable value whose fields are the names its class annotates, in order.
 
-    labels: tuple
-    dim: int = field(init=False, compare=False, repr=False)
+    Built positionally, then checked by `__post_init__`.  `==` holds only within
+    one class and, like `hash`, reads the fields alone, not values kept beside them.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._values = attrgetter(*cls._fields)  # one field's value, or a tuple of several
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields, "
+                            f"got {len(values)}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", len(self.labels))
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a {type(self).__name__} is immutable: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+
+class LabeledSpace(Record):
+    """Rational space with ordered, distinct labels; hot, so `__init__` and `==` are its own."""
+
+    labels: tuple
+
+    def __init__(self, labels: tuple):
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "dim", len(labels))
+        self.__post_init__()
+
+    def __post_init__(self):
         if len(set(self.labels)) != self.dim:
             raise ValueError("labels must be pairwise distinct")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.labels is other.labels or self.labels == other.labels
+
+    __hash__ = Record.__hash__
 
     @staticmethod
     def make(prefix: str, dim: int) -> "LabeledSpace":
@@ -168,8 +218,7 @@ class LabeledSpace:
 ZERO_SPACE = LabeledSpace(())
 
 
-@dataclass(frozen=True, init=False)
-class LinearMap:
+class LinearMap(Record):
     """Matrix of shape codomain.dim x domain.dim acting on column vectors.
 
     Stored sparse: rows[i] holds the (column, entry) pairs of the nonzero
@@ -289,8 +338,7 @@ class LinearMap:
         return not any(self.rows)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """Subspace of an ambient space, given by an independent-column basis map."""
 
     ambient: LabeledSpace

@@ -10,11 +10,9 @@ under W -> W + 2 is the correctness guard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cech import CoverNerve, HyperResult, SheafOnCover, cech_hyper
 from .forms import TorusSpec, WindowExhausted, truncated_de_rham_complex
-from .linalg import LabeledSpace, LawViolation, LinearMap, ONE, _echelon, rank
+from .linalg import LabeledSpace, LawViolation, LinearMap, ONE, Record, _echelon, rank
 
 
 class ParameterOutOfRange(ValueError):
@@ -120,8 +118,7 @@ def check_p1_window(weight_window: int) -> None:
         raise ParameterOutOfRange(f"p1 window {weight_window} is outside 3..{MAX_P1_WINDOW}")
 
 
-@dataclass(frozen=True)
-class P1Report:
+class P1Report(Record):
     window: int
     dims: tuple                    # hypercohomology dims (degree 0..2)
     e1_second: dict                # (p, q) -> dim, page coordinates of second_pages
@@ -161,8 +158,7 @@ def _is_coboundary(d: LinearMap, i: int) -> bool:
                         for k, row in enumerate(d.rows))) == rank(d)
 
 
-@dataclass(frozen=True)
-class TorusReport:
+class TorusReport(Record):
     k: int
     n: int
     derham_dims: tuple

@@ -36,24 +36,28 @@ and its representatives lie in Tot(K) itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import CochainComplex, cohomology_dims
 from .grid import DoubleComplex, total
-from .linalg import CohomError, LawViolation, ZERO, quotient, reduce_columns
+from .linalg import CohomError, LawViolation, Record, ZERO, quotient, reduce_columns
 
 
 class ConvergenceFailure(CohomError):
     pass
 
 
-@dataclass(frozen=True)
-class SpectralPage:
+class SpectralPage(Record):
     r: int
     span: dict  # (p, q) -> Tot^{p+q} indices alive on E_r, all cells of [0,P] x [0,Q]
     gens: list  # the _pairs pairing, shared by every page of one filtration
     d: dict     # (p, q) -> d_pairs(p, q), for the cells where d_r is nonzero
+
+    def __init__(self, r: int, span: dict, gens: list, d: dict):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "d", d)
 
     def dim(self, p: int, q: int) -> int:
         return len(self.span.get((p, q), ()))
@@ -75,8 +79,7 @@ def _rank(pairs: list) -> int:
     return len({t for _, t in pairs})
 
 
-@dataclass(frozen=True)
-class ConvergenceCertificate:
+class ConvergenceCertificate(Record):
     total_dims: tuple[int, ...]
     first_einf: dict    # k -> tuple of ((p, q), dim)
     second_einf: dict
@@ -130,6 +133,8 @@ def _compute_pages(k: DoubleComplex, tot: CochainComplex, r_max: int,
     Page entry (a, b) sits at filtration level a in total degree a + b.
     E_{r+1} rebuilds the cells in dying[r] and shares the others with E_r.
     """
+    if not 1 <= r_max <= k.P + k.Q + 2:
+        raise ValueError("r_max out of range")
     level, gens = _pairs(tot, axis)
     A, B = (k.P, k.Q) if axis == 0 else (k.Q, k.P)
     cells: dict = {(a, b): [] for a in range(A + 1) for b in range(B + 1)}
@@ -193,8 +198,6 @@ def _check_page(page: SpectralPage, prev: Optional[SpectralPage]) -> None:
 
 def first_pages(k: DoubleComplex, r_max: int) -> list[SpectralPage]:
     """Pages E_1..E_r_max of the column filtration (E_1 = vertical cohomology)."""
-    if not 1 <= r_max <= k.P + k.Q + 2:
-        raise ValueError("r_max out of range")
     return _compute_pages(k, total(k), r_max, 0)
 
 
@@ -204,8 +207,6 @@ def second_pages(k: DoubleComplex, r_max: int) -> list[SpectralPage]:
     Page entry (p, q) is cell (q, p) of the input double complex; the
     representatives lie in total(k).
     """
-    if not 1 <= r_max <= k.P + k.Q + 2:
-        raise ValueError("r_max out of range")
     return _compute_pages(k, total(k), r_max, 1)
 
 
@@ -237,13 +238,8 @@ def _analyse(k: DoubleComplex, tot: CochainComplex, total_dims: tuple):
             s = sum(d for _, d in sums[deg])
             if s != h:
                 raise ConvergenceFailure(f"{name} filtration E_inf sum {s} != dim H^{deg} = {h}")
-    cert = ConvergenceCertificate(
-        total_dims=tuple(total_dims),
-        first_einf=first_sums,
-        second_einf=second_sums,
-        first_degeneration=_degeneration_page(first),
-        second_degeneration=_degeneration_page(second),
-    )
+    cert = ConvergenceCertificate(tuple(total_dims), first_sums, second_sums,
+                                  _degeneration_page(first), _degeneration_page(second))
     return first, second, cert
 
 

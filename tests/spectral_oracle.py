@@ -8,10 +8,12 @@ F_p Tot^n = sum_{p' >= p} K^{p', n-p'} it builds
     E_r^{p,q} = Z_r^{p,q} / ( Z_{r-1}^{p+1,q-1} + D Z_{r-1}^{p-r+1,q+r-2} ),
 
 and d_r by applying D to representatives and solving for coordinates
-in the target page entry.  From the package it uses only `total`,
-`LinearMap.apply` and the `DoubleComplex` constructor; its spans, solves
-and ranks are its own, so its d_r ranks share no elimination code with
-the pages it checks.  Pass `transpose(dc)` for the row filtration.
+in the target page entry.  From the package it reads only the cells and
+the stored maps of the grid, and builds grids with the `DoubleComplex`
+constructor: it lays out Tot and applies D itself, and its spans,
+solves and ranks are its own, so its pages share neither assembly nor
+elimination code with the pages it checks.  Pass `transpose(dc)` for
+the row filtration.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 
 from oracles import rank_of_rows
 
-from cohom.grid import DoubleComplex, total
+from cohom.grid import DoubleComplex
 
 ZERO = Fraction(0)
 
@@ -94,16 +96,39 @@ def _solve_in_span(vectors, target):
 
 
 class _Filtration:
-    """Column filtration data of one total complex."""
+    """Column filtration data of Tot(dc), laid out from the cells of dc.
+
+    Tot^n lists the cells (p, n - p) by ascending p, and D on cell (p, q)
+    is horiz + (-1)^p vert, written here entry by entry as Fractions.
+    """
 
     def __init__(self, dc: DoubleComplex):
-        self.tot = total(dc)
         self.P, self.Q = dc.P, dc.Q
         self.n_max = dc.P + dc.Q
+        self.level = []  # level[n][i]: the p of index i of Tot^n
+        offset = []      # offset[n][p]: the index of the first basis vector of cell (p, n - p)
+        for n in range(self.n_max + 1):
+            offset.append({})
+            self.level.append([])
+            for p in range(max(0, n - dc.Q), min(dc.P, n) + 1):
+                offset[n][p] = len(self.level[n])
+                self.level[n] += [p] * dc.cells[p][n - p].dim
+        self.d = []  # d[n][i]: the nonzero (column, entry) pairs of row i of D on Tot^n
+        for n in range(self.n_max):
+            rows: list = [[] for _ in self.level[n + 1]]
+            for p, col0 in offset[n].items():
+                q = n - p
+                blocks = [(dc.horiz[p][q], p + 1, 1)] if p < dc.P else []
+                blocks += [(dc.vert[p][q], p, (-1) ** p)] if q < dc.Q else []
+                for m, dst, sign in blocks:
+                    for i, row in enumerate(m.rows, offset[n + 1][dst]):
+                        for j, x in row:
+                            rows[i].append((col0 + j, sign * Fraction(x)))
+            self.d.append(rows)
         self._zcache: dict = {}
 
     def degree_dim(self, n: int) -> int:
-        return self.tot.space(n).dim if 0 <= n <= self.n_max else 0
+        return len(self.level[n]) if 0 <= n <= self.n_max else 0
 
     def z_spaces(self, p: int, n: int) -> list:
         """Bases of {x in F_p Tot^n : D x in F_t Tot^{n+1}} for t = 0..P+1."""
@@ -111,8 +136,7 @@ class _Filtration:
         if key in self._zcache:
             return self._zcache[key]
         dim_n = self.degree_dim(n)
-        labels_n = self.tot.space(n).labels
-        start = next((i for i, lab in enumerate(labels_n) if lab[0] >= p), dim_n)
+        start = next((i for i, lv in enumerate(self.level[n]) if lv >= p), dim_n)
         basis = []
         for i in range(start, dim_n):
             v = [ZERO] * dim_n
@@ -121,10 +145,8 @@ class _Filtration:
         snapshots = [list(basis)]
         rows_by_block: dict = {}
         if n < self.n_max:
-            labels = self.tot.space(n + 1).labels
-            for i, row in enumerate(self.tot.diff(n).matrix):
-                rows_by_block.setdefault(labels[i][0], []).append(
-                    [(j, Fraction(c)) for j, c in enumerate(row) if c != 0])
+            for i, pairs in enumerate(self.d[n]):
+                rows_by_block.setdefault(self.level[n + 1][i], []).append(pairs)
         for t in range(0, self.P + 1):
             for pairs in rows_by_block.get(t, []):
                 vals = [_dot(pairs, b) for b in basis]
@@ -153,8 +175,7 @@ class _Filtration:
         return self.z_spaces(max(p, 0), n)[max(min(t, self.P + 1), 0)]
 
     def apply_d(self, n: int, v):
-        # entries are ints where integral; Fractions keep the divisions exact
-        return tuple(map(Fraction, self.tot.diff(n).apply(v))) if n < self.n_max else ()
+        return tuple(_dot(pairs, v) for pairs in self.d[n]) if n < self.n_max else ()
 
 
 def oracle_pages(dc: DoubleComplex, r_max: int) -> list[dict]:

@@ -285,10 +285,12 @@ def flip_first_d1_sign(skeleton):
 def test_mutated_koszul_sign_fails_the_exactness_check(monkeypatch, capsys):
     # at n = 3 a flipped sign in d_1 makes d_1 invertible where every m_i != 0
     monkeypatch.setattr(forms, "_koszul_skeleton", flip_first_d1_sign(forms._koszul_skeleton))
-    with pytest.raises(WindowExhausted):
+    # reported at the first multidegree in window order with every m_i != 0
+    with pytest.raises(WindowExhausted, match=r"at multidegree \(-1, -1, -1\);"):
         derham_cohomology(TorusSpec(3, 3, 2))
     assert main(["derham", "--n", "3", "--invert", "3", "--window", "2"]) == 2
-    assert "nonzero cohomology at multidegree" in capsys.readouterr().err
+    assert "nonzero cohomology at multidegree (-1, -1, -1); enlarge the window" \
+        in capsys.readouterr().err
 
 
 def test_mutated_koszul_sign_that_keeps_every_rank_fails_d_squared(monkeypatch, capsys):
@@ -303,10 +305,24 @@ def test_mutated_koszul_sign_that_keeps_every_rank_fails_d_squared(monkeypatch, 
 def test_forced_rank_deficit_fails_the_exactness_check(monkeypatch, capsys):
     echelon = forms._echelon
     monkeypatch.setattr(forms, "_echelon", lambda rows: dict(list(echelon(rows).items())[1:]))
-    with pytest.raises(WindowExhausted):
+    # the first nonzero multidegree in window order is reported
+    with pytest.raises(WindowExhausted, match=r"at multidegree \(-1, 0\);"):
         derham_cohomology(TorusSpec(2, 1, 2))
     assert main(["derham", "--n", "2", "--invert", "1", "--window", "2"]) == 2
-    assert "nonzero cohomology at multidegree" in capsys.readouterr().err
+    assert "nonzero cohomology at multidegree (-1, 0); enlarge the window" \
+        in capsys.readouterr().err
+
+
+def test_a_window_over_the_budget_is_refused_before_any_rank(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("work began before the budget check")
+
+    monkeypatch.setattr(forms, "_echelon", refuse)
+    monkeypatch.setattr(forms, "_koszul_skeleton", refuse)
+    spec = TorusSpec(4, 4, 6)
+    assert forms.multidegree_count(spec) == 20_736
+    with pytest.raises(ValueError, match="20736 multidegree components, over the limit"):
+        derham_cohomology(spec)
 
 
 def test_nonzero_multidegree_zero_differential_is_a_law_violation(monkeypatch, capsys):

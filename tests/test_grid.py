@@ -258,3 +258,12 @@ def test_each_commute_law_is_named(bounds, pair, law):
     with pytest.raises(InvariantViolation) as err:
         _unit_grid(bounds, lambda axis, cell: int(axis == a or not any(cell)))
     assert err.value.law == law and err.value.cell == (0,) * len(bounds)
+
+
+def test_a_cached_total_changes_neither_equality_nor_hash():
+    rng = random.Random(7)
+    dc, a, b, _, _ = random_tensor_double_complex(rng)
+    fresh = tensor_double_complex(a, b)
+    total(dc)
+    assert "_total" in vars(dc) and "_total" not in vars(fresh)
+    assert dc == fresh and fresh == dc and hash(dc) == hash(fresh)

@@ -114,6 +114,31 @@ def _child(*argv: str) -> subprocess.CompletedProcess:
                           env=env, cwd=ROOT, timeout=60)
 
 
+def test_no_module_generates_code():
+    """Value types are linalg.Records: no module imports dataclasses, whose
+    import alone loads inspect, ast, dis and tokenize, and none compiles
+    code at run time with exec, eval or compile."""
+    stray = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                modules = []
+            builtin = isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("exec", "eval", "compile")
+            if builtin or "dataclasses" in modules:
+                stray.append(f"{path.name}:{node.lineno}")
+    assert not stray, f"code generation in the package: {stray}"
+
+
+# stdlib modules that only code generation or introspection needs
+HEAVY = ["ast", "dataclasses", "dis", "inspect", "tokenize"]
+
+
 @pytest.mark.parametrize("argv,loaded", [
     (["derham", "--n", "2", "--invert", "2", "--window", "2"],
      ["cli", "complexes", "forms", "linalg"]),
@@ -122,13 +147,15 @@ def _child(*argv: str) -> subprocess.CompletedProcess:
 ], ids=["derham", "hyper"])
 def test_a_subcommand_loads_only_its_own_modules(argv, loaded):
     code = ("import io, json, sys, contextlib\n"
+            "before = set(sys.modules)\n"
             "import cohom.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = cohom.cli.main(sys.argv[1:])\n"
-            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('cohom.'))]))")
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('cohom.')),\n"
+            f"                  sorted((set(sys.modules) - before) & set({HEAVY!r}))]))")
     proc = _child("-c", code, *argv)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0, [f"cohom.{m}" for m in loaded]]
+    assert json.loads(proc.stdout) == [0, [f"cohom.{m}" for m in loaded], []]
 
 
 def test_the_layer_tracer_sees_a_subcommand_call(tmp_path):

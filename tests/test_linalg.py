@@ -17,6 +17,7 @@ from cohom.linalg import (
     ContainmentViolated,
     LabeledSpace,
     LinearMap,
+    Record,
     Subspace,
     ZERO,
     freeze_matrix,
@@ -408,3 +409,47 @@ def test_reduce_columns_matches_the_fraction_reduction(problem, filtered):
         s = v[j]
         assert [F(r.get(i, 0), s) for i in range(len(rows))] == w_r
         assert [F(v.get(k, 0), s) for k in range(ncols)] == w_v
+
+
+class Pair(Record):
+    first: object
+    second: object
+
+
+class OtherPair(Record):
+    first: object
+    second: object
+
+
+def test_a_record_cannot_be_assigned_or_deleted():
+    pair, space = Pair(1, 2), LabeledSpace(("a",))
+    for obj, name in ((pair, "first"), (pair, "extra"), (space, "labels"), (space, "dim")):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(obj, name, 0)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(obj, name)
+    assert (pair.first, pair.second, space.labels, space.dim) == (1, 2, ("a",), 1)
+
+
+def test_record_equality_and_hash_follow_the_fields_in_order():
+    assert Pair._fields == ("first", "second")
+    assert Pair(1, (2, 3)) == Pair(1, (2, 3)) and hash(Pair(1, (2, 3))) == hash((1, (2, 3)))
+    assert Pair(1, 2) != Pair(2, 1)
+    assert repr(Pair(1, "x")) == "Pair(first=1, second='x')"
+    a, b = LabeledSpace(("x", "y")), LabeledSpace(("x", "y"))
+    assert a == b and hash(a) == hash(b) and a != LabeledSpace(("y", "x"))
+    m = LinearMap(a, b, ((1, 0), (0, 2)))
+    assert m == LinearMap(a, b, ((1, 0), (0, 2))) != LinearMap(a, b, ((1, 0), (0, 3)))
+    assert hash(m) == hash(LinearMap.sparse(a, b, [[(0, 1)], [(1, 2)]]))
+
+
+def test_records_of_different_classes_are_unequal():
+    assert Pair(1, 2) != OtherPair(1, 2)
+    assert Pair(1, 2) != (1, 2) and (1, 2) != Pair(1, 2)
+    assert len({Pair(1, 2), OtherPair(1, 2)}) == 2
+
+
+@pytest.mark.parametrize("values", [(), (1,), (1, 2, 3)])
+def test_a_wrong_field_count_is_a_type_error_naming_the_class(values):
+    with pytest.raises(TypeError, match="Pair takes 2 fields, got"):
+        Pair(*values)
