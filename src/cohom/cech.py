@@ -14,10 +14,9 @@ data checks those squares (`SheafOnCover.validate`) when it is built.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .complexes import CochainComplex, CohomologyReport, cohomology, cohomology_dims
-from .grid import DoubleComplex, total
 from .linalg import (
     CohomError,
     LabeledSpace,
@@ -29,7 +28,10 @@ from .linalg import (
     matrix_from_json_shaped,
     matrix_to_json,
 )
-from .spectral import ConvergenceCertificate, _analyse
+
+if TYPE_CHECKING:
+    from .grid import DoubleComplex
+    from .spectral import ConvergenceCertificate
 
 
 class MissingFaceSpace(CohomError):
@@ -229,6 +231,8 @@ def cech_sheaf_double_complex(nerve: CoverNerve, sheaves: Sequence[SheafOnCover]
     is its own block of delta, so the grid's laws say exactly that level
     maps commute with restrictions and compose to zero.
     """
+    from .grid import DoubleComplex
+
     levels = len(sheaves)
     if len(level_maps) != max(levels - 1, 0):
         raise LevelMapMismatch("need one family of level maps per adjacent level pair")
@@ -264,6 +268,9 @@ def cech_hyper(nerve: CoverNerve, sheaves: Sequence[SheafOnCover],
     stable page and their convergence certificate, all from one total
     complex.
     """
+    from .grid import total
+    from .spectral import _analyse
+
     dc = cech_sheaf_double_complex(nerve, sheaves, level_maps)
     tot = total(dc)
     dims = cohomology_dims(tot)

@@ -32,13 +32,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(path: str) -> dict:
+    """JSON text is UTF-8 (RFC 8259 section 8.1), whatever the locale."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}")
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 ({e.reason} at byte {e.start})")
     except json.JSONDecodeError as e:
         raise InputError(f"{path}:{e.lineno}:{e.colno}: invalid JSON ({e.msg})")
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply")
 
 
 def _rep_listing(report) -> list:

@@ -12,7 +12,7 @@ reduction of each d_k (`linalg.reduce_columns`); `cohom complex` and
 alone (dim K^k - rank d_k - rank d_{k-1}) and serves the callers that
 read dimensions only: `cohom hyper` and the convergence certificate.
 `cohom derham` counts its Koszul pieces with the same rule,
-`dims_from_ranks`, from integer rows that `forms` ranks directly.
+`linalg.dims_from_ranks`, from integer rows that `forms` ranks directly.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .linalg import (
     ZERO_SPACE,
     _echelon,
     check_declared_dim,
+    dims_from_ranks,
     int_from_json,
     matrix_from_json_shaped,
     matrix_to_json,
@@ -129,12 +130,6 @@ def cohomology(k: CochainComplex) -> CohomologyReport:
 def cohomology_dims(k: CochainComplex) -> tuple[int, ...]:
     """dim H^n = dim K^n - rank d_n - rank d_{n-1}, ranking each d once."""
     return dims_from_ranks([s.dim for s in k.spaces], [rank(d) for d in k.diffs])
-
-
-def dims_from_ranks(sizes, ranks) -> tuple[int, ...]:
-    """dim K^n - rank d_n - rank d_{n-1}, given every degree's size and every d's rank."""
-    r = [0, *ranks, 0]
-    return tuple(s - r[i + 1] - r[i] for i, s in enumerate(sizes))
 
 
 def direct_sum(a: CochainComplex, b: CochainComplex) -> CochainComplex:

@@ -24,8 +24,8 @@ import functools
 import itertools
 import re
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .complexes import CochainComplex, dims_from_ranks
 from .linalg import (
     CohomError,
     LabeledSpace,
@@ -33,10 +33,15 @@ from .linalg import (
     LinearMap,
     ONE,
     Record,
+    WindowExhausted,
     ZERO,
     _echelon,
+    dims_from_ranks,
     rat_to_str,
 )
+
+if TYPE_CHECKING:
+    from .complexes import CochainComplex
 
 
 class VariableCountMismatch(CohomError):
@@ -48,10 +53,6 @@ class NotClosed(CohomError):
 
 
 class PoleOnNonInvertedAxis(CohomError):
-    pass
-
-
-class WindowExhausted(CohomError):
     pass
 
 
@@ -251,6 +252,8 @@ def multidegree_complex(spec: TorusSpec, m: tuple) -> CochainComplex:
     Degree-q basis: valid index sets I (lex order); differential is the
     Koszul map determined by m.
     """
+    from .complexes import CochainComplex
+
     bases, rows = _koszul_int_rows(_koszul_skeleton(spec.n, _admissible_axes(spec, m)), m)
     spaces = tuple(LabeledSpace(tuple((m, I) for I in basis)) for basis in bases)
     diffs = tuple(LinearMap.sparse(spaces[q], spaces[q + 1], d) for q, d in enumerate(rows))
@@ -360,6 +363,8 @@ def truncated_de_rham_complex(spec: TorusSpec) -> CochainComplex:
 
     Degree-q labels are (m, I) pairs, so vectors translate back to forms.
     """
+    from .complexes import CochainComplex
+
     components = [multidegree_complex(spec, m) for m in multidegree_window(spec)]
     spaces = tuple(LabeledSpace(tuple(lab for cx in components for lab in cx.space(q).labels))
                    for q in range(spec.n + 1))

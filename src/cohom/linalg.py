@@ -40,6 +40,10 @@ class LawViolation(CohomError):
         super().__init__(f"law '{law}' fails" + (f": {detail}" if detail else ""))
 
 
+class WindowExhausted(CohomError):
+    """A truncation window is too small for the answer to be stable."""
+
+
 class AmbientMismatch(CohomError):
     pass
 
@@ -504,6 +508,12 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[int], list[Vector]]:
 def rank(m: LinearMap) -> int:
     """Exact rank over the rationals."""
     return len(_echelon(m.rows))
+
+
+def dims_from_ranks(sizes, ranks) -> tuple[int, ...]:
+    """dim K^n - rank d_n - rank d_{n-1}, given every degree's size and every d's rank."""
+    r = [0, *ranks, 0]
+    return tuple(s - r[i + 1] - r[i] for i, s in enumerate(sizes))
 
 
 def kernel_basis(m: LinearMap) -> Subspace:

@@ -10,9 +10,14 @@ under W -> W + 2 is the correctness guard.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .cech import CoverNerve, HyperResult, SheafOnCover, cech_hyper
-from .forms import TorusSpec, WindowExhausted, truncated_de_rham_complex
-from .linalg import LabeledSpace, LawViolation, LinearMap, ONE, Record, _echelon, rank
+from .linalg import (LabeledSpace, LawViolation, LinearMap, ONE, Record, WindowExhausted,
+                     _echelon, rank)
+
+if TYPE_CHECKING:
+    from .forms import TorusSpec
 
 
 class ParameterOutOfRange(ValueError):
@@ -34,6 +39,8 @@ def build_circle():
 
 
 def build_torus(k: int, n: int) -> TorusSpec:
+    from .forms import TorusSpec
+
     if not 0 <= k <= n <= 3:
         raise ParameterOutOfRange("torus presets need 0 <= k <= n <= 3")
     return TorusSpec(n, k, 4)
@@ -175,7 +182,7 @@ def torus_report(k: int, n: int) -> TorusReport:
     the window because derham_cohomology verifies that every nonzero
     multidegree component of the preset window is exact.
     """
-    from .forms import derham_cohomology
+    from .forms import TorusSpec, derham_cohomology
 
     spec = build_torus(k, n)
     report = derham_cohomology(spec)
@@ -185,6 +192,8 @@ def torus_report(k: int, n: int) -> TorusReport:
 
 def trivial_cover_hyper(spec: TorusSpec) -> HyperResult:
     """cech_hyper of the truncated de Rham complex on a single-open cover."""
+    from .forms import truncated_de_rham_complex
+
     nerve = CoverNerve(1, frozenset({(0,)}))
     cx = truncated_de_rham_complex(spec)
     face = (0,)

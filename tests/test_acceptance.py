@@ -14,6 +14,7 @@ from math import comb
 
 import pytest
 
+from form_builders import random_closed_form
 from oracles import pad, per_point_cech_dims
 
 from cohom.cech import cech_cohomology, cech_complex, function_sheaf
@@ -30,7 +31,6 @@ from cohom.forms import (
 )
 from cohom.generators import (
     nonzero_d2_double_complex,
-    random_closed_form,
     random_tensor_double_complex,
     random_tensor_triple_complex,
 )

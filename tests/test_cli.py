@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -75,6 +78,42 @@ def test_malformed_input_exit_code_1(tmp_path, capsys):
     assert "invalid JSON" in err
     code, _, err = run(capsys, "complex", str(tmp_path / "missing.json"))
     assert code == 1
+
+
+def test_input_is_read_as_utf8_under_any_locale(tmp_path):
+    """JSON text is UTF-8 (RFC 8259): under the C locale a file with full-width
+    digits, which int() reads, gives the same report as under a UTF-8 one."""
+    path = tmp_path / "wide.json"
+    path.write_text('{"lo": 0, "hi": 1, "dims": [1, 1], "diffs": [[["\uff11\uff12"]]]}',
+                    encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for locale in ({"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"},
+                   {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}):
+        env = dict(os.environ, PYTHONPATH=src, **locale)
+        proc = subprocess.run([sys.executable, "-m", "cohom.cli", "complex", str(path),
+                               "--format", "json"], capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["cohomology_dims"] == [0, 0]
+
+
+def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"lo": 0, "hi": 0, "dims": ["\xb9"], "diffs": []}')
+    code, out, err = run(capsys, "complex", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: not UTF-8 (invalid start byte at byte 29)\n"
+
+
+@pytest.mark.parametrize("command", ["complex", "cech", "hyper", "spectral"])
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: JSON nested too deeply\n"
 
 
 def test_schema_error_exit_code_1(tmp_path, capsys):

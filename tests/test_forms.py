@@ -6,6 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from form_builders import random_closed_form, random_form
 from oracles import rank_of_rows as oracle_rank
 
 import cohom.forms as forms
@@ -17,7 +18,6 @@ from cohom.forms import (
     PoleOnNonInvertedAxis,
     TorusSpec,
     VariableCountMismatch,
-    WindowExhausted,
     cup_table,
     derham_cohomology,
     exterior_derivative,
@@ -35,8 +35,7 @@ from cohom.forms import (
     truncated_de_rham_complex,
     wedge,
 )
-from cohom.generators import random_closed_form, random_form
-from cohom.linalg import LawViolation
+from cohom.linalg import LawViolation, WindowExhausted
 
 F = Fraction
 

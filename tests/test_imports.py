@@ -2,8 +2,9 @@
 
 A stdlib `ast` scan checks that every imported name is used, so deleting
 a function must not leave behind an import that only it needed.  Child
-processes check that each subcommand loads only its own modules, and
-that the benchmark's layer tracer still sees the calls they make.
+processes check that each subcommand and each module import loads only
+its own modules, and that the benchmark's layer tracer still sees the
+calls they make.
 """
 
 import ast
@@ -139,32 +140,79 @@ def test_no_module_generates_code():
 HEAVY = ["ast", "dataclasses", "dis", "inspect", "tokenize"]
 
 
-@pytest.mark.parametrize("argv,loaded", [
-    (["derham", "--n", "2", "--invert", "2", "--window", "2"],
-     ["cli", "complexes", "forms", "linalg"]),
-    (["hyper", "tests/golden/p1_w4.hyper.json"],
-     ["cech", "cli", "complexes", "grid", "linalg", "spectral"]),
-], ids=["derham", "hyper"])
-def test_a_subcommand_loads_only_its_own_modules(argv, loaded):
-    code = ("import io, json, sys, contextlib\n"
-            "before = set(sys.modules)\n"
-            "import cohom.cli\n"
+def _footprint(statement: str, *argv: str) -> list:
+    """Run `statement` in a fresh child with stdout captured; return the value
+    it leaves in `out`, the `cohom.*` modules loaded (short names, sorted)
+    and the HEAVY modules the statement added."""
+    body = "".join(f"    {line}\n" for line in statement.splitlines())
+    code = ("import contextlib, io, json, sys\n"
+            "before, out = set(sys.modules), None\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = cohom.cli.main(sys.argv[1:])\n"
-            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('cohom.')),\n"
-            f"                  sorted((set(sys.modules) - before) & set({HEAVY!r}))]))")
+            f"{body}"
+            "added = set(sys.modules) - before\n"
+            "print(json.dumps([out, sorted(m[6:] for m in sys.modules if m.startswith('cohom.')),\n"
+            f"                  sorted(added & set({HEAVY!r}))]))")
     proc = _child("-c", code, *argv)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0, [f"cohom.{m}" for m in loaded], []]
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["derham", "--n", "2", "--invert", "2", "--window", "2"],
+     ["cli", "forms", "linalg"]),
+    (["hyper", "tests/golden/p1_w4.hyper.json"],
+     ["cech", "cli", "complexes", "grid", "linalg", "spectral"]),
+    (["cech", "tests/golden/cover_seed3.json"],
+     ["cech", "cli", "complexes", "linalg"]),
+    (["complex", "tests/golden/complex_seed1.json"],
+     ["cli", "complexes", "linalg"]),
+    (["spectral", "tests/golden/nonzero_d2.dc.json"],
+     ["cli", "complexes", "grid", "linalg", "spectral"]),
+    (["preset", "circle"],
+     ["cech", "cli", "complexes", "linalg", "presets"]),
+    (["preset", "p1"],
+     ["cech", "cli", "complexes", "grid", "linalg", "presets", "spectral"]),
+], ids=["derham", "hyper", "cech", "complex", "spectral", "preset-circle", "preset-p1"])
+def test_a_subcommand_loads_only_its_own_modules(argv, loaded):
+    statement = "import cohom.cli\nout = cohom.cli.main(sys.argv[1:])"
+    assert _footprint(statement, *argv) == [0, loaded, []]
+
+
+# what `import cohom.<module>` loads: Cech data without de Rham forms and
+# without grids or pages until hypercohomology asks for them, forms
+# without complexes, and random builders without forms
+LAYERS = {
+    "__init__": [],
+    "linalg": ["linalg"],
+    "complexes": ["complexes", "linalg"],
+    "grid": ["complexes", "grid", "linalg"],
+    "spectral": ["complexes", "grid", "linalg", "spectral"],
+    "cech": ["cech", "complexes", "linalg"],
+    "forms": ["forms", "linalg"],
+    "presets": ["cech", "complexes", "linalg", "presets"],
+    "generators": ["cech", "complexes", "generators", "grid", "linalg"],
+    "cli": ["cli", "linalg"],
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_importing_a_module_loads_only_its_layers(path):
+    module = "cohom" if path.stem == "__init__" else f"cohom.{path.stem}"
+    assert _footprint(f"import {module}")[1:] == [LAYERS[path.stem], []]
 
 
 def test_the_layer_tracer_sees_a_subcommand_call(tmp_path):
-    """The tracer rebinds functions in each module's namespace; a subcommand
-    that imports inside its body reads them there, so the call is traced."""
+    """The tracer rebinds functions in each module's namespace; a subcommand,
+    or cech_hyper, that imports inside its body reads them there, so the
+    call is traced."""
     summary = tmp_path / "summary.json"
-    proc = _child("perfbench/traced_cli.py", str(summary),
-                  "derham", "--n", "2", "--invert", "2", "--window", "2", "--reduce", "dz1")
-    assert proc.returncode == 0, proc.stderr
-    calls = json.loads(summary.read_text())["calls"]
-    assert calls["forms.derham_cohomology"] == 1
-    assert calls["cli.main"] == 1
+    for argv, expected in [
+        (["derham", "--n", "2", "--invert", "2", "--window", "2", "--reduce", "dz1"],
+         {"forms.derham_cohomology": 1, "cli.main": 1}),
+        (["hyper", "tests/golden/p1_w4.hyper.json"],
+         {"grid.total": 1, "cech.cech_hyper": 1, "cli.main": 1}),
+    ]:
+        proc = _child("perfbench/traced_cli.py", str(summary), *argv)
+        assert proc.returncode == 0, proc.stderr
+        calls = json.loads(summary.read_text())["calls"]
+        assert {name: calls.get(name) for name in expected} == expected
