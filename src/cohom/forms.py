@@ -264,6 +264,11 @@ def multidegree_complex(spec: TorusSpec, m: tuple) -> CochainComplex:
 # four variables inverted fits up to W = 4 (4096 components).
 MAX_MULTIDEGREES = 10_000
 
+# Most variables a torus model may have: derham_cohomology ranks 2^n Koszul pieces of
+# up to 2^n basis forms each, whatever the window.  `cohom derham --n N --invert N
+# --window 1` takes 0.36 / 1.2 / 6.4 s at N = 8 / 9 / 10 with it lifted (Python 3.11, 2 vCPUs).
+MAX_TORUS_N = 8
+
 
 def multidegree_count(spec: TorusSpec) -> int:
     """(2W)^k (W+1)^(n-k), the number of multidegrees in the window."""
@@ -272,11 +277,14 @@ def multidegree_count(spec: TorusSpec) -> int:
 
 
 def check_window_budget(spec: TorusSpec) -> None:
-    """Refuse a window with more than MAX_MULTIDEGREES components."""
+    """Refuse a window with more than MAX_MULTIDEGREES components, or a model
+    with more than MAX_TORUS_N variables."""
     count = multidegree_count(spec)
     if count > MAX_MULTIDEGREES:
         raise ValueError(f"the window has {count} multidegree components, "
                          f"over the limit of {MAX_MULTIDEGREES}")
+    if spec.n > MAX_TORUS_N:
+        raise ValueError(f"the model has {spec.n} variables, over the limit of {MAX_TORUS_N}")
 
 
 def multidegree_window(spec: TorusSpec) -> list[tuple]:

@@ -5,23 +5,23 @@ de Rham forms) reduces to ranks, kernels, images and subquotients of
 rational matrices.  A stored entry is an `int` when integral and a
 `Fraction` otherwise (`rat`), so integer inputs pay for no `Fraction`
 arithmetic; both compare and hash alike.  All results are exact: no
-entry is divided with `/`.  Every rank and every reduced row echelon
-form comes from one sparse, fraction-free elimination over the integers
-(`_echelon`); the reduced row echelon form is unique, so kernel, image
-and solution bases are reproducible.  Cohomology representatives and
-the spectral pairing come from one fraction-free sparse column
-reduction (`reduce_columns`) whose integer columns callers divide by
-their one scale only on output (`quotient`).  A `LinearMap` stores only
-its nonzero entries, row by row; `from_blocks` negates a block of sign
--1 as it copies it.  A map is densified (`LinearMap.matrix`) only for
-JSON output and for the dense functions the benchmark tracer still binds
-(rref, kernel_basis, image_basis, solve, invert, subquotient).  Every
-value type is a `Record`: defining one generates no code.
+entry is divided with `/`.  One fraction-free sparse elimination step,
+`_reduce`, serves every caller: a rank is a row reduction (`_echelon`),
+and representatives, the spectral pairing, reduced row echelon forms,
+kernels, solutions, inverses and subquotients read one column reduction
+(`reduce_columns`), whose integer columns are divided by their one scale
+only on output (`quotient`).  A `LinearMap` stores only its nonzero
+entries, row by row; `from_blocks` negates a block of sign -1 as it
+copies it.  A map is densified (`LinearMap.matrix`) only for JSON output
+and for the dense functions the benchmark tracer still binds (rref,
+kernel_basis, image_basis, solve, invert, subquotient).  Every value
+type is a `Record`: defining one generates no code.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from math import gcd, lcm
 from operator import attrgetter
@@ -368,10 +368,11 @@ class Subspace(Record):
 
 
 # ---------------------------------------------------------------------------
-# Row and column reduction.  `_echelon` serves every rank and reduced row
-# echelon form, `reduce_columns` every pairing: vectors are cleared to
-# integers and kept sparse (index -> int), and each step cross-multiplies
-# two of them and divides out the gcd of the result.
+# Elimination.  `_reduce` is the one loop, on vectors cleared to integers and
+# kept sparse (index -> int).  A rank is a row reduction that carries nothing
+# (`_echelon`); representatives, the spectral pairing, and every reduced row
+# echelon form, kernel, solution, inverse and subquotient read one column
+# reduction (`reduce_columns`).
 
 
 def _nonzeros(row: Sequence) -> list:
@@ -382,12 +383,6 @@ def _nonzeros(row: Sequence) -> list:
     other entry goes through `rat`, so a False or a 0.0 is refused too.
     """
     return [(j, rat(x)) for j, x in enumerate(row) if x is not ZERO and (x or rat(x))]
-
-
-def _primitive(row: dict) -> dict:
-    """row divided by the gcd of its entries."""
-    g = gcd(*row.values())
-    return {j: x // g for j, x in row.items()} if g > 1 else row
 
 
 def _scaled(nz) -> tuple[dict, int]:
@@ -403,13 +398,6 @@ def _scaled(nz) -> tuple[dict, int]:
     return {i: t.numerator * (s // t.denominator) for i, t in x.items()}, s
 
 
-def _cancel(r: dict, s: dict, c: int) -> dict:
-    """The primitive integer combination of r and s with column c cleared."""
-    a, p = r[c], s[c]
-    g = gcd(a, p)
-    return _primitive(_combine(p // g, r, a // g, s))
-
-
 def _combine(p: int, x: dict, a: int, y: dict) -> dict:
     """p x - a y on sparse integer vectors, dropping zeros."""
     out = {i: p * t for i, t in x.items()} if p != 1 else dict(x)
@@ -422,23 +410,39 @@ def _combine(p: int, x: dict, a: int, y: dict) -> dict:
     return out
 
 
-def _echelon(rows) -> dict:
-    """Row echelon form of sparse rows given as (column, entry) pairs.
+def _reduce(r: dict, v: dict, owner: dict, pick) -> tuple:
+    """Reduce the integer vector r by owner, {low: (R, V) that owns it}, until
+    none owns its low pick(r), carrying the integer vector v alongside (nothing
+    when v and every V are empty): each step clears the low by integer
+    cross-multiplication with its owner and divides r and v by their joint
+    gcd.  Returns (r, v, low), low None when r reduces to zero; otherwise
+    owner gains (r, v) at low."""
+    while r:
+        low = pick(r)
+        o = owner.get(low)
+        if o is None:
+            owner[low] = (r, v)
+            return r, v, low
+        r_low, v_low = o
+        a, b = r[low], r_low[low]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        r, v = _combine(b, r, a, r_low), _combine(b, v, a, v_low) if v else v
+        g = gcd(*r.values(), *v.values())
+        if g > 1:
+            r = {i: x // g for i, x in r.items()}
+            v = {i: x // g for i, x in v.items()}
+    return r, v, None
 
-    Returns {pivot column: primitive integer row whose leading column it
-    is}; its size is the rank.
-    """
-    pivots: dict = {}
+
+def _echelon(rows) -> dict:
+    """Row echelon form of sparse rows given as (column, entry) pairs: {pivot
+    column: integer row whose leading column it is}; its size is the rank."""
+    owner: dict = {}
     for nz in rows:
-        r = _primitive(_scaled(nz)[0])
-        while r:
-            c = min(r)
-            s = pivots.get(c)
-            if s is None:
-                pivots[c] = r
-                break
-            r = _cancel(r, s, c)
-    return pivots
+        if nz:
+            _reduce(_scaled(nz)[0], {}, owner, min)
+    return {c: r for c, (r, _) in owner.items()}
 
 
 def reduce_columns(cols: Sequence, order: Iterable[int], key=None) -> Iterator[tuple]:
@@ -448,33 +452,33 @@ def reduce_columns(cols: Sequence, order: Iterable[int], key=None) -> Iterator[t
     key (the row index when key is None).
 
     Fraction-free: column j starts as s times itself, V = {j: s}, with s
-    the lcm of its denominators; each step cancels the low by integer
-    cross-multiplication and divides R and V by their joint gcd.  Yields
-    (j, R_j, V_j, low), R_j and V_j sparse dicts of ints, low None when
-    R_j = 0, and V_j supported on j and earlier columns with R != 0.  The
-    rational reduction (a 1 at j) is R_j / V_j[j] and V_j / V_j[j].
+    the lcm of its denominators.  Yields (j, R_j, V_j, low), R_j and V_j
+    sparse dicts of ints, low None when R_j = 0, and V_j supported on j and
+    earlier columns with R != 0.  The rational reduction (a 1 at j) is
+    R_j / V_j[j] and V_j / V_j[j].
     """
     owner: dict = {}  # low -> (R, V) of the column that owns it
+    pick = max if key is None else partial(max, key=key)
     for j in order:
         r, s = _scaled(cols[j])
-        v = {j: s}
-        while r:
-            low = max(r, key=key)
-            if low not in owner:
-                owner[low] = (r, v)
-                break
-            r_low, v_low = owner[low]
-            a, b = r[low], r_low[low]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            r, v = _combine(b, r, a, r_low), _combine(b, v, a, v_low)
-            g = gcd(*r.values(), *v.values())
-            if g > 1:
-                r = {i: x // g for i, x in r.items()}
-                v = {i: x // g for i, x in v.items()}
-        else:
-            low = None
+        r, v, low = _reduce(r, {j: s}, owner, pick)
         yield j, r, v, low
+
+
+def _coordinates(cols: Sequence) -> tuple[list, dict]:
+    """(pivots, coords) from one reduction of the columns cols[j], given as
+    (row, entry) pairs, in index order: the pivots are the columns no earlier
+    one spans, increasing; every other column j has V_j on j and earlier
+    pivots, so -V_j / V_j[j] off j, coords[j] = {pivot: entry}, is its column
+    of the reduced row echelon form."""
+    pivots, coords = [], {}
+    for j, _, v, low in reduce_columns(cols, range(len(cols))):
+        if low is None:
+            s = -v[j]
+            coords[j] = {p: quotient(x, s) for p, x in v.items() if p != j}
+        else:
+            pivots.append(j)
+    return pivots, coords
 
 
 # rref, kernel_basis, image_basis, solve, invert, SpanBuilder and subquotient stay while
@@ -487,22 +491,12 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[int], list[Vector]]:
     form is unique, so it does not depend on the elimination order.
     """
     ncols = len(rows[0]) if rows else 0
-    echelon = _echelon(map(_nonzeros, rows))
-    pivots = sorted(echelon)
-    done: dict = {}  # pivot column -> row with zeros in every other pivot column
-    for c in reversed(pivots):
-        r = echelon[c]
-        for j in [j for j in r if j != c and j in done]:
-            r = _cancel(r, done[j], j)
-        done[c] = r
-    reduced: list[Vector] = []
-    for c in pivots:
-        r, lead = done[c], done[c][c]
-        v = [ZERO] * ncols
-        for j, x in r.items():
-            v[j] = quotient(x, lead)
-        reduced.append(tuple(v))
-    return pivots, reduced
+    pivots, coords = _coordinates([_nonzeros(col) for col in zip(*rows)])
+    reduced = {p: [ONE if j == p else ZERO for j in range(ncols)] for p in pivots}
+    for j, c in coords.items():
+        for p, x in c.items():
+            reduced[p][j] = x
+    return pivots, [tuple(reduced[p]) for p in pivots]
 
 
 def rank(m: LinearMap) -> int:
@@ -517,16 +511,13 @@ def dims_from_ranks(sizes, ranks) -> tuple[int, ...]:
 
 
 def kernel_basis(m: LinearMap) -> Subspace:
-    """Subspace of the domain spanned by an exact kernel basis."""
-    n = m.domain.dim
+    """Subspace of the domain spanned by an exact kernel basis: for each
+    free column f, e_f minus its coordinates in the pivot columns."""
     if m.codomain.dim == 0:
         return Subspace.full(m.domain)
-    pivots, reduced = rref(m.matrix)
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(n) if j not in pivot_set]
-    vectors = [[(f, ONE)] + [(pc, -row[f]) for pc, row in zip(pivots, reduced) if row[f]]
-               for f in free_cols]
-    dom = LabeledSpace(tuple(("ker", j) for j in free_cols))
+    _, coords = _coordinates(m.transpose().rows)
+    vectors = [[(f, ONE)] + [(p, -x) for p, x in c.items()] for f, c in coords.items()]
+    dom = LabeledSpace(tuple(("ker", f) for f in coords))
     return Subspace(m.domain, LinearMap.sparse_columns(dom, m.domain, vectors))
 
 
@@ -541,68 +532,41 @@ def image_basis(m: LinearMap) -> Subspace:
 def solve(m: LinearMap, target: Sequence) -> Optional[Vector]:
     """Deterministic solution x of m x = target, or None if inconsistent.
 
-    Free variables are set to zero; pivots are chosen in fixed scan order.
+    The target's coordinates in the pivot columns of m, in index order;
+    the free variables are zero.
     """
     if len(target) != m.codomain.dim:
         raise ValueError("target length does not match codomain")
     n = m.domain.dim
-    target = tuple(rat(t) for t in target)
-    if n == 0:
-        return () if all(t == 0 for t in target) else None
-    aug = [row + (t,) for row, t in zip(m.matrix, target)]
-    if not aug:
-        return (ZERO,) * n
-    pivots, reduced = rref(aug)
+    pivots, coords = _coordinates(m.transpose().rows + (_nonzeros(target),))
     if n in pivots:
         return None
-    x = [ZERO] * n
-    for pc, row in zip(pivots, reduced):
-        x[pc] = row[n]
-    return tuple(x)
+    return tuple(coords[n].get(j, ZERO) for j in range(n))
 
 
 def invert(m: LinearMap) -> LinearMap:
-    """Inverse of a square invertible map (one augmented elimination)."""
+    """Inverse of a square invertible map: column i is the coordinates of
+    e_i in the columns of m, from one reduction of [m | 1]."""
     n = m.domain.dim
     if m.codomain.dim != n:
         raise AmbientMismatch("only square maps can be inverted")
-    if n == 0:
-        return LinearMap(m.codomain, m.domain, ())
-    eye = [tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)]
-    aug = [row + eye[i] for i, row in enumerate(m.matrix)]
-    pivots, reduced = rref(aug)
+    pivots, coords = _coordinates(m.transpose().rows + LinearMap.identity(m.codomain).rows)
     if pivots != list(range(n)):
         raise ValueError("map is not invertible")
-    inv_rows = tuple(row[n:] for row in reduced)
-    return LinearMap(m.codomain, m.domain, inv_rows)
+    return LinearMap.sparse_columns(m.codomain, m.domain,
+                                    [coords[n + i].items() for i in range(n)])
 
 
 class SpanBuilder:
-    """Incremental span of vectors with echelon-form membership reduction."""
+    """Incremental span of vectors, each reduced by those that enlarged it."""
 
     def __init__(self, length: int):
         self.length = length
-        self.rows: list[Vector] = []     # each with leading coefficient 1
-        self.pivots: list[int] = []      # strictly increasing is NOT required
-
-    def reduce(self, v: Sequence) -> Vector:
-        v = list(v)
-        for piv, row in zip(self.pivots, self.rows):
-            a = v[piv]
-            if a != 0:
-                v = [x - a * y for x, y in zip(v, row)]
-        return tuple(v)
+        self._owner: dict = {}
 
     def add(self, v: Sequence) -> bool:
         """Add v to the span; True iff it enlarged the span."""
-        res = self.reduce(v)
-        piv = next((i for i, x in enumerate(res) if x != 0), None)
-        if piv is None:
-            return False
-        lead = res[piv]
-        self.rows.append(tuple(rat(Fraction(x, lead)) for x in res))
-        self.pivots.append(piv)
-        return True
+        return _reduce(_scaled(_nonzeros(v))[0], {}, self._owner, min)[2] is not None
 
 
 def subquotient(z: Subspace, b: Subspace):
@@ -614,17 +578,14 @@ def subquotient(z: Subspace, b: Subspace):
     """
     if z.ambient != b.ambient:
         raise AmbientMismatch("subquotient arguments live in different spaces")
-    # coordinates of b inside z, from one elimination of [z | b]; a pivot
-    # in the b block means b is not inside z
-    zdim = z.dim
-    pivots, reduced = rref([zr + br for zr, br in zip(z.basis.matrix, b.basis.matrix)])
+    # coordinates of b in z, from one reduction of [z | b]; the z columns are
+    # independent, so a pivot in the b block means b is not inside z
+    zdim, zcols = z.dim, z.basis.transpose().rows
+    pivots, coords = _coordinates(zcols + b.basis.transpose().rows)
     if any(c >= zdim for c in pivots):
         raise ContainmentViolated("divisor subspace is not contained in the ambient cycles")
-    bcoords = zip(*(row[zdim:] for row in reduced))
     # the z coordinates that b does not reach index the classes
-    taken = set(_echelon(map(_nonzeros, bcoords)))
+    taken = set(_echelon(coords[j].items() for j in range(zdim, zdim + b.dim)))
     free = [j for j in range(zdim) if j not in taken]
     qspace = LabeledSpace(tuple(("cls", j) for j in free))
-    zvecs = z.vectors
-    section = LinearMap.from_columns(qspace, z.ambient, [zvecs[j] for j in free])
-    return qspace, section
+    return qspace, LinearMap.sparse_columns(qspace, z.ambient, [zcols[j] for j in free])

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 from .cech import CoverNerve, HyperResult, SheafOnCover, cech_hyper
 from .linalg import (LabeledSpace, LawViolation, LinearMap, ONE, Record, WindowExhausted,
-                     _echelon, rank)
+                     reduce_columns)
 
 if TYPE_CHECKING:
     from .forms import TorusSpec
@@ -160,9 +160,10 @@ def p1_report(weight_window: int = _W_DEFAULT) -> P1Report:
 
 def _is_coboundary(d: LinearMap, i: int) -> bool:
     """Whether basis vector i of the codomain lies in the image of d: appended
-    as a column after the last one, at index d.domain.dim, it adds no rank."""
-    return len(_echelon(row + ((d.domain.dim, ONE),) if k == i else row
-                        for k, row in enumerate(d.rows))) == rank(d)
+    after the columns of d, it reduces to zero."""
+    cols = d.transpose().rows + (((i, ONE),),)
+    *_, (_, _, _, low) = reduce_columns(cols, range(len(cols)))
+    return low is None
 
 
 class TorusReport(Record):

@@ -133,3 +133,53 @@ def reduce_columns_by_fractions(matrix, ncols: int, order, key=None) -> dict:
             owner[low] = (r, v)
         out[j] = (r, v, low)
     return out
+
+
+def rref_by_fractions(rows):
+    """Reduced row echelon form by textbook Gauss-Jordan over Fraction.
+
+    rows is a list of dense rows.  Returns (pivot columns in increasing
+    order, the nonzero reduced rows as tuples, in pivot order).
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots: list = []
+    for col in range(ncols):
+        top = len(pivots)
+        piv = next((i for i in range(top, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[top], m[piv] = m[piv], m[top]
+        lead = m[top][col]
+        m[top] = [x / lead for x in m[top]]
+        for i in range(len(m)):
+            c = m[i][col]
+            if i != top and c != 0:
+                m[i] = [x - c * y for x, y in zip(m[i], m[top])]
+        pivots.append(col)
+    return pivots, [tuple(row) for row in m[:len(pivots)]]
+
+
+def cohomology_classes_by_fractions(dim: int, d_out, d_in) -> list:
+    """The classes of ker d_out / im d_in on Q^dim, with representatives.
+
+    d_out is the dense matrix of the map out of Q^dim (rows of length
+    dim, possibly none), d_in that of the map into it (dim rows).  The
+    kernel basis is the RREF one: per free column f of d_out, e_f minus
+    column f of the RREF at its pivot rows; the coordinate of a kernel
+    vector x on it is x[f].  The classes are the positions c of the free
+    columns outside the pivots of the RREF of the image columns'
+    coordinates.  Returns [(c, representative as a tuple of Fractions)].
+    """
+    pivots, reduced = rref_by_fractions(d_out)
+    free = [f for f in range(dim) if f not in pivots]
+    basis = []
+    for f in free:
+        v = [ZERO] * dim
+        v[f] = ONE
+        for p, row in zip(pivots, reduced):
+            v[p] = -row[f]
+        basis.append(tuple(v))
+    coords = [[col[f] for f in free] for col in zip(*d_in)]
+    taken, _ = rref_by_fractions(coords)
+    return [(c, basis[c]) for c in range(len(free)) if c not in taken]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import rank_of_rows as oracle_rank
+from oracles import cohomology_classes_by_fractions, rank_of_rows as oracle_rank
 
 from cohom.cech import cech_complex, cech_sheaf_double_complex
 from cohom.complexes import (
@@ -186,17 +186,31 @@ def _dense_cohomology(cx):
             for k in cx.degrees()]
 
 
+def _oracle_cohomology(cx):
+    """Per degree, the class labels and representative matrix that the
+    Fraction Gauss-Jordan of tests/oracles.py chooses."""
+    out = []
+    for k in cx.degrees():
+        dim = cx.space(k).dim
+        classes = cohomology_classes_by_fractions(dim, cx.diff(k).matrix,
+                                                  cx.diff(k - 1).matrix)
+        labels = LabeledSpace(tuple(("cls", c) for c, _ in classes))
+        out.append((labels, tuple(tuple(v[i] for _, v in classes) for i in range(dim))))
+    return out
+
+
 @pytest.mark.parametrize("kind", ["random", "conjugated", "tensor", "cech", "p1_w4"])
 def test_representatives_match_the_dense_subquotient(kind):
-    """The column reducer picks the same classes, with the same labels and
-    the same representative matrices, as the dense subquotient; its dims
-    also equal the Bareiss rank-nullity count."""
+    """The column reducer and the dense subquotient both pick the classes,
+    labels and representative matrices of the independent Fraction
+    Gauss-Jordan oracle; the dims also equal the Bareiss rank-nullity count."""
     cases = [cx for k, cx in _dims_cases() if k == kind]
     assert cases
     for cx in cases:
         rep = cohomology(cx)
         dense = _dense_cohomology(cx)
-        assert rep.dims == tuple(q.dim for q, _ in dense) == _oracle_dims(cx)
-        for sparse, (q, section) in zip(rep.representatives, dense):
-            assert sparse.domain == q
-            assert sparse.matrix == section.matrix
+        oracle = _oracle_cohomology(cx)
+        assert rep.dims == tuple(q.dim for q, _ in oracle) == _oracle_dims(cx)
+        for sparse, (q, section), (labels, matrix) in zip(rep.representatives, dense, oracle):
+            assert sparse.domain == q == labels
+            assert sparse.matrix == section.matrix == matrix

@@ -312,7 +312,7 @@ def test_forced_rank_deficit_fails_the_exactness_check(monkeypatch, capsys):
         in capsys.readouterr().err
 
 
-def test_a_window_over_the_budget_is_refused_before_any_rank(monkeypatch):
+def test_a_window_over_the_budget_is_refused_before_any_rank(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("work began before the budget check")
 
@@ -322,6 +322,16 @@ def test_a_window_over_the_budget_is_refused_before_any_rank(monkeypatch):
     assert forms.multidegree_count(spec) == 20_736
     with pytest.raises(ValueError, match="20736 multidegree components, over the limit"):
         derham_cohomology(spec)
+    # 2^12 components fit the window budget, but the work grows as 4^n
+    spec = TorusSpec(12, 12, 1)
+    assert forms.multidegree_count(spec) == 4096 <= forms.MAX_MULTIDEGREES
+    limit = f"12 variables, over the limit of {forms.MAX_TORUS_N}"
+    with pytest.raises(ValueError, match=limit):
+        derham_cohomology(spec)
+    assert main(["derham", "--n", "12", "--invert", "12", "--window", "1"]) == 1
+    assert limit in capsys.readouterr().err
+    n = forms.MAX_TORUS_N
+    forms.check_window_budget(TorusSpec(n, n, 1))
 
 
 def test_nonzero_multidegree_zero_differential_is_a_law_violation(monkeypatch, capsys):

@@ -77,6 +77,28 @@ def _called_name(call: ast.Call):
     return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
 
 
+def test_every_elimination_runs_the_one_loop():
+    """linalg._reduce is the only function that combines two vectors, and the
+    retired elimination helpers _cancel and _primitive are gone."""
+    stray, retired, looped = [], [], 0
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = {id(node) for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and f.name == "_reduce"
+                  for node in ast.walk(f)}
+        calls = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and _called_name(node) == "_combine"]
+        stray += [f"{path.name}:{node.lineno}" for node in calls if id(node) not in inside]
+        looped += sum(id(node) in inside for node in calls)
+        retired += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if getattr(node, "name", None) in ("_cancel", "_primitive")
+                    or getattr(node, "id", None) in ("_cancel", "_primitive")
+                    or getattr(node, "attr", None) in ("_cancel", "_primitive")]
+    assert not stray, f"_combine called outside _reduce: {stray}"
+    assert not retired, f"retired elimination helpers: {retired}"
+    assert looped, "_reduce no longer combines vectors"
+
+
 def test_laws_are_checked_only_where_objects_are_built():
     """A call to validate(...) or x.validate() sits only inside a __post_init__,
     so each complex, grid and sheaf checks its laws once, when it is built."""

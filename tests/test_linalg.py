@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import rank_of_rows as oracle_rank, reduce_columns_by_fractions
+from oracles import rank_of_rows as oracle_rank, reduce_columns_by_fractions, rref_by_fractions
 
 from cohom.generators import (
     random_cochain_complex,
@@ -18,6 +18,7 @@ from cohom.linalg import (
     LabeledSpace,
     LinearMap,
     Record,
+    SpanBuilder,
     Subspace,
     ZERO,
     freeze_matrix,
@@ -29,6 +30,7 @@ from cohom.linalg import (
     rat,
     rat_to_str,
     reduce_columns,
+    rref,
     solve,
     subquotient,
 )
@@ -409,6 +411,77 @@ def test_reduce_columns_matches_the_fraction_reduction(problem, filtered):
         s = v[j]
         assert [F(r.get(i, 0), s) for i in range(len(rows))] == w_r
         assert [F(v.get(k, 0), s) for k in range(ncols)] == w_v
+
+
+@st.composite
+def dense_rows(draw):
+    """Dense rows of int and Fraction entries, with some all-zero rows and columns."""
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=2))
+    entry = st.one_of(st.integers(-6, 6), small_fractions, st.just(ZERO))
+    return [[ZERO if i in zero_rows or j in zero_cols else draw(entry) for j in range(ncols)]
+            for i in range(nrows)]
+
+
+@given(dense_rows())
+@settings(max_examples=200, deadline=None)
+def test_rref_matches_the_fraction_gauss_jordan(rows):
+    """rref, read off one column reduction, equals the textbook Gauss-Jordan
+    over Fraction, and its entries are stored entries (int when integral)."""
+    pivots, reduced = rref(rows)
+    assert (pivots, reduced) == rref_by_fractions(rows)
+    assert all(_is_stored_entry(x, F(x)) for row in reduced for x in row)
+
+
+def test_rref_of_empty_and_zero_matrices():
+    assert rref([]) == rref_by_fractions([]) == ([], [])
+    assert rref([(), ()]) == rref_by_fractions([(), ()]) == ([], [])
+    assert rref([(0, 0, 0)]) == rref_by_fractions([(0, 0, 0)]) == ([], [])
+    assert rref([(0, F(2, 3), 4), (0, 1, 6)]) == ([1], [(0, 1, 6)])
+
+
+@st.composite
+def span_sequences(draw):
+    """(length, vectors): random vectors, zero vectors, repeats and Fraction
+    multiples of earlier vectors, in a random order."""
+    length = draw(st.integers(0, 5))
+    vectors: list = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "repeat", "multiple"]))
+        if kind == "zero":
+            vectors.append((ZERO,) * length)
+        elif kind in ("repeat", "multiple") and vectors:
+            c = F(1) if kind == "repeat" else draw(st.sampled_from([F(-1), F(3), F(2, 5)]))
+            vectors.append(tuple(c * x for x in draw(st.sampled_from(vectors))))
+        else:
+            vectors.append(tuple(draw(small_fractions) if draw(st.booleans()) else ZERO
+                                 for _ in range(length)))
+    return length, vectors
+
+
+@given(span_sequences())
+@settings(max_examples=150, deadline=None)
+def test_span_builder_grows_exactly_when_the_oracle_rank_does(problem):
+    length, vectors = problem
+    span = SpanBuilder(length)
+    seen: list = []
+    for v in vectors:
+        before = oracle_rank(seen)
+        seen.append(v)
+        assert span.add(v) == (oracle_rank(seen) > before)
+
+
+def test_span_builder_refuses_zero_repeated_and_multiple_vectors():
+    span = SpanBuilder(3)
+    assert span.add((1, 2, 0))
+    assert not span.add((0, 0, 0))
+    assert not span.add((1, 2, 0))
+    assert not span.add((F(-1, 3), F(-2, 3), 0))
+    assert span.add((0, F(1, 2), 1))
+    assert not span.add((2, F(9, 2), 1))
+    assert span.add((0, 0, 7))
+    assert not span.add((F(5, 7), 1, 1))
 
 
 class Pair(Record):
