@@ -362,8 +362,12 @@ def cover_from_json(data: dict) -> tuple[CoverNerve, SheafOnCover]:
 
 
 def hyper_from_json(data: dict):
+    from .grid import MAX_BOUND, GridTooLarge
+
     opens = int_from_json(data["opens"], "opens")
     levels = int_from_json(data["levels"], "levels")
+    if levels > MAX_BOUND + 1:  # the grid has one row per level
+        raise GridTooLarge(f"levels: {levels} declared, over the limit of {MAX_BOUND + 1}")
     face_dims, seen = {}, set()
     for n, entry in enumerate(_declared_faces(data)):
         face = _once(face_from_json(entry["idx"], f"faces[{n}].idx"), seen, f"faces[{n}].idx")

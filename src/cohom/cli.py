@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 malformed input (with a field diagnostic),
-2 mathematical invariant violation (message names the violated law).
-JSON reports are canonical (sorted keys, no volatile fields) so
-identical inputs produce byte-identical output; wall-clock timing is
+2 mathematical invariant violation (message names the violated law) or
+a failed selftest.  JSON reports are canonical (sorted keys, no volatile
+fields) so identical inputs produce byte-identical output; `main` adds
+the schema version and the subcommand to each.  Wall-clock timing is
 shown only in table mode.
 """
 
@@ -81,8 +82,6 @@ def cmd_complex(args) -> tuple[dict, list[str]]:
     cx = complex_from_json(data)
     rep = cohomology(cx)
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "complex",
         "lo": cx.lo,
         "hi": cx.hi,
         "space_dims": list(cx.dims()),
@@ -105,8 +104,6 @@ def cmd_cech(args) -> tuple[dict, list[str]]:
     cx = cech_complex(nerve, sheaf)
     rep = cohomology(cx)
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "cech",
         "opens": nerve.opens,
         "cochain_dims": list(cx.dims()),
         "cohomology_dims": list(rep.dims),
@@ -128,8 +125,6 @@ def cmd_hyper(args) -> tuple[dict, list[str]]:
     res = cech_hyper(nerve, sheaves, level_maps)
     cert = res.certificate
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "hyper",
         "P": res.double.P,
         "Q": res.double.Q,
         "total_dims": list(res.dims),
@@ -154,12 +149,7 @@ def cmd_spectral(args) -> tuple[dict, list[str]]:
     dc = double_complex_from_json(_load_json(args.file))
     pages_fn = first_pages if args.filtration == "first" else second_pages
     pages = pages_fn(dc, args.pages)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "spectral",
-        "filtration": args.filtration,
-        "pages": [page_to_json(p) for p in pages],
-    }
+    report = {"filtration": args.filtration, "pages": [page_to_json(p) for p in pages]}
     lines = [f"{args.filtration} filtration, pages 1..{args.pages}"]
     for p in pages:
         nonzero = {f"({a},{b})": d for (a, b), d in sorted(p.dims().items())}
@@ -178,8 +168,6 @@ def cmd_derham(args) -> tuple[dict, list[str]]:
         raise InputError(str(e))
     rep = derham_cohomology(spec)
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "derham",
         "n": spec.n,
         "invert": spec.k,
         "window": spec.window,
@@ -223,12 +211,7 @@ def cmd_preset(args) -> tuple[dict, list[str]]:
     if name == "circle":
         nerve, sheaf = build_circle()
         rep = cohomology(cech_complex(nerve, sheaf))
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "preset",
-            "name": "circle",
-            "dims": list(rep.dims),
-        }
+        report = {"name": "circle", "dims": list(rep.dims)}
         lines = [_dims_line("circle Cech cohomology", rep.dims)]
         return report, lines
     if name.startswith("torus:"):
@@ -238,8 +221,6 @@ def cmd_preset(args) -> tuple[dict, list[str]]:
             raise InputError("torus preset syntax: torus:k,n")
         tr = torus_report(k, n)
         report = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "preset",
             "name": "torus",
             "k": k,
             "n": n,
@@ -257,8 +238,6 @@ def cmd_preset(args) -> tuple[dict, list[str]]:
         check_p1_window(args.window)
         pr = p1_report(args.window)
         report = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "preset",
             "name": "p1",
             "window": pr.window,
             "dims": list(pr.dims),
@@ -338,25 +317,9 @@ def cmd_selftest(args) -> tuple[dict, list[str]]:
     check("spectral convergence certificate", spectral_check)
     check("torus de Rham dims", derham_check)
 
-    ok = all(c["ok"] for c in checks)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "selftest",
-        "seed": args.seed,
-        "checks": checks,
-        "ok": ok,
-    }
+    report = {"seed": args.seed, "checks": checks, "ok": all(c["ok"] for c in checks)}
     lines = [("PASS " if c["ok"] else "FAIL ") + c["name"] for c in checks]
-    if not ok:
-        raise SelftestFailure(report, lines)
     return report, lines
-
-
-class SelftestFailure(Exception):
-    def __init__(self, report, lines):
-        self.report = report
-        self.lines = lines
-        super().__init__("selftest failed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,9 +384,6 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except SelftestFailure as e:
-        _print_report(e.report, args.format, time.monotonic() - start, e.lines)
-        return 2
     except CohomError as e:
         print(f"invariant violation: {e}", file=sys.stderr)
         return 2
@@ -431,8 +391,9 @@ def main(argv=None) -> int:
         # schema-level problems from the JSON loaders
         print(f"error: malformed input: {e}", file=sys.stderr)
         return 1
+    report = {"schema_version": SCHEMA_VERSION, "command": args.subcommand, **report}
     _print_report(report, args.format, time.monotonic() - start, lines)
-    return 0
+    return 0 if report.get("ok", True) else 2  # a failed selftest exits 2
 
 
 if __name__ == "__main__":

@@ -1,17 +1,20 @@
 """Bounded double and triple complexes and their total complexes.
 
-Conventions: both differentials of a double complex commute (the sign
-lives in the total differential, never in the stored maps); the total
-differential restricted to cell (p, q) is horiz + (-1)^p vert; cells
-inside a total degree are ordered by ascending first index.  Every grid
-checks its laws (`validate`) when it is built, as `CochainComplex` does.
-A double complex keeps its total complex, a pure function of the grid,
-from the first `total` call, so the cohomology, both page sequences and
-the certificate of one grid share one checked `CochainComplex`.
+The differentials of a grid commute; signs live only in merged maps.
+Every total and every flattening is one operation, `_merge`: it sums the
+cells of two adjacent axes along antidiagonals, ascending in the first
+merged index, with differential d_axis + (-1)^{x[axis]} d_{axis+1} on
+cell x and every other axis block-diagonal, so the total differential on
+cell (p, q) is horiz + (-1)^p vert.  Where each cell and block goes
+depends on the bounds alone and is planned once per shape.  Every grid
+checks its laws (`validate`) when it is built, and a double complex keeps
+its total complex from the first `total` call, so the cohomology, both
+page sequences and the certificate of one grid share one checked total.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Optional
 
@@ -39,11 +42,85 @@ class InvariantViolation(CohomError):
         super().__init__(f"{law} fails at cell {cell}")
 
 
-class GridTooLarge(CohomError):
-    pass
+class GridTooLarge(ValueError):
+    """A bound over MAX_BOUND: an input error, like any other budget."""
 
 
-class DoubleComplex(Record):
+def _check_bounds(bounds: tuple) -> None:
+    if min(bounds) < 0:
+        raise ValueError("negative bounds")
+    if max(bounds) > MAX_BOUND:
+        raise GridTooLarge(f"bounds {bounds} exceed {MAX_BOUND}")
+
+
+@functools.lru_cache(maxsize=256)
+def _points(bounds: tuple) -> tuple:
+    """The cells of a grid with these bounds, in row-major order."""
+    return tuple(itertools.product(*(range(b + 1) for b in bounds)))
+
+
+def _shift(cell: tuple, axis: int) -> tuple:
+    return cell[:axis] + (cell[axis] + 1,) + cell[axis + 1:]
+
+
+def _leaves(nested, bounds: tuple, name: str) -> list:
+    """The entries of nested sequences over a grid with these bounds, row-major."""
+    level = [nested]
+    for b in bounds:
+        if set(map(len, level)) - {b + 1}:
+            raise ValueError(f"{name} shape does not match bounds")
+        level = [y for x in level for y in x]
+    return level
+
+
+class _Grid:
+    """The body a double and a triple complex share.  The leading fields are
+    the bounds, `_names` names the stored map of each axis, `_stored` lists
+    per axis each stored map with the cell it leaves, and `_laws` names the
+    law of each axis (squares to zero) and pair of axes (commute)."""
+
+    def __post_init__(self):
+        bounds = self.bounds
+        _check_bounds(bounds)
+        cells = dict(zip(_points(bounds), _leaves(self.cells, bounds, "cells")))
+        for a, (name, stored) in enumerate(zip(self._names, self._stored(bounds))):
+            for x, m in stored:
+                y = _shift(x, a) if x in cells else None
+                if y not in cells:
+                    raise ValueError(f"{name} key {x} is outside the grid")
+                if m.domain != cells[x] or m.codomain != cells[y]:
+                    raise ValueError(f"{name} map at {x} has wrong spaces")
+        self.validate()
+
+    @property
+    def bounds(self) -> tuple:
+        return self._values(self)[:len(self._names)]
+
+    def cell(self, *x) -> LabeledSpace:
+        """The space at x; the zero space outside the grid."""
+        space = self.cells
+        for i in x:
+            if not 0 <= i < len(space):
+                return ZERO_SPACE
+            space = space[i]
+        return space
+
+    def validate(self) -> None:
+        """Each differential squares to zero and each pair commutes, cell by cell."""
+        bounds, map, axes = self.bounds, self.map, range(len(self._names))
+        for x in _points(bounds):
+            for a in axes:
+                if x[a] + 2 <= bounds[a] and \
+                        not map(a, *_shift(x, a)).compose(map(a, *x)).is_zero():
+                    raise InvariantViolation(x, self._laws[(a,)])
+            for a, b in itertools.combinations(axes, 2):
+                if x[a] < bounds[a] and x[b] < bounds[b] and \
+                        map(b, *_shift(x, a)).compose(map(a, *x)) != \
+                        map(a, *_shift(x, b)).compose(map(b, *x)):
+                    raise InvariantViolation(x, self._laws[(a, b)])
+
+
+class DoubleComplex(_Grid, Record):
     """First-quadrant grid K^{p,q}, 0 <= p <= P, 0 <= q <= Q.
 
     horiz[p][q] : K^{p,q} -> K^{p+1,q}  (p < P)
@@ -56,107 +133,22 @@ class DoubleComplex(Record):
     horiz: tuple[tuple[LinearMap, ...], ...]
     vert: tuple[tuple[LinearMap, ...], ...]
 
-    def __post_init__(self):
-        if self.P < 0 or self.Q < 0:
-            raise ValueError("negative bounds")
-        if self.P > MAX_BOUND or self.Q > MAX_BOUND:
-            raise GridTooLarge(f"bounds ({self.P}, {self.Q}) exceed {MAX_BOUND}")
-        if len(self.cells) != self.P + 1 or any(len(col) != self.Q + 1 for col in self.cells):
-            raise ValueError("cells shape does not match bounds")
-        if len(self.horiz) != self.P or any(len(col) != self.Q + 1 for col in self.horiz):
-            raise ValueError("horiz shape does not match bounds")
-        if len(self.vert) != self.P + 1 or any(len(col) != self.Q for col in self.vert):
-            raise ValueError("vert shape does not match bounds")
-        for axis, (dp, dq) in enumerate(((1, 0), (0, 1))):
-            for p, q in itertools.product(range(self.P + 1 - dp), range(self.Q + 1 - dq)):
-                m = self.map(axis, p, q)
-                if m.domain != self.cells[p][q] or m.codomain != self.cells[p + dp][q + dq]:
-                    raise ValueError(f"{('horiz', 'vert')[axis]} map at {(p, q)} has wrong spaces")
-        self.validate()
+    _names = ("horiz", "vert")
+    _laws = {(0,): "horizontal differential squares to zero",
+             (1,): "vertical differential squares to zero",
+             (0, 1): "horizontal and vertical differentials commute"}
 
-    def cell(self, p: int, q: int) -> LabeledSpace:
-        return self.cells[p][q]
+    def _stored(self, bounds: tuple) -> list:
+        P, Q = bounds
+        return [zip(_points((P - 1, Q)), _leaves(self.horiz, (P - 1, Q), "horiz")),
+                zip(_points((P, Q - 1)), _leaves(self.vert, (P, Q - 1), "vert"))]
 
     def map(self, axis: int, p: int, q: int) -> LinearMap:
         """horiz (axis 0) or vert (axis 1) out of cell (p, q)."""
         return (self.horiz, self.vert)[axis][p][q]
 
-    def validate(self) -> None:
-        """delta.delta = 0, d.d = 0 and commutation on every cell."""
-        _check_laws((self.P, self.Q), self.map,
-                    lambda a: f"{('horizontal', 'vertical')[a]} differential squares to zero",
-                    lambda a, b: "horizontal and vertical differentials commute")
 
-
-def _swap(grid, outer: int, inner: int) -> tuple:
-    """grid[i][j] as [j][i], for an outer x inner grid."""
-    return tuple(tuple(grid[i][j] for i in range(outer)) for j in range(inner))
-
-
-def _shift(cell: tuple, axis: int) -> tuple:
-    return tuple(x + 1 if a == axis else x for a, x in enumerate(cell))
-
-
-def _check_laws(bounds: tuple, map, square_law, commute_law) -> None:
-    """Each map(axis, *cell) squares to zero and each pair commutes, cell by cell;
-    square_law(a) and commute_law(a, b) name the law that fails."""
-    axes = range(len(bounds))
-    for cell in itertools.product(*(range(b + 1) for b in bounds)):
-        for a in axes:
-            if cell[a] + 2 <= bounds[a] and \
-                    not map(a, *_shift(cell, a)).compose(map(a, *cell)).is_zero():
-                raise InvariantViolation(cell, square_law(a))
-        for a, b in itertools.combinations(axes, 2):
-            if cell[a] < bounds[a] and cell[b] < bounds[b]:
-                x = map(b, *_shift(cell, a)).compose(map(a, *cell))
-                y = map(a, *_shift(cell, b)).compose(map(b, *cell))
-                if x != y:
-                    raise InvariantViolation(cell, commute_law(a, b))
-
-
-def _antidiagonal(n: int, lo: int, hi: int) -> list[tuple[int, int]]:
-    """Pairs (i, n - i) with 0 <= i <= lo and 0 <= n - i <= hi, ascending i."""
-    return [(i, n - i) for i in range(max(0, n - hi), min(lo, n) + 1)]
-
-
-def _merged_map(domain: LabeledSpace, codomain: LabeledSpace, src: tuple, dst: tuple,
-                bounds: tuple[int, int], first, second) -> LinearMap:
-    """first + (-1)^i second from one antidiagonal into the next.
-
-    src and dst are the (cells, dims) of the two antidiagonals; first(i, j)
-    maps cell (i, j) to (i + 1, j) and second(i, j) to (i, j + 1).
-    """
-    dst_index = {cell: k for k, cell in enumerate(dst[0])}
-    blocks = {}
-    for k, (i, j) in enumerate(src[0]):
-        if i < bounds[0]:
-            blocks[(dst_index[(i + 1, j)], k)] = (1, first(i, j))
-        if j < bounds[1]:
-            blocks[(dst_index[(i, j + 1)], k)] = (-1 if i % 2 else 1, second(i, j))
-    return LinearMap.from_blocks(domain, codomain, src[1], dst[1], blocks)
-
-
-def total(k: DoubleComplex) -> CochainComplex:
-    """Total complex with differential delta + (-1)^p d on cell (p, q),
-    built and checked on the first call and kept on the grid."""
-    if "_total" in k.__dict__:
-        return k._total
-    cells = k.cells
-    diag = []  # (cells, dims) of each antidiagonal
-    for n in range(k.P + k.Q + 1):
-        cs = _antidiagonal(n, k.P, k.Q)
-        diag.append((cs, [cells[p][q].dim for p, q in cs]))
-    spaces = tuple(LabeledSpace(tuple((p, q, lab) for p, q in cs for lab in cells[p][q].labels))
-                   for cs, _ in diag)
-    diffs = tuple(_merged_map(spaces[n], spaces[n + 1], diag[n], diag[n + 1], (k.P, k.Q),
-                              lambda p, q: k.horiz[p][q], lambda p, q: k.vert[p][q])
-                  for n in range(k.P + k.Q))
-    tot = CochainComplex(0, k.P + k.Q, spaces, diffs)
-    object.__setattr__(k, "_total", tot)
-    return tot
-
-
-class TripleComplex(Record):
+class TripleComplex(_Grid, Record):
     """Trigraded grid with three commuting differentials d1, d2, d3.
 
     d1, d2 and d3 map (p, q, r) to the cell one step along the first,
@@ -171,88 +163,88 @@ class TripleComplex(Record):
     d2: dict
     d3: dict
 
-    def __post_init__(self):
-        for bound in self.bounds:
-            if bound < 0:
-                raise ValueError("negative bounds")
-            if bound > MAX_BOUND:
-                raise GridTooLarge(f"bound {bound} exceeds {MAX_BOUND}")
-        if len(self.cells) != self.P + 1 or \
-                any(len(col) != self.Q + 1 for col in self.cells) or \
-                any(len(row) != self.R + 1 for col in self.cells for row in col):
-            raise ValueError("cells shape does not match bounds")
-        for axis, maps in enumerate((self.d1, self.d2, self.d3)):
-            for key, m in maps.items():
-                if len(key) != 3 or not self._inside(key) or not self._inside(_shift(key, axis)):
-                    raise ValueError(f"d{axis + 1} key {key} is outside the grid")
-                if m.domain != self.cell(*key) or m.codomain != self.cell(*_shift(key, axis)):
-                    raise ValueError(f"d{axis + 1} map at {key} has wrong spaces")
-        self.validate()
+    _names = ("d1", "d2", "d3")
+    _laws = {(0,): "d1 squares to zero", (1,): "d2 squares to zero", (2,): "d3 squares to zero",
+             (0, 1): "d1 and d2 commute", (0, 2): "d1 and d3 commute", (1, 2): "d2 and d3 commute"}
 
-    @property
-    def bounds(self) -> tuple[int, int, int]:
-        return (self.P, self.Q, self.R)
-
-    def _inside(self, cell: tuple) -> bool:
-        return all(0 <= x <= b for x, b in zip(cell, self.bounds))
-
-    def cell(self, p, q, r) -> LabeledSpace:
-        if 0 <= p <= self.P and 0 <= q <= self.Q and 0 <= r <= self.R:
-            return self.cells[p][q][r]
-        return ZERO_SPACE
+    def _stored(self, bounds: tuple) -> list:
+        return [self.d1.items(), self.d2.items(), self.d3.items()]
 
     def map(self, axis: int, p, q, r) -> LinearMap:
         """d_{axis+1} out of cell (p, q, r); the zero map where none is stored."""
         m = (self.d1, self.d2, self.d3)[axis].get((p, q, r))
         return m or LinearMap.zero(self.cell(p, q, r), self.cell(*_shift((p, q, r), axis)))
 
-    def validate(self) -> None:
-        """Each d_a squares to zero and each pair d_a, d_b commutes, cell by cell."""
-        _check_laws(self.bounds, self.map, lambda a: f"d{a + 1} squares to zero",
-                    lambda a, b: f"d{a + 1} and d{b + 1} commute")
+
+@functools.lru_cache(maxsize=256)
+def _merge_plan(bounds: tuple, axis: int) -> tuple:
+    """The shape of `_merge` on a grid with these bounds, shared by every
+    call and read only: the merged bounds, the cells x each merged cell y
+    sums and, per merged axis a, for each y the cell y + e_a and the blocks
+    (row, column, sign, axis of x, x) of the map to it."""
+    lo, hi = bounds[axis], bounds[axis + 1]
+    merged = bounds[:axis] + (lo + hi,) + bounds[axis + 2:]
+    parts = {y: [] for y in _points(merged)}
+    for x in _points(bounds):
+        parts[x[:axis] + (x[axis] + x[axis + 1],) + x[axis + 2:]].append(x)
+    pos = {x: k for xs in parts.values() for k, x in enumerate(xs)}
+    plan = []
+    for a in range(len(merged)):
+        axes = (axis, axis + 1) if a == axis else (a + (a > axis),)  # stored axes summed in a
+        plan.append({y: (_shift(y, a), tuple((pos[_shift(x, b)], pos[x],
+                                              -1 if b == axis + 1 and x[axis] % 2 else 1, b, x)
+                                             for x in xs for b in axes if x[b] < bounds[b]))
+                     for y, xs in parts.items() if y[a] < merged[a]})
+    return merged, parts, plan
+
+
+def _merge(bounds: tuple, cell, map, axis: int, label) -> tuple:
+    """Merge axes axis and axis + 1 of a grid into one, along antidiagonals.
+
+    cell(*x) is the space at x and map(a, *x) the differential along axis a
+    out of x.  Merged cell y sums the cells x with x[axis] + x[axis + 1] =
+    y[axis], by ascending x[axis], and labels their basis label(x, lab).  Its
+    differential along the merged axis is d_axis + (-1)^{x[axis]} d_{axis+1}
+    on cell x; along every other axis it is block-diagonal.  Returns the
+    merged bounds, the cells and, per merged axis, the maps, keyed by cell.
+    """
+    merged, parts, plan = _merge_plan(bounds, axis)
+    cells, dims = {}, {}
+    for y, xs in parts.items():
+        spaces = [cell(*x) for x in xs]
+        cells[y] = LabeledSpace(tuple([label(x, lab) for x, s in zip(xs, spaces)
+                                       for lab in s.labels]))
+        dims[y] = [s.dim for s in spaces]
+    maps = [{y: LinearMap.from_blocks(cells[y], cells[z], dims[y], dims[z],
+                                      {(r, c): (sign, map(b, *x)) for r, c, sign, b, x in blocks})
+             for y, (z, blocks) in steps.items()} for steps in plan]
+    return merged, cells, maps
+
+
+def total(k: DoubleComplex) -> CochainComplex:
+    """The total complex, labels (p, q, label), built and checked once and kept on the grid."""
+    if "_total" in k.__dict__:
+        return k._total
+    (n,), cells, (diffs,) = _merge(k.bounds, k.cell, k.map, 0, lambda x, lab: (*x, lab))
+    tot = CochainComplex(0, n, tuple(cells.values()), tuple(diffs.values()))
+    object.__setattr__(k, "_total", tot)
+    return tot
+
+
+def _double(bounds: tuple, cells: dict, maps: list) -> DoubleComplex:
+    """The double complex of cells and per-axis maps keyed by cell."""
+    P, Q = bounds
+    keyed = ((cells, 0, 0), (maps[0], 1, 0), (maps[1], 0, 1))
+    return DoubleComplex(P, Q, *(tuple(tuple(d[(p, q)] for q in range(Q + 1 - dq))
+                                       for p in range(P + 1 - dp)) for d, dp, dq in keyed))
 
 
 def flatten(n: TripleComplex, axis: int) -> DoubleComplex:
-    """Merge two adjacent axes of a triple complex into one.
-
-    axis 0 merges (p, q) into the horizontal degree, with differential
-    d1 + (-1)^p d2, and keeps r vertical with d3.  axis 1 keeps p
-    horizontal with d1 and merges (q, r) into the vertical degree, with
-    differential d2 + (-1)^q d3.  Inside a merged degree the cells are
-    ordered by ascending first merged index; labels are ((p, q, r), label).
-    """
-    kept = 2 if axis == 0 else 0
-    pair = n.bounds[axis:axis + 2]
-    M, T = sum(pair), n.bounds[kept]
-
-    def at(i, j, t):  # (p, q, r) of merged pair (i, j) at kept index t
-        return (i, j, t) if axis == 0 else (t, i, j)
-
-    # diag[m][t]: (cells, dims) of the antidiagonal m of the merged pair at kept index t
-    diag = []
-    for m in range(M + 1):
-        ij = _antidiagonal(m, *pair)
-        diag.append([(ij, [n.cell(*at(i, j, t)).dim for i, j in ij]) for t in range(T + 1)])
-    cells = tuple(tuple(LabeledSpace(tuple((at(i, j, t), lab) for i, j in diag[m][t][0]
-                                           for lab in n.cell(*at(i, j, t)).labels))
-                        for t in range(T + 1)) for m in range(M + 1))
-
-    def kept_map(m, t):  # block-diagonal d on the kept axis
-        ij = diag[m][t][0]
-        return LinearMap.from_blocks(cells[m][t], cells[m][t + 1], diag[m][t][1],
-                                     diag[m][t + 1][1],
-                                     {(k, k): (1, n.map(kept, *at(i, j, t)))
-                                      for k, (i, j) in enumerate(ij)})
-
-    merged = tuple(tuple(_merged_map(cells[m][t], cells[m + 1][t], diag[m][t], diag[m + 1][t],
-                                     pair, lambda i, j: n.map(axis, *at(i, j, t)),
-                                     lambda i, j: n.map(axis + 1, *at(i, j, t)))
-                         for t in range(T + 1)) for m in range(M))
-    vert = tuple(tuple(kept_map(m, t) for t in range(T)) for m in range(M + 1))
-    if axis == 0:
-        return DoubleComplex(M, T, cells, merged, vert)
-    return DoubleComplex(T, M, _swap(cells, M + 1, T + 1), _swap(vert, M + 1, T),
-                         _swap(merged, M, T + 1))
+    """The double complex of a triple with axes axis and axis + 1 merged:
+    axis 0 merges (p, q) horizontally, with d1 + (-1)^p d2, beside d3;
+    axis 1 merges (q, r) vertically, with d2 + (-1)^q d3, beside d1.
+    Labels are ((p, q, r), label)."""
+    return _double(*_merge(n.bounds, n.cell, n.map, axis, lambda x, lab: (x, lab)))
 
 
 def flatten_fix_r(n: TripleComplex) -> DoubleComplex:
@@ -283,10 +275,9 @@ def totals_agree(n: TripleComplex) -> TotalsComparison:
     """
     ta = total(flatten_fix_r(n))
     tb = total(flatten_fix_p(n))
-    if ta.dims() != tb.dims():
-        for deg in ta.degrees():
-            if ta.space(deg).dim != tb.space(deg).dim:
-                return TotalsComparison(False, deg)
+    for deg, x, y in zip(ta.degrees(), ta.dims(), tb.dims()):
+        if x != y:
+            return TotalsComparison(False, deg)
     for i, deg in enumerate(range(ta.lo, ta.hi)):
         if _cell_entries(ta.diffs[i]) != _cell_entries(tb.diffs[i]):
             return TotalsComparison(False, deg)
@@ -301,19 +292,15 @@ def _cell_entries(m: LinearMap) -> set:
 
 
 def double_complex_to_json(k: DoubleComplex) -> dict:
-    return {
-        "P": k.P,
-        "Q": k.Q,
-        "dims": [[k.cells[p][q].dim for q in range(k.Q + 1)] for p in range(k.P + 1)],
-        "horiz": [[matrix_to_json(k.horiz[p][q].matrix) for q in range(k.Q + 1)]
-                  for p in range(k.P)],
-        "vert": [[matrix_to_json(k.vert[p][q].matrix) for q in range(k.Q)]
-                 for p in range(k.P + 1)],
-    }
+    out = {"P": k.P, "Q": k.Q, "dims": [[c.dim for c in col] for col in k.cells]}
+    for name in k._names:
+        out[name] = [[matrix_to_json(m.matrix) for m in col] for col in getattr(k, name)]
+    return out
 
 
 def double_complex_from_json(data: dict) -> DoubleComplex:
     P, Q = int_from_json(data["P"], "P"), int_from_json(data["Q"], "Q")
+    _check_bounds((P, Q))
     for name, outer, inner in (("dims", P + 1, Q + 1), ("horiz", P, Q + 1), ("vert", P + 1, Q)):
         raw = data[name]
         if not isinstance(raw, list) or len(raw) != outer or \
@@ -324,19 +311,12 @@ def double_complex_from_json(data: dict) -> DoubleComplex:
     check_declared_dim(sum(map(sum, dims)))
     cells = tuple(tuple(LabeledSpace(tuple(((p, q), j) for j in range(dims[p][q])))
                         for q in range(Q + 1)) for p in range(P + 1))
-    horiz = tuple(tuple(LinearMap(cells[p][q], cells[p + 1][q],
-                                  matrix_from_json_shaped(data["horiz"][p][q],
-                                                          cells[p + 1][q].dim,
-                                                          cells[p][q].dim,
-                                                          f"horiz[{p}][{q}]"))
-                        for q in range(Q + 1)) for p in range(P))
-    vert = tuple(tuple(LinearMap(cells[p][q], cells[p][q + 1],
-                                 matrix_from_json_shaped(data["vert"][p][q],
-                                                         cells[p][q + 1].dim,
-                                                         cells[p][q].dim,
-                                                         f"vert[{p}][{q}]"))
-                       for q in range(Q)) for p in range(P + 1))
-    return DoubleComplex(P, Q, cells, horiz, vert)
+    maps = [tuple(tuple(LinearMap(cells[p][q], cells[p + dp][q + dq], matrix_from_json_shaped(
+                            data[name][p][q], cells[p + dp][q + dq].dim, cells[p][q].dim,
+                            f"{name}[{p}][{q}]"))
+                        for q in range(Q + 1 - dq)) for p in range(P + 1 - dp))
+            for name, dp, dq in (("horiz", 1, 0), ("vert", 0, 1))]
+    return DoubleComplex(P, Q, cells, *maps)
 
 
 def _kron(domain: LabeledSpace, codomain: LabeledSpace, *factors: LinearMap) -> LinearMap:
@@ -351,36 +331,29 @@ def _kron(domain: LabeledSpace, codomain: LabeledSpace, *factors: LinearMap) -> 
 def _tensor_grid(factors: tuple[CochainComplex, ...]):
     """Cells A^p (x) B^q (x) ... and, per axis, the map d of that factor
     tensored with identities, keyed by the source cell."""
-    for f in factors:
-        if f.lo != 0:
-            raise ValueError("tensor factors must start in degree 0")
+    if any(f.lo != 0 for f in factors):
+        raise ValueError("tensor factors must start in degree 0")
     bounds = tuple(f.hi for f in factors)
-    cells = {}
-    for cell in itertools.product(*(range(b + 1) for b in bounds)):
-        spaces = [f.space(x).labels for f, x in zip(factors, cell)]
-        cells[cell] = LabeledSpace(tuple(itertools.product(*spaces)))
-    maps = []
-    for axis, f in enumerate(factors):
-        maps.append({cell: _kron(space, cells[_shift(cell, axis)],
-                                 *(f.diff(x) if a == axis else LinearMap.identity(g.space(x))
-                                   for a, (g, x) in enumerate(zip(factors, cell))))
-                     for cell, space in cells.items() if cell[axis] < bounds[axis]})
+    cells = {cell: LabeledSpace(tuple(itertools.product(*(f.space(x).labels
+                                                          for f, x in zip(factors, cell)))))
+             for cell in _points(bounds)}
+    maps = [{cell: _kron(space, cells[_shift(cell, axis)],
+                         *(f.diff(x) if a == axis else LinearMap.identity(g.space(x))
+                           for a, (g, x) in enumerate(zip(factors, cell))))
+             for cell, space in cells.items() if cell[axis] < bounds[axis]}
+            for axis, f in enumerate(factors)]
     return bounds, cells, maps
 
 
 def tensor_double_complex(a: CochainComplex, b: CochainComplex) -> DoubleComplex:
     """K^{p,q} = A^p (x) B^q with commuting differentials dA(x)1 and 1(x)dB."""
-    (P, Q), cells, (d1, d2) = _tensor_grid((a, b))
-    return DoubleComplex(
-        P, Q, tuple(tuple(cells[(p, q)] for q in range(Q + 1)) for p in range(P + 1)),
-        tuple(tuple(d1[(p, q)] for q in range(Q + 1)) for p in range(P)),
-        tuple(tuple(d2[(p, q)] for q in range(Q)) for p in range(P + 1)))
+    return _double(*_tensor_grid((a, b)))
 
 
 def tensor_triple_complex(a: CochainComplex, b: CochainComplex,
                           c: CochainComplex) -> TripleComplex:
     """N^{p,q,r} = A^p (x) B^q (x) C^r with the three factor differentials."""
-    (P, Q, R), cells, (d1, d2, d3) = _tensor_grid((a, b, c))
+    (P, Q, R), cells, maps = _tensor_grid((a, b, c))
     return TripleComplex(P, Q, R, tuple(tuple(tuple(cells[(p, q, r)] for r in range(R + 1))
                                               for q in range(Q + 1)) for p in range(P + 1)),
-                         d1, d2, d3)
+                         *maps)

@@ -183,3 +183,28 @@ def cohomology_classes_by_fractions(dim: int, d_out, d_in) -> list:
     coords = [[col[f] for f in free] for col in zip(*d_in)]
     taken, _ = rref_by_fractions(coords)
     return [(c, basis[c]) for c in range(len(free)) if c not in taken]
+
+
+def total_by_formula(cells: dict, maps: list) -> tuple:
+    """The total complex of a grid, written out entry by entry from
+    D = d_0 + (-1)^{x_0} d_1 + (-1)^{x_0 + x_1} d_2 + ... on cell x.
+
+    cells maps each grid point x to the basis labels of its cell; maps[a]
+    maps x to the dense matrix (a list of rows) of the differential along
+    axis a out of x, and an absent x is a zero map.  Returns the basis of
+    each total degree as a set of (x, label) and the nonzero entries of D
+    as {(degree, (y, row label), (x, column label)): entry}.
+    """
+    basis = [set() for _ in range(max(map(sum, cells)) + 1)]
+    for x, labels in cells.items():
+        basis[sum(x)].update((x, lab) for lab in labels)
+    entries = {}
+    for a, axis_maps in enumerate(maps):
+        for x, matrix in axis_maps.items():
+            y = x[:a] + (x[a] + 1,) + x[a + 1:]
+            sign = -1 if sum(x[:a]) % 2 else 1
+            for i, row in enumerate(matrix):
+                for j, v in enumerate(row):
+                    if v:
+                        entries[(sum(x), (y, cells[y][i]), (x, cells[x][j]))] = sign * Fraction(v)
+    return basis, entries

@@ -261,6 +261,40 @@ def test_face_count_at_the_budget_is_accepted(tmp_path, capsys, command):
     assert run(capsys, command, path)[0] == 0
 
 
+@pytest.mark.parametrize("command, data, message", [
+    ("spectral", {"P": 17, "Q": 0, "dims": [[0]] * 18, "horiz": [[[]]] * 17, "vert": [[]] * 18},
+     "bounds (17, 0) exceed 16"),
+    ("hyper", {"opens": 1, "levels": 18, "faces": [{"idx": [0], "dims": [0] * 18}],
+               "level_maps": [{"idx": [0], "maps": [[]] * 17}]},
+     "levels: 18 declared, over the limit of 17"),
+], ids=["spectral", "hyper"])
+def test_a_grid_over_the_bound_is_refused_before_any_space(tmp_path, capsys, monkeypatch,
+                                                           command, data, message):
+    """grid.MAX_BOUND (16) is a budget like the others: exit 1, not a violated law."""
+    def no_space(self):
+        raise AssertionError("a space was built")
+
+    monkeypatch.setattr(LabeledSpace, "__post_init__", no_space)
+    code, out, err = run(capsys, command, write(tmp_path, "big.json", data))
+    assert code == 1 and out == ""
+    assert "Traceback" not in err and "invariant violation" not in err
+    assert f"malformed input: {message}" in err
+
+
+def test_a_failed_selftest_prints_its_report_and_exits_2(capsys, monkeypatch):
+    import cohom.forms
+
+    def broken(spec):
+        raise AssertionError("broken on purpose")
+
+    monkeypatch.setattr(cohom.forms, "derham_cohomology", broken)
+    code, out, _ = run(capsys, "selftest", "--format", "json")
+    report = json.loads(out)
+    assert code == 2 and report["ok"] is False
+    assert (report["schema_version"], report["command"]) == ("1", "selftest")
+    assert [c["name"] for c in report["checks"] if not c["ok"]] == ["torus de Rham dims"]
+
+
 def test_failed_self_check_exits_2_naming_the_law(capsys, monkeypatch):
     """A broken column reducer, which reports every column as a zero column
     with V_j = e_j, makes the cocycle self-check fail: exit 2, no traceback."""

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import total_by_formula
 
 from cohom.complexes import CochainComplex, cohomology, validate
 from cohom.generators import (
@@ -267,3 +268,47 @@ def test_a_cached_total_changes_neither_equality_nor_hash():
     total(dc)
     assert "_total" in vars(dc) and "_total" not in vars(fresh)
     assert dc == fresh and fresh == dc and hash(dc) == hash(fresh)
+
+
+def _total_by_label(tot, key):
+    """The basis of each degree of a total complex and its nonzero entries,
+    {(degree, row, column): entry}, with every label read through key."""
+    basis = [{key(lab) for lab in s.labels} for s in tot.spaces]
+    entries = {(deg, key(d.codomain.labels[i]), key(d.domain.labels[j])): x
+               for deg, d in enumerate(tot.diffs) for i, row in enumerate(d.rows) for j, x in row}
+    return basis, entries
+
+
+def test_total_matches_the_sign_formula_entry_by_entry():
+    rng = random.Random(16)
+    unequal_bounds = empty_cells = 0
+    for _ in range(40):
+        a, _ = random_cochain_complex(rng, max_top=3, max_dim=2)
+        b, _ = random_cochain_complex(rng, max_top=2, max_dim=2)
+        dc = tensor_double_complex(a, b)
+        cells = {(p, q): dc.cells[p][q].labels for p in range(dc.P + 1) for q in range(dc.Q + 1)}
+        maps = [{(p, q): m.matrix for p, col in enumerate(stored) for q, m in enumerate(col)}
+                for stored in (dc.horiz, dc.vert)]
+        assert _total_by_label(total(dc), lambda lab: (lab[:2], lab[2])) == \
+            total_by_formula(cells, maps)
+        unequal_bounds += dc.P != dc.Q
+        empty_cells += not all(cells.values())
+    assert unequal_bounds >= 10 and empty_cells >= 10
+
+
+def test_both_flattenings_total_to_the_sign_formula():
+    rng = random.Random(17)
+    triples = [random_tensor_triple_complex(rng) for _ in range(10)]
+    for _ in range(10):
+        a, _ = random_cochain_complex(rng, max_top=2, max_dim=2)
+        b, _ = random_cochain_complex(rng, max_top=3, max_dim=1)
+        c, _ = random_cochain_complex(rng, max_top=1, max_dim=2)
+        triples.append(tensor_triple_complex(a, b, c))
+    for n in triples:
+        cells = {x: n.cell(*x).labels for x in itertools.product(
+            range(n.P + 1), range(n.Q + 1), range(n.R + 1))}
+        expected = total_by_formula(cells, [{x: m.matrix for x, m in d.items()}
+                                            for d in (n.d1, n.d2, n.d3)])
+        for flat in (flatten_fix_r(n), flatten_fix_p(n)):
+            assert _total_by_label(total(flat), lambda lab: lab[2]) == expected
+    assert len({n.bounds for n in triples}) >= 5

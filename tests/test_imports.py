@@ -99,6 +99,19 @@ def test_every_elimination_runs_the_one_loop():
     assert looped, "_reduce no longer combines vectors"
 
 
+def test_grids_assemble_blocks_only_in_the_one_merge():
+    """Every total and flattening in grid.py is built by grid._merge, so it is
+    the only place there that assembles a map from blocks."""
+    tree = ast.parse((SRC / "grid.py").read_text())
+    inside = {id(node) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == "_merge" for node in ast.walk(f)}
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _called_name(node) == "from_blocks"]
+    stray = [f"grid.py:{node.lineno}" for node in calls if id(node) not in inside]
+    assert not stray, f"from_blocks called outside _merge: {stray}"
+    assert calls, "_merge no longer assembles blocks"
+
+
 def test_laws_are_checked_only_where_objects_are_built():
     """A call to validate(...) or x.validate() sits only inside a __post_init__,
     so each complex, grid and sheaf checks its laws once, when it is built."""
