@@ -5,16 +5,14 @@ Every total and every flattening is one operation, `_merge`: it sums the
 cells of two adjacent axes along antidiagonals, ascending in the first
 merged index, with differential d_axis + (-1)^{x[axis]} d_{axis+1} on
 cell x and every other axis block-diagonal, so the total differential on
-cell (p, q) is horiz + (-1)^p vert.  Where each cell and block goes
-depends on the bounds alone and is planned once per shape.  Every grid
-checks its laws (`validate`) when it is built, and a double complex keeps
-its total complex from the first `total` call, so the cohomology, both
-page sequences and the certificate of one grid share one checked total.
+cell (p, q) is horiz + (-1)^p vert.  Every grid checks its laws
+(`validate`) when it is built, and a double complex keeps its total
+complex from the first `total` call, so the cohomology, both page
+sequences and the certificate of one grid share one checked total.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Optional
 
@@ -53,10 +51,9 @@ def _check_bounds(bounds: tuple) -> None:
         raise GridTooLarge(f"bounds {bounds} exceed {MAX_BOUND}")
 
 
-@functools.lru_cache(maxsize=256)
-def _points(bounds: tuple) -> tuple:
+def _points(bounds: tuple):
     """The cells of a grid with these bounds, in row-major order."""
-    return tuple(itertools.product(*(range(b + 1) for b in bounds)))
+    return itertools.product(*(range(b + 1) for b in bounds))
 
 
 def _shift(cell: tuple, axis: int) -> tuple:
@@ -176,28 +173,6 @@ class TripleComplex(_Grid, Record):
         return m or LinearMap.zero(self.cell(p, q, r), self.cell(*_shift((p, q, r), axis)))
 
 
-@functools.lru_cache(maxsize=256)
-def _merge_plan(bounds: tuple, axis: int) -> tuple:
-    """The shape of `_merge` on a grid with these bounds, shared by every
-    call and read only: the merged bounds, the cells x each merged cell y
-    sums and, per merged axis a, for each y the cell y + e_a and the blocks
-    (row, column, sign, axis of x, x) of the map to it."""
-    lo, hi = bounds[axis], bounds[axis + 1]
-    merged = bounds[:axis] + (lo + hi,) + bounds[axis + 2:]
-    parts = {y: [] for y in _points(merged)}
-    for x in _points(bounds):
-        parts[x[:axis] + (x[axis] + x[axis + 1],) + x[axis + 2:]].append(x)
-    pos = {x: k for xs in parts.values() for k, x in enumerate(xs)}
-    plan = []
-    for a in range(len(merged)):
-        axes = (axis, axis + 1) if a == axis else (a + (a > axis),)  # stored axes summed in a
-        plan.append({y: (_shift(y, a), tuple((pos[_shift(x, b)], pos[x],
-                                              -1 if b == axis + 1 and x[axis] % 2 else 1, b, x)
-                                             for x in xs for b in axes if x[b] < bounds[b]))
-                     for y, xs in parts.items() if y[a] < merged[a]})
-    return merged, parts, plan
-
-
 def _merge(bounds: tuple, cell, map, axis: int, label) -> tuple:
     """Merge axes axis and axis + 1 of a grid into one, along antidiagonals.
 
@@ -208,16 +183,34 @@ def _merge(bounds: tuple, cell, map, axis: int, label) -> tuple:
     on cell x; along every other axis it is block-diagonal.  Returns the
     merged bounds, the cells and, per merged axis, the maps, keyed by cell.
     """
-    merged, parts, plan = _merge_plan(bounds, axis)
-    cells, dims = {}, {}
-    for y, xs in parts.items():
+    lo, hi = bounds[axis], bounds[axis + 1]
+    merged = bounds[:axis] + (lo + hi,) + bounds[axis + 2:]
+    cells, parts = {}, {}
+    for y in _points(merged):
+        n, pre, post = y[axis], y[:axis], y[axis + 1:]
+        xs = [pre + (i, n - i) + post for i in range(max(0, n - hi), min(lo, n) + 1)]
         spaces = [cell(*x) for x in xs]
         cells[y] = LabeledSpace(tuple([label(x, lab) for x, s in zip(xs, spaces)
                                        for lab in s.labels]))
-        dims[y] = [s.dim for s in spaces]
-    maps = [{y: LinearMap.from_blocks(cells[y], cells[z], dims[y], dims[z],
-                                      {(r, c): (sign, map(b, *x)) for r, c, sign, b, x in blocks})
-             for y, (z, blocks) in steps.items()} for steps in plan]
+        parts[y] = xs, [s.dim for s in spaces]
+    maps = []
+    for a in range(len(merged)):
+        steps = {}
+        for y, (xs, dims) in parts.items():
+            if y[a] == merged[a]:
+                continue
+            z = _shift(y, a)
+            if a != axis:  # the kept axis a + (a > axis) of x, block-diagonal
+                blocks = {(k, k): (1, map(a + (a > axis), *x)) for k, x in enumerate(xs)}
+            else:  # x at k in y's antidiagonal; z's starts one cell later when y[axis] >= hi
+                blocks, late = {}, y[axis] >= hi
+                for k, x in enumerate(xs):
+                    if x[axis] < lo:
+                        blocks[(k + 1 - late, k)] = (1, map(axis, *x))
+                    if x[axis + 1] < hi:
+                        blocks[(k - late, k)] = (-1 if x[axis] % 2 else 1, map(axis + 1, *x))
+            steps[y] = LinearMap.from_blocks(cells[y], cells[z], dims, parts[z][1], blocks)
+        maps.append(steps)
     return merged, cells, maps
 
 
@@ -275,9 +268,10 @@ def totals_agree(n: TripleComplex) -> TotalsComparison:
     """
     ta = total(flatten_fix_r(n))
     tb = total(flatten_fix_p(n))
-    for deg, x, y in zip(ta.degrees(), ta.dims(), tb.dims()):
-        if x != y:
-            return TotalsComparison(False, deg)
+    if ta.dims() != tb.dims():
+        for deg in ta.degrees():
+            if ta.space(deg).dim != tb.space(deg).dim:
+                return TotalsComparison(False, deg)
     for i, deg in enumerate(range(ta.lo, ta.hi)):
         if _cell_entries(ta.diffs[i]) != _cell_entries(tb.diffs[i]):
             return TotalsComparison(False, deg)
@@ -331,17 +325,20 @@ def _kron(domain: LabeledSpace, codomain: LabeledSpace, *factors: LinearMap) -> 
 def _tensor_grid(factors: tuple[CochainComplex, ...]):
     """Cells A^p (x) B^q (x) ... and, per axis, the map d of that factor
     tensored with identities, keyed by the source cell."""
-    if any(f.lo != 0 for f in factors):
-        raise ValueError("tensor factors must start in degree 0")
+    for f in factors:
+        if f.lo != 0:
+            raise ValueError("tensor factors must start in degree 0")
     bounds = tuple(f.hi for f in factors)
-    cells = {cell: LabeledSpace(tuple(itertools.product(*(f.space(x).labels
-                                                          for f, x in zip(factors, cell)))))
-             for cell in _points(bounds)}
-    maps = [{cell: _kron(space, cells[_shift(cell, axis)],
-                         *(f.diff(x) if a == axis else LinearMap.identity(g.space(x))
-                           for a, (g, x) in enumerate(zip(factors, cell))))
-             for cell, space in cells.items() if cell[axis] < bounds[axis]}
-            for axis, f in enumerate(factors)]
+    cells = {}
+    for cell in itertools.product(*(range(b + 1) for b in bounds)):
+        spaces = [f.space(x).labels for f, x in zip(factors, cell)]
+        cells[cell] = LabeledSpace(tuple(itertools.product(*spaces)))
+    maps = []
+    for axis, f in enumerate(factors):
+        maps.append({cell: _kron(space, cells[_shift(cell, axis)],
+                                 *(f.diff(x) if a == axis else LinearMap.identity(g.space(x))
+                                   for a, (g, x) in enumerate(zip(factors, cell))))
+                     for cell, space in cells.items() if cell[axis] < bounds[axis]})
     return bounds, cells, maps
 
 
