@@ -93,8 +93,11 @@ def _assembly_case(name):
     raise KeyError(name)
 
 
+# seed 1016 draws three factors with nonzero differentials, so its fix-p
+# flattening pins the signs and placement of the kept-axis blocks too
 ASSEMBLY_CASES = [f"flatten_fix_{axis}_seed{seed}" for axis in "rp" for seed in (1, 2, 1380)] + [
-    "total_tensor_seed12", "derham_torus_2_1_2", "direct_sum_seed4_seed5", "cech_cover_seed3"]
+    "flatten_fix_p_seed1016", "total_tensor_seed12", "derham_torus_2_1_2",
+    "direct_sum_seed4_seed5", "cech_cover_seed3"]
 
 
 def assembly_output(name) -> str:
