@@ -27,6 +27,7 @@ from .linalg import (
     int_from_json,
     matrix_from_json_shaped,
     matrix_to_json,
+    products_agree,
 )
 
 if TYPE_CHECKING:
@@ -130,9 +131,8 @@ class SheafOnCover(Record):
             for i, j in itertools.combinations(range(len(f)), 2):
                 f_i = f[:i] + f[i + 1:]
                 f_j = f[:j] + f[j + 1:]
-                via_i = self.restriction(f, i).compose(self.restriction(f_i, j - 1))
-                via_j = self.restriction(f, j).compose(self.restriction(f_j, i))
-                if via_i != via_j:
+                if not products_agree(self.restriction(f, i), self.restriction(f_i, j - 1),
+                                      self.restriction(f, j), self.restriction(f_j, i)):
                     raise IncompatibleRestrictions(
                         f"restriction squares into {f} (drops {f[i]}, {f[j]}) do not commute")
 
@@ -157,15 +157,17 @@ def _cech_cochains(nerve: CoverNerve, sheaf: SheafOnCover) -> tuple:
         src_faces = nerve.faces_of_dim(p)
         dst_faces = nerve.faces_of_dim(p + 1)
         src_index = {f: i for i, f in enumerate(src_faces)}
-        blocks = {}
-        for gi, g in enumerate(dst_faces):
-            for i in range(len(g)):
-                sub = g[:i] + g[i + 1:]
-                blocks[(gi, src_index[sub])] = (-1 if i % 2 else 1, sheaf.restriction(g, i))
+        blocks = [(gi, src_index[g[:i] + g[i + 1:]], -1 if i % 2 else 1, sheaf.restriction(g, i))
+                  for gi, g in enumerate(dst_faces) for i in range(len(g))]
         diffs.append(LinearMap.from_blocks(spaces[p], spaces[p + 1],
-                                           [sheaf.space(f).dim for f in src_faces],
-                                           [sheaf.space(f).dim for f in dst_faces], blocks))
+                                           _offsets(sheaf, src_faces),
+                                           _offsets(sheaf, dst_faces), blocks))
     return spaces, tuple(diffs)
+
+
+def _offsets(sheaf: SheafOnCover, faces: list) -> list:
+    """The start of each face's block in the direct sum of their section spaces."""
+    return list(itertools.accumulate([sheaf.space(f).dim for f in faces], initial=0))
 
 
 def cech_cohomology(nerve: CoverNerve, sheaf: SheafOnCover) -> CohomologyReport:
@@ -250,10 +252,9 @@ def cech_sheaf_double_complex(nerve: CoverNerve, sheaves: Sequence[SheafOnCover]
 
     def vert(p, q):
         faces = nerve.faces_of_dim(p)
-        return LinearMap.from_blocks(cells[p][q], cells[p][q + 1],
-                                     [sheaves[q].space(f).dim for f in faces],
-                                     [sheaves[q + 1].space(f).dim for f in faces],
-                                     {(i, i): (1, level_maps[q][f]) for i, f in enumerate(faces)})
+        return LinearMap.from_blocks(cells[p][q], cells[p][q + 1], _offsets(sheaves[q], faces),
+                                     _offsets(sheaves[q + 1], faces),
+                                     [(i, i, 1, level_maps[q][f]) for i, f in enumerate(faces)])
 
     return DoubleComplex(P, Q, cells, horiz,
                          tuple(tuple(vert(p, q) for q in range(Q)) for p in range(P + 1)))

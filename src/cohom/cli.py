@@ -147,6 +147,8 @@ def cmd_spectral(args) -> tuple[dict, list[str]]:
     from .spectral import first_pages, page_to_json, second_pages
 
     dc = double_complex_from_json(_load_json(args.file))
+    if not 1 <= args.pages <= dc.P + dc.Q + 2:
+        raise InputError(f"--pages must be in 1..{dc.P + dc.Q + 2}, got {args.pages}")
     pages_fn = first_pages if args.filtration == "first" else second_pages
     pages = pages_fn(dc, args.pages)
     report = {"filtration": args.filtration, "pages": [page_to_json(p) for p in pages]}

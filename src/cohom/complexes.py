@@ -32,6 +32,7 @@ from .linalg import (
     int_from_json,
     matrix_from_json_shaped,
     matrix_to_json,
+    products_agree,
     quotient,
     rank,
     reduce_columns,
@@ -92,7 +93,7 @@ class CohomologyReport(Record):
 def validate(k: CochainComplex) -> None:
     """Check d_{j+1} . d_j = 0 exactly for every degree j."""
     for j, (d, e) in enumerate(zip(k.diffs, k.diffs[1:]), k.lo):
-        if not e.compose(d).is_zero():
+        if not products_agree(e, d):
             raise NotAComplex(j)
 
 
@@ -102,8 +103,8 @@ def cohomology(k: CochainComplex) -> CohomologyReport:
     The columns j of d_n that reduce to zero give kernel vectors V_j / V_j[j]
     equal to the reduced-row-echelon kernel basis; the classes are the free
     columns outside the rank profile of d_{n-1} restricted to the free rows.
-    Each d_n's columns are read once, for degrees n and n + 1; a section
-    column is checked as a cocycle on the integer V_j, then divided.
+    Each d_n's columns are read once, for degrees n and n + 1; every
+    representative is checked as a cocycle, d_n rep = 0, as it is returned.
     """
     reps = []
     prev: Sequence = ()  # the columns of d_{n-1}; none below lo
@@ -115,14 +116,12 @@ def cohomology(k: CochainComplex) -> CohomologyReport:
         hit = _echelon([(i, x) for i, x in col if i in kernel] for col in prev)
         classes = [(c, j) for c, j in enumerate(kernel) if j not in hit]
         qspace = LabeledSpace(tuple(("cls", c) for c, _ in classes))
-        # every representative must be an exact cocycle
-        if d is not None and not d.compose(LinearMap.sparse_columns(
-                qspace, space, [kernel[j].items() for _, j in classes])).is_zero():
-            raise LawViolation("cohomology representatives are cocycles",
-                               f"degree {k.lo + n}")
         reps.append(LinearMap.sparse_columns(qspace, space, [
             [(i, quotient(x, kernel[j][j])) for i, x in kernel[j].items()]
             for _, j in classes]))
+        if d is not None and not products_agree(d, reps[-1]):  # each must be an exact cocycle
+            raise LawViolation("cohomology representatives are cocycles",
+                               f"degree {k.lo + n}")
         prev = cols
     return CohomologyReport(k.lo, k.hi, tuple(s.domain.dim for s in reps), tuple(reps))
 
@@ -139,9 +138,8 @@ def direct_sum(a: CochainComplex, b: CochainComplex) -> CochainComplex:
                                 + tuple((1, lab) for lab in b.space(deg).labels))
                    for deg in range(lo, hi + 1))
     diffs = tuple(LinearMap.from_blocks(spaces[deg - lo], spaces[deg - lo + 1],
-                                        [a.space(deg).dim, b.space(deg).dim],
-                                        [a.space(deg + 1).dim, b.space(deg + 1).dim],
-                                        {(0, 0): (1, a.diff(deg)), (1, 1): (1, b.diff(deg))})
+                                        [0, a.space(deg).dim], [0, a.space(deg + 1).dim],
+                                        [(0, 0, 1, a.diff(deg)), (1, 1, 1, b.diff(deg))])
                   for deg in range(lo, hi))
     return CochainComplex(lo, hi, spaces, diffs)
 

@@ -376,11 +376,10 @@ def truncated_de_rham_complex(spec: TorusSpec) -> CochainComplex:
     components = [multidegree_complex(spec, m) for m in multidegree_window(spec)]
     spaces = tuple(LabeledSpace(tuple(lab for cx in components for lab in cx.space(q).labels))
                    for q in range(spec.n + 1))
-    diffs = tuple(LinearMap.from_blocks(spaces[q], spaces[q + 1],
-                                        [cx.space(q).dim for cx in components],
-                                        [cx.space(q + 1).dim for cx in components],
-                                        {(i, i): (1, cx.diff(q))
-                                         for i, cx in enumerate(components)})
+    offsets = [list(itertools.accumulate([cx.space(q).dim for cx in components], initial=0))
+               for q in range(spec.n + 1)]
+    diffs = tuple(LinearMap.from_blocks(spaces[q], spaces[q + 1], offsets[q], offsets[q + 1],
+                                        [(i, i, 1, cx.diff(q)) for i, cx in enumerate(components)])
                   for q in range(spec.n))
     return CochainComplex(0, spec.n, spaces, diffs)
 

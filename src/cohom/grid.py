@@ -1,19 +1,20 @@
 """Bounded double and triple complexes and their total complexes.
 
-The differentials of a grid commute; signs live only in merged maps.
-Every total and every flattening is one operation, `_merge`: it sums the
-cells of two adjacent axes along antidiagonals, ascending in the first
-merged index, with differential d_axis + (-1)^{x[axis]} d_{axis+1} on
-cell x and every other axis block-diagonal, so the total differential on
-cell (p, q) is horiz + (-1)^p vert.  Every grid checks its laws
-(`validate`) when it is built, and a double complex keeps its total
-complex from the first `total` call, so the cohomology, both page
-sequences and the certificate of one grid share one checked total.
+A grid keeps its cells and per-axis maps in dicts keyed by cell (an
+absent map is zero); nested fields given to a constructor are keyed once,
+and a grid built keyed nests them only when read.  Every total and every
+flattening is one `_merge` of two adjacent axes along antidiagonals, with
+d_axis + (-1)^{x[axis]} d_{axis+1} on cell x, so the total differential
+on (p, q) is horiz + (-1)^p vert.  A grid checks its laws when it is
+built (`validate`, one `linalg.products_agree` per square) and keeps its
+total from the first `total` call, so all its readers share one total.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
+from operator import attrgetter
 from typing import Optional
 
 from .complexes import CochainComplex
@@ -28,6 +29,7 @@ from .linalg import (
     int_from_json,
     matrix_from_json_shaped,
     matrix_to_json,
+    products_agree,
 )
 
 MAX_BOUND = 16
@@ -56,64 +58,73 @@ def _points(bounds: tuple):
     return itertools.product(*(range(b + 1) for b in bounds))
 
 
-def _shift(cell: tuple, axis: int) -> tuple:
-    return cell[:axis] + (cell[axis] + 1,) + cell[axis + 1:]
+def _shift(cell: tuple, axis: int, step: int = 1) -> tuple:
+    return cell[:axis] + (cell[axis] + step,) + cell[axis + 1:]
 
 
-def _leaves(nested, bounds: tuple, name: str) -> list:
-    """The entries of nested sequences over a grid with these bounds, row-major."""
-    level = [nested]
+def _by_cell(nested, bounds: tuple, name: str) -> dict:
+    """The entries of nested sequences over a grid with these bounds, keyed by cell."""
+    level = {(): nested}
     for b in bounds:
-        if set(map(len, level)) - {b + 1}:
-            raise ValueError(f"{name} shape does not match bounds")
-        level = [y for x in level for y in x]
+        if any(not isinstance(seq, (list, tuple)) or len(seq) != b + 1 for seq in level.values()):
+            shape = " x ".join(str(c + 1) for c in bounds)
+            raise ValueError(f"{name} shape does not match bounds (expected {shape})")
+        level = {x + (i,): v for x, seq in level.items() for i, v in enumerate(seq)}
     return level
 
 
+def _nest(keyed: dict, bounds: tuple, prefix: tuple = ()):
+    """The values of keyed over a grid with these bounds, nested by axis."""
+    if len(prefix) == len(bounds):
+        return keyed[prefix]
+    return tuple(_nest(keyed, bounds, prefix + (i,)) for i in range(bounds[len(prefix)] + 1))
+
+
 class _Grid:
-    """The body a double and a triple complex share.  The leading fields are
-    the bounds, `_names` names the stored map of each axis, `_stored` lists
-    per axis each stored map with the cell it leaves, and `_laws` names the
-    law of each axis (squares to zero) and pair of axes (commute)."""
+    """A double or triple complex; `_names` and `_laws` name each axis's maps and laws."""
 
     def __post_init__(self):
         bounds = self.bounds
         _check_bounds(bounds)
-        cells = dict(zip(_points(bounds), _leaves(self.cells, bounds, "cells")))
-        for a, (name, stored) in enumerate(zip(self._names, self._stored(bounds))):
-            for x, m in stored:
-                y = _shift(x, a) if x in cells else None
-                if y not in cells:
-                    raise ValueError(f"{name} key {x} is outside the grid")
-                if m.domain != cells[x] or m.codomain != cells[y]:
-                    raise ValueError(f"{name} map at {x} has wrong spaces")
+        if "_cells" not in self.__dict__:  # built from nested fields: check and key them
+            cells = _by_cell(self.cells, bounds, "cells")
+            maps = [self._keyed(a, bounds) for a in range(len(bounds))]
+            for a, (name, stored) in enumerate(zip(self._names, maps)):
+                for x, m in stored.items():
+                    y = _shift(x, a) if x in cells else None
+                    if y not in cells:
+                        raise ValueError(f"{name} key {x} is outside the grid")
+                    if m.domain != cells[x] or m.codomain != cells[y]:
+                        raise ValueError(f"{name} map at {x} has wrong spaces")
+            self.__dict__.update(_cells=cells, _maps=maps)
         self.validate()
 
-    @property
-    def bounds(self) -> tuple:
-        return self._values(self)[:len(self._names)]
+    @classmethod
+    def _build(cls, bounds: tuple, cells: dict, maps: list):
+        """The grid of keyed cells and maps whose spaces match by construction."""
+        grid = cls.__new__(cls)
+        grid.__dict__.update(zip(cls._fields, bounds), _cells=cells, _maps=maps)
+        grid.__post_init__()
+        return grid
+
+    cells = cached_property(lambda g: _nest(g._cells, g.bounds))
 
     def cell(self, *x) -> LabeledSpace:
         """The space at x; the zero space outside the grid."""
-        space = self.cells
-        for i in x:
-            if not 0 <= i < len(space):
-                return ZERO_SPACE
-            space = space[i]
-        return space
+        return self._cells.get(x, ZERO_SPACE)
 
     def validate(self) -> None:
         """Each differential squares to zero and each pair commutes, cell by cell."""
-        bounds, map, axes = self.bounds, self.map, range(len(self._names))
+        bounds, maps, axes = self.bounds, self._maps, range(len(self._names))
         for x in _points(bounds):
             for a in axes:
                 if x[a] + 2 <= bounds[a] and \
-                        not map(a, *_shift(x, a)).compose(map(a, *x)).is_zero():
+                        not products_agree(maps[a].get(_shift(x, a)), maps[a].get(x)):
                     raise InvariantViolation(x, self._laws[(a,)])
             for a, b in itertools.combinations(axes, 2):
                 if x[a] < bounds[a] and x[b] < bounds[b] and \
-                        map(b, *_shift(x, a)).compose(map(a, *x)) != \
-                        map(a, *_shift(x, b)).compose(map(b, *x)):
+                        not products_agree(maps[b].get(_shift(x, a)), maps[a].get(x),
+                                           maps[a].get(_shift(x, b)), maps[b].get(x)):
                     raise InvariantViolation(x, self._laws[(a, b)])
 
 
@@ -134,15 +145,14 @@ class DoubleComplex(_Grid, Record):
     _laws = {(0,): "horizontal differential squares to zero",
              (1,): "vertical differential squares to zero",
              (0, 1): "horizontal and vertical differentials commute"}
+    bounds = property(attrgetter("P", "Q"))
 
-    def _stored(self, bounds: tuple) -> list:
-        P, Q = bounds
-        return [zip(_points((P - 1, Q)), _leaves(self.horiz, (P - 1, Q), "horiz")),
-                zip(_points((P, Q - 1)), _leaves(self.vert, (P, Q - 1), "vert"))]
+    def _keyed(self, axis: int, bounds: tuple) -> dict:
+        name = self._names[axis]
+        return _by_cell(getattr(self, name), _shift(bounds, axis, -1), name)
 
-    def map(self, axis: int, p: int, q: int) -> LinearMap:
-        """horiz (axis 0) or vert (axis 1) out of cell (p, q)."""
-        return (self.horiz, self.vert)[axis][p][q]
+    horiz, vert = (cached_property(lambda g, a=a: _nest(g._maps[a], _shift(g.bounds, a, -1)))
+                   for a in range(2))
 
 
 class TripleComplex(_Grid, Record):
@@ -163,53 +173,47 @@ class TripleComplex(_Grid, Record):
     _names = ("d1", "d2", "d3")
     _laws = {(0,): "d1 squares to zero", (1,): "d2 squares to zero", (2,): "d3 squares to zero",
              (0, 1): "d1 and d2 commute", (0, 2): "d1 and d3 commute", (1, 2): "d2 and d3 commute"}
+    bounds = property(attrgetter("P", "Q", "R"))
 
-    def _stored(self, bounds: tuple) -> list:
-        return [self.d1.items(), self.d2.items(), self.d3.items()]
+    def _keyed(self, axis: int, bounds: tuple) -> dict:
+        return getattr(self, self._names[axis])
 
-    def map(self, axis: int, p, q, r) -> LinearMap:
-        """d_{axis+1} out of cell (p, q, r); the zero map where none is stored."""
-        m = (self.d1, self.d2, self.d3)[axis].get((p, q, r))
-        return m or LinearMap.zero(self.cell(p, q, r), self.cell(*_shift((p, q, r), axis)))
+    d1, d2, d3 = (cached_property(lambda g, a=a: g._maps[a]) for a in range(3))
 
 
-def _merge(bounds: tuple, cell, map, axis: int, label) -> tuple:
-    """Merge axes axis and axis + 1 of a grid into one, along antidiagonals.
-
-    cell(*x) is the space at x and map(a, *x) the differential along axis a
-    out of x.  Merged cell y sums the cells x with x[axis] + x[axis + 1] =
-    y[axis], by ascending x[axis], and labels their basis label(x, lab).  Its
-    differential along the merged axis is d_axis + (-1)^{x[axis]} d_{axis+1}
-    on cell x; along every other axis it is block-diagonal.  Returns the
-    merged bounds, the cells and, per merged axis, the maps, keyed by cell.
-    """
+def _merge(grid: _Grid, axis: int, nest: bool) -> tuple:
+    """Merge axes axis and axis + 1 of a grid: cell y sums the cells x with
+    x[axis] + x[axis + 1] = y[axis], by ascending x[axis], labelled (x, label)
+    if nest, else (*x, label), with d_axis + (-1)^{x[axis]} d_{axis+1} on x
+    along the merged axis and block-diagonal maps along the others, each map
+    written in one pass from block offsets computed once per cell.  Returns
+    the merged bounds, the cells and, per merged axis, the maps, keyed by cell."""
+    bounds, spaces, stored = grid.bounds, grid._cells, grid._maps
     lo, hi = bounds[axis], bounds[axis + 1]
     merged = bounds[:axis] + (lo + hi,) + bounds[axis + 2:]
     cells, parts = {}, {}
     for y in _points(merged):
         n, pre, post = y[axis], y[:axis], y[axis + 1:]
         xs = [pre + (i, n - i) + post for i in range(max(0, n - hi), min(lo, n) + 1)]
-        spaces = [cell(*x) for x in xs]
-        cells[y] = LabeledSpace(tuple([label(x, lab) for x, s in zip(xs, spaces)
-                                       for lab in s.labels]))
-        parts[y] = xs, [s.dim for s in spaces]
+        cells[y] = LabeledSpace(tuple([(x, lab) if nest else (*x, lab)
+                                       for x in xs for lab in spaces[x].labels]))
+        parts[y] = xs, list(itertools.accumulate([spaces[x].dim for x in xs], initial=0))
+    d0, d1 = stored[axis], stored[axis + 1]
     maps = []
     for a in range(len(merged)):
-        steps = {}
-        for y, (xs, dims) in parts.items():
+        steps, kept = {}, stored[a + (a > axis)]
+        for y, (xs, offsets) in parts.items():
             if y[a] == merged[a]:
                 continue
             z = _shift(y, a)
             if a != axis:  # the kept axis a + (a > axis) of x, block-diagonal
-                blocks = {(k, k): (1, map(a + (a > axis), *x)) for k, x in enumerate(xs)}
+                blocks = [(k, k, 1, kept[x]) for k, x in enumerate(xs) if x in kept]
             else:  # x at k in y's antidiagonal; z's starts one cell later when y[axis] >= hi
-                blocks, late = {}, y[axis] >= hi
-                for k, x in enumerate(xs):
-                    if x[axis] < lo:
-                        blocks[(k + 1 - late, k)] = (1, map(axis, *x))
-                    if x[axis + 1] < hi:
-                        blocks[(k - late, k)] = (-1 if x[axis] % 2 else 1, map(axis + 1, *x))
-            steps[y] = LinearMap.from_blocks(cells[y], cells[z], dims, parts[z][1], blocks)
+                late = y[axis] >= hi
+                blocks = [(k + 1 - late, k, 1, d0[x]) for k, x in enumerate(xs) if x in d0] + \
+                    [(k - late, k, -1 if x[axis] % 2 else 1, d1[x])
+                     for k, x in enumerate(xs) if x in d1]
+            steps[y] = LinearMap.from_blocks(cells[y], cells[z], offsets, parts[z][1], blocks)
         maps.append(steps)
     return merged, cells, maps
 
@@ -218,36 +222,20 @@ def total(k: DoubleComplex) -> CochainComplex:
     """The total complex, labels (p, q, label), built and checked once and kept on the grid."""
     if "_total" in k.__dict__:
         return k._total
-    (n,), cells, (diffs,) = _merge(k.bounds, k.cell, k.map, 0, lambda x, lab: (*x, lab))
+    (n,), cells, (diffs,) = _merge(k, 0, False)
     tot = CochainComplex(0, n, tuple(cells.values()), tuple(diffs.values()))
     object.__setattr__(k, "_total", tot)
     return tot
 
 
-def _double(bounds: tuple, cells: dict, maps: list) -> DoubleComplex:
-    """The double complex of cells and per-axis maps keyed by cell."""
-    P, Q = bounds
-    keyed = ((cells, 0, 0), (maps[0], 1, 0), (maps[1], 0, 1))
-    return DoubleComplex(P, Q, *(tuple(tuple(d[(p, q)] for q in range(Q + 1 - dq))
-                                       for p in range(P + 1 - dp)) for d, dp, dq in keyed))
-
-
-def flatten(n: TripleComplex, axis: int) -> DoubleComplex:
-    """The double complex of a triple with axes axis and axis + 1 merged:
-    axis 0 merges (p, q) horizontally, with d1 + (-1)^p d2, beside d3;
-    axis 1 merges (q, r) vertically, with d2 + (-1)^q d3, beside d1.
-    Labels are ((p, q, r), label)."""
-    return _double(*_merge(n.bounds, n.cell, n.map, axis, lambda x, lab: (x, lab)))
-
-
 def flatten_fix_r(n: TripleComplex) -> DoubleComplex:
-    """Group p+q = k on the horizontal axis, keep r vertical."""
-    return flatten(n, 0)
+    """Group p+q horizontally (d1 + (-1)^p d2), keep r vertical (d3); labels ((p,q,r), lab)."""
+    return DoubleComplex._build(*_merge(n, 0, True))
 
 
 def flatten_fix_p(n: TripleComplex) -> DoubleComplex:
-    """Keep p horizontal, group q+r = l on the vertical axis."""
-    return flatten(n, 1)
+    """Keep p horizontal (d1), group q+r vertically (d2 + (-1)^q d3); labels ((p,q,r), lab)."""
+    return DoubleComplex._build(*_merge(n, 1, True))
 
 
 class TotalsComparison(Record):
@@ -295,22 +283,15 @@ def double_complex_to_json(k: DoubleComplex) -> dict:
 def double_complex_from_json(data: dict) -> DoubleComplex:
     P, Q = int_from_json(data["P"], "P"), int_from_json(data["Q"], "Q")
     _check_bounds((P, Q))
-    for name, outer, inner in (("dims", P + 1, Q + 1), ("horiz", P, Q + 1), ("vert", P + 1, Q)):
-        raw = data[name]
-        if not isinstance(raw, list) or len(raw) != outer or \
-                any(not isinstance(col, list) or len(col) != inner for col in raw):
-            raise ValueError(f"{name} shape does not match bounds (expected {outer} x {inner})")
-    dims = [[int_from_json(d, f"dims[{p}][{q}]") for q, d in enumerate(col)]
-            for p, col in enumerate(data["dims"])]
-    check_declared_dim(sum(map(sum, dims)))
-    cells = tuple(tuple(LabeledSpace(tuple(((p, q), j) for j in range(dims[p][q])))
-                        for q in range(Q + 1)) for p in range(P + 1))
-    maps = [tuple(tuple(LinearMap(cells[p][q], cells[p + dp][q + dq], matrix_from_json_shaped(
-                            data[name][p][q], cells[p + dp][q + dq].dim, cells[p][q].dim,
-                            f"{name}[{p}][{q}]"))
-                        for q in range(Q + 1 - dq)) for p in range(P + 1 - dp))
-            for name, dp, dq in (("horiz", 1, 0), ("vert", 0, 1))]
-    return DoubleComplex(P, Q, cells, *maps)
+    dims = {(p, q): int_from_json(d, f"dims[{p}][{q}]")
+            for (p, q), d in _by_cell(data["dims"], (P, Q), "dims").items()}
+    check_declared_dim(sum(dims.values()))
+    cells = {x: LabeledSpace(tuple((x, j) for j in range(d))) for x, d in dims.items()}
+    maps = [{x: LinearMap(cells[x], cells[_shift(x, a)], matrix_from_json_shaped(
+                 rows, cells[_shift(x, a)].dim, cells[x].dim, f"{name}[{x[0]}][{x[1]}]"))
+             for x, rows in _by_cell(data[name], _shift((P, Q), a, -1), name).items()}
+            for a, name in enumerate(DoubleComplex._names)]
+    return DoubleComplex._build((P, Q), cells, maps)
 
 
 def _kron(domain: LabeledSpace, codomain: LabeledSpace, *factors: LinearMap) -> LinearMap:
@@ -323,34 +304,27 @@ def _kron(domain: LabeledSpace, codomain: LabeledSpace, *factors: LinearMap) -> 
 
 
 def _tensor_grid(factors: tuple[CochainComplex, ...]):
-    """Cells A^p (x) B^q (x) ... and, per axis, the map d of that factor
-    tensored with identities, keyed by the source cell."""
-    for f in factors:
-        if f.lo != 0:
-            raise ValueError("tensor factors must start in degree 0")
+    """Cells A^p (x) B^q (x) ... and, per axis, that factor's d tensored with identities."""
+    if any(f.lo != 0 for f in factors):
+        raise ValueError("tensor factors must start in degree 0")
     bounds = tuple(f.hi for f in factors)
-    cells = {}
-    for cell in itertools.product(*(range(b + 1) for b in bounds)):
-        spaces = [f.space(x).labels for f, x in zip(factors, cell)]
-        cells[cell] = LabeledSpace(tuple(itertools.product(*spaces)))
-    maps = []
-    for axis, f in enumerate(factors):
-        maps.append({cell: _kron(space, cells[_shift(cell, axis)],
-                                 *(f.diff(x) if a == axis else LinearMap.identity(g.space(x))
-                                   for a, (g, x) in enumerate(zip(factors, cell))))
-                     for cell, space in cells.items() if cell[axis] < bounds[axis]})
+    cells = {cell: LabeledSpace(tuple(itertools.product(*(f.space(x).labels
+                                                          for f, x in zip(factors, cell)))))
+             for cell in _points(bounds)}
+    maps = [{cell: _kron(space, cells[_shift(cell, axis)],
+                         *(f.diff(x) if a == axis else LinearMap.identity(g.space(x))
+                           for a, (g, x) in enumerate(zip(factors, cell))))
+             for cell, space in cells.items() if cell[axis] < bounds[axis]}
+            for axis, f in enumerate(factors)]
     return bounds, cells, maps
 
 
 def tensor_double_complex(a: CochainComplex, b: CochainComplex) -> DoubleComplex:
     """K^{p,q} = A^p (x) B^q with commuting differentials dA(x)1 and 1(x)dB."""
-    return _double(*_tensor_grid((a, b)))
+    return DoubleComplex._build(*_tensor_grid((a, b)))
 
 
 def tensor_triple_complex(a: CochainComplex, b: CochainComplex,
                           c: CochainComplex) -> TripleComplex:
     """N^{p,q,r} = A^p (x) B^q (x) C^r with the three factor differentials."""
-    (P, Q, R), cells, maps = _tensor_grid((a, b, c))
-    return TripleComplex(P, Q, R, tuple(tuple(tuple(cells[(p, q, r)] for r in range(R + 1))
-                                              for q in range(Q + 1)) for p in range(P + 1)),
-                         *maps)
+    return TripleComplex._build(*_tensor_grid((a, b, c)))

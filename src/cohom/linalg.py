@@ -11,8 +11,11 @@ and representatives, the spectral pairing, reduced row echelon forms,
 kernels, solutions, inverses and subquotients read one column reduction
 (`reduce_columns`), whose integer columns are divided by their one scale
 only on output (`quotient`).  A `LinearMap` stores only its nonzero
-entries, row by row; `from_blocks` negates a block of sign -1 as it
-copies it.  A map is densified (`LinearMap.matrix`) only for JSON output
+entries, row by row; `from_blocks` copies signed blocks at precomputed
+offsets, negating a block of sign -1 as it copies it.  Every law of the
+form g f == h e (d d = 0, commuting squares, cocycles) is decided by one
+kernel, `products_agree`, row by row without building either product.
+A map is densified (`LinearMap.matrix`) only for JSON output
 and for the dense functions the benchmark tracer still binds (rref,
 kernel_basis, image_basis, solve, invert, subquotient).  Every value
 type is a `Record`: defining one generates no code.
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
 from math import gcd, lcm
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
@@ -280,19 +282,14 @@ class LinearMap(Record):
         return LinearMap(codomain, domain, columns).transpose()
 
     @staticmethod
-    def from_blocks(domain: LabeledSpace, codomain: LabeledSpace,
-                    src_dims: Sequence[int], dst_dims: Sequence[int],
-                    blocks: dict) -> "LinearMap":
-        """Block map from signed blocks {(i, j): (sign, LinearMap from source
-        block j to target block i)}, sign 1 or -1.
-
-        The domain is the direct sum of blocks of dims src_dims, the
-        codomain that of dst_dims, both in order; absent blocks are zero.
+    def from_blocks(domain: LabeledSpace, codomain: LabeledSpace, src_offsets: Sequence[int],
+                    dst_offsets: Sequence[int], blocks: Iterable[tuple]) -> "LinearMap":
+        """Block map from blocks (i, j, sign, m), sign 1 or -1 and m a map from
+        source block j, at column src_offsets[j] of the domain, to target
+        block i, at row dst_offsets[i] of the codomain; absent blocks are zero.
         """
-        src_offsets = list(accumulate(src_dims, initial=0))
-        dst_offsets = list(accumulate(dst_dims, initial=0))
         rows: list = [[] for _ in range(codomain.dim)]
-        for (i, j), (sign, block) in blocks.items():
+        for i, j, sign, block in blocks:
             c0 = src_offsets[j]
             for r, row in enumerate(block.rows, dst_offsets[i]):
                 if sign < 0:
@@ -340,6 +337,25 @@ class LinearMap(Record):
 
     def is_zero(self) -> bool:
         return not any(self.rows)
+
+
+def products_agree(g: Optional[LinearMap], f: Optional[LinearMap],
+                   h: Optional[LinearMap] = None, e: Optional[LinearMap] = None) -> bool:
+    """Whether g f == h e, decided row by row without building either product;
+    a None factor is the zero map, so products_agree(g, f) says g f == 0.  The
+    caller has checked that the spaces match."""
+    pairs = [(s, a.rows, b.rows) for s, a, b in ((1, g, f), (-1, h, e))
+             if a is not None and b is not None]
+    for i in range(len(pairs[0][1]) if pairs else 0):
+        acc: dict = {}
+        for s, a, b in pairs:
+            for j, x in a[i]:
+                x *= s
+                for k, y in b[j]:
+                    acc[k] = acc.get(k, 0) + x * y
+        if any(acc.values()):
+            return False
+    return True
 
 
 class Subspace(Record):

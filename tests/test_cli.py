@@ -331,6 +331,18 @@ def test_spectral_subcommand(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("pages", ["0", "99"])
+def test_spectral_pages_out_of_range_names_the_flag(monkeypatch, capsys, pages):
+    """tensor_seed12 has P + Q = 5, so --pages runs over 1..7; no page is built."""
+    import cohom.spectral
+
+    monkeypatch.setattr(cohom.spectral, "first_pages", lambda *a: pytest.fail("page built"))
+    code, out, err = run(capsys, "spectral", str(GOLDEN / "tensor_seed12.dc.json"),
+                         "--pages", pages)
+    assert code == 1 and out == ""
+    assert err == f"error: --pages must be in 1..7, got {pages}\n"
+
+
 def test_derham_subcommand_with_reduce(capsys):
     code, jout, _ = run(capsys, "derham", "--n", "1", "--invert", "1",
                         "--window", "4", "--reduce", "z1^-2 dz1",

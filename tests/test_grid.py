@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracles import total_by_formula
 
 from cohom.complexes import CochainComplex, cohomology, validate
@@ -23,7 +24,7 @@ from cohom.grid import (
     total,
     totals_agree,
 )
-from cohom.linalg import LabeledSpace, LinearMap, freeze_matrix
+from cohom.linalg import LabeledSpace, LinearMap, freeze_matrix, rat
 
 F = Fraction
 
@@ -312,3 +313,35 @@ def test_both_flattenings_total_to_the_sign_formula():
         for flat in (flatten_fix_r(n), flatten_fix_p(n)):
             assert _total_by_label(total(flat), lambda lab: lab[2]) == expected
     assert len({n.bounds for n in triples}) >= 5
+
+
+@st.composite
+def scaled_triples(draw):
+    """A tensor triple of seeded random factors, each differential scaled by
+    an int or Fraction, so merged maps carry both kinds of entry."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    factors = []
+    for top, dim in ((2, 2), (2, 1), (1, 2)):
+        cx, _ = random_cochain_complex(rng, max_top=top, max_dim=dim)
+        c = draw(st.sampled_from([1, -1, 2, F(1, 2), F(-2, 3)]))
+        factors.append(CochainComplex(0, cx.hi, cx.spaces, tuple(
+            LinearMap.sparse(d.domain, d.codomain, [[(j, rat(c * x)) for j, x in row]
+                                                    for row in d.rows]) for d in cx.diffs)))
+    return tensor_triple_complex(*factors), draw(st.randoms())
+
+
+@given(scaled_triples())
+@settings(max_examples=60, deadline=None)
+def test_every_merged_map_is_stored_canonically(case):
+    """Each map _merge emits (both flattenings and the total of each) has
+    sorted, zero-free rows and equals LinearMap.sparse of its own entries
+    given in any order."""
+    n, rnd = case
+    flats = [flatten_fix_r(n), flatten_fix_p(n)]
+    maps = [m for flat in flats for col in flat.horiz + flat.vert for m in col]
+    maps += [d for flat in flats for d in total(flat).diffs]
+    for m in maps:
+        assert all(x != 0 for row in m.rows for _, x in row)
+        assert all(a[0] < b[0] for row in m.rows for a, b in zip(row, row[1:]))
+        shuffled = [rnd.sample(row, len(row)) for row in m.rows]
+        assert m == LinearMap.sparse(m.domain, m.codomain, shuffled)

@@ -26,6 +26,7 @@ from cohom.linalg import (
     invert,
     kernel_basis,
     matrix_from_json,
+    products_agree,
     rank,
     rat,
     rat_to_str,
@@ -345,16 +346,59 @@ def test_negated_block_is_the_entrywise_negation():
         nrows, ncols = rng.randint(0, 4), rng.randint(0, 4)
         m = lmap([[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)]
                   for _ in range(nrows)], ncols)
-        negated = LinearMap.from_blocks(m.domain, m.codomain, [ncols], [nrows],
-                                        {(0, 0): (-1, m)})
+        negated = LinearMap.from_blocks(m.domain, m.codomain, [0], [0], [(0, 0, -1, m)])
         assert negated == LinearMap(m.domain, m.codomain,
                                     tuple(tuple(-x for x in row) for row in m.matrix))
         dom = LabeledSpace.make("s", 2 * ncols)
-        both = LinearMap.from_blocks(dom, m.codomain, [ncols, ncols], [nrows],
-                                     {(0, 0): (1, m), (0, 1): (-1, m)})
+        both = LinearMap.from_blocks(dom, m.codomain, [0, ncols], [0],
+                                     [(0, 0, 1, m), (0, 1, -1, m)])
         assert both == LinearMap(dom, m.codomain,
                                  tuple(row + tuple(-x for x in row) for row in m.matrix))
         assert _stored_canonically(negated) and _stored_canonically(both)
+
+
+sparse_entries = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), small_fractions)
+
+
+@st.composite
+def law_squares(draw):
+    """(g, f, h, e, V0, V2): g f and h e both map V0 -> V2, any dimension 0..3,
+    with mostly zero int or Fraction entries and each map possibly None; in
+    some draws h e rewrites g f (the same maps, or g f after an identity), so
+    the law holds without being trivial, or is g f with one entry off by 1/2."""
+    v0, v1, v2, w = (LabeledSpace.make(n, draw(st.integers(0, 3))) for n in "abcw")
+
+    def sparse_map(dom, cod):
+        return LinearMap(dom, cod, freeze_matrix(
+            [[draw(sparse_entries) for _ in range(dom.dim)] for _ in range(cod.dim)]))
+
+    f, g = sparse_map(v0, v1), sparse_map(v1, v2)
+    case = draw(st.sampled_from(["random", "same", "through_identity", "one_entry_off"]))
+    if case == "same":
+        h, e = LinearMap.sparse(v1, v2, g.rows), LinearMap.sparse(v0, v1, f.rows)
+    elif case in ("through_identity", "one_entry_off"):
+        h, e = g.compose(f), LinearMap.identity(v0)
+        if case == "one_entry_off" and v0.dim and v2.dim:
+            dense = [list(row) for row in h.matrix]
+            dense[draw(st.integers(0, v2.dim - 1))][draw(st.integers(0, v0.dim - 1))] += F(1, 2)
+            h = LinearMap(v0, v2, freeze_matrix(dense))
+    else:
+        e = sparse_map(v0, w)
+        h = sparse_map(w, v2)
+    g, f, h, e = (None if draw(st.integers(0, 5)) == 0 else m for m in (g, f, h, e))
+    return g, f, h, e, v0, v2
+
+
+@given(law_squares())
+@settings(max_examples=300, deadline=None)
+def test_the_law_kernel_agrees_with_compose_then_compare(square):
+    g, f, h, e, v0, v2 = square
+
+    def product(a, b):
+        return a.compose(b) if a is not None and b is not None else LinearMap.zero(v0, v2)
+
+    assert products_agree(g, f, h, e) == (product(g, f) == product(h, e))
+    assert products_agree(g, f) == product(g, f).is_zero()
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5])
