@@ -335,9 +335,6 @@ class LinearMap(Record):
             out.append([(k, t if type(t) is int else rat(t)) for k, t in acc.items() if t])
         return LinearMap.sparse(other.domain, self.codomain, out)
 
-    def is_zero(self) -> bool:
-        return not any(self.rows)
-
 
 def products_agree(g: Optional[LinearMap], f: Optional[LinearMap],
                    h: Optional[LinearMap] = None, e: Optional[LinearMap] = None) -> bool:

@@ -115,6 +115,19 @@ def test_flatten_2x2x2_invariants_pass():
         flatten_fix_p(tc).validate()
 
 
+def test_grids_built_keyed_equal_their_nested_rebuilds():
+    """Tensor grids and flattenings are built keyed; the nested fields they
+    show rebuild an equal grid through the public constructors."""
+    rng = random.Random(13)
+    for _ in range(10):
+        tc = random_tensor_triple_complex(rng)
+        assert TripleComplex(tc.P, tc.Q, tc.R, tc.cells, tc.d1, tc.d2, tc.d3) == tc
+        for k in (flatten_fix_r(tc), flatten_fix_p(tc), random_tensor_double_complex(rng)[0]):
+            rebuilt = DoubleComplex(k.P, k.Q, k.cells, k.horiz, k.vert)
+            assert rebuilt == k and hash(rebuilt) == hash(k)
+            assert rebuilt._cells == k._cells and rebuilt._maps == k._maps
+
+
 def test_totals_agree_on_random_triples():
     rng = random.Random(14)
     for _ in range(30):

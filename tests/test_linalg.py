@@ -285,7 +285,7 @@ def test_compose_and_apply_match_dense_products():
         ab = a.compose(b)
         assert ab.domain == b.domain and ab.codomain == a.codomain
         assert ab.matrix == _dense_product(a.matrix, b.matrix, k)
-        assert ab.is_zero() == all(x == 0 for row in ab.matrix for x in row)
+        assert (not any(ab.rows)) == all(x == 0 for row in ab.matrix for x in row)
         v = [F(rng.randint(-4, 4), rng.choice([1, 3])) if rng.random() < 0.5 else F(0)
              for _ in range(m)]
         assert a.apply(v) == tuple(sum((a.matrix[i][j] * v[j] for j in range(m)), F(0))
@@ -328,7 +328,7 @@ def test_generated_maps_survive_the_dense_round_trip():
 def test_no_zero_is_stored_after_cancellation():
     a = lmap([[1, 1]])
     ab = a.compose(LinearMap(LabeledSpace.make("e", 1), a.domain, freeze_matrix([[1], [-1]])))
-    assert ab.rows == ((),) and ab.is_zero()
+    assert ab.rows == ((),)
     m = lmap([[1, 2], [3, 4]])
     zero = LinearMap.zero(m.domain, m.domain)
     assert m.compose(zero).rows == ((), ())
@@ -398,7 +398,7 @@ def test_the_law_kernel_agrees_with_compose_then_compare(square):
         return a.compose(b) if a is not None and b is not None else LinearMap.zero(v0, v2)
 
     assert products_agree(g, f, h, e) == (product(g, f) == product(h, e))
-    assert products_agree(g, f) == product(g, f).is_zero()
+    assert products_agree(g, f) == (not any(product(g, f).rows))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5])
