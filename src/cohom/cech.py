@@ -148,20 +148,17 @@ def _cech_cochains(nerve: CoverNerve, sheaf: SheafOnCover) -> tuple:
     to whichever complex or grid is built from them."""
     if sheaf.nerve != nerve:
         raise ValueError("sheaf data belongs to a different nerve")
-    top = nerve.max_dim
-    spaces = tuple(LabeledSpace(tuple((face, lab) for face in nerve.faces_of_dim(p)
-                                      for lab in sheaf.space(face).labels))
-                   for p in range(top + 1))
+    faces = [nerve.faces_of_dim(p) for p in range(nerve.max_dim + 1)]
+    spaces = tuple(LabeledSpace(tuple((face, lab) for face in fs
+                                      for lab in sheaf.space(face).labels)) for fs in faces)
+    offsets = [_offsets(sheaf, fs) for fs in faces]
     diffs = []
-    for p in range(top):
-        src_faces = nerve.faces_of_dim(p)
-        dst_faces = nerve.faces_of_dim(p + 1)
-        src_index = {f: i for i, f in enumerate(src_faces)}
+    for p in range(len(faces) - 1):
+        src_index = {f: i for i, f in enumerate(faces[p])}
         blocks = [(gi, src_index[g[:i] + g[i + 1:]], -1 if i % 2 else 1, sheaf.restriction(g, i))
-                  for gi, g in enumerate(dst_faces) for i in range(len(g))]
-        diffs.append(LinearMap.from_blocks(spaces[p], spaces[p + 1],
-                                           _offsets(sheaf, src_faces),
-                                           _offsets(sheaf, dst_faces), blocks))
+                  for gi, g in enumerate(faces[p + 1]) for i in range(len(g))]
+        diffs.append(LinearMap.from_blocks(spaces[p], spaces[p + 1], offsets[p], offsets[p + 1],
+                                           blocks))
     return spaces, tuple(diffs)
 
 

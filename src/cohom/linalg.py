@@ -310,7 +310,12 @@ class LinearMap(Record):
         return tuple(out)
 
     def transpose(self) -> "LinearMap":
-        return LinearMap.sparse_columns(self.codomain, self.domain, self.rows)
+        """The transpose, built on the first call and kept beside the fields:
+        a total's differentials are read by columns by cohomology and by both
+        filtrations' pairings."""
+        if "_t" not in self.__dict__:
+            self.__dict__["_t"] = LinearMap.sparse_columns(self.codomain, self.domain, self.rows)
+        return self._t
 
     @property
     def columns(self) -> list[Vector]:
