@@ -81,14 +81,17 @@ def _nest(keyed: dict, bounds: tuple, prefix: tuple = ()):
 
 
 class _Grid:
-    """A double or triple complex; `_names` and `_laws` name each axis's maps and laws."""
+    """A double or triple complex.  `_names` and `_laws` name each axis's maps and
+    laws; `_nested_maps` says whether the map fields nest like `cells` or are keyed.
+    A grid built keyed shows its nested fields as views built on their first read."""
 
     def __post_init__(self):
         bounds = self.bounds
         _check_bounds(bounds)
         if "_cells" not in self.__dict__:  # built from nested fields: check and key them
             cells = _by_cell(self.cells, bounds, "cells")
-            maps = [self._keyed(a, bounds) for a in range(len(bounds))]
+            maps = [_by_cell(getattr(self, n), _shift(bounds, a, -1), n) if self._nested_maps
+                    else getattr(self, n) for a, n in enumerate(self._names)]
             for a, (name, stored) in enumerate(zip(self._names, maps)):
                 for x, m in stored.items():
                     y = _shift(x, a) if x in cells else None
@@ -146,11 +149,7 @@ class DoubleComplex(_Grid, Record):
              (1,): "vertical differential squares to zero",
              (0, 1): "horizontal and vertical differentials commute"}
     bounds = property(attrgetter("P", "Q"))
-
-    def _keyed(self, axis: int, bounds: tuple) -> dict:
-        name = self._names[axis]
-        return _by_cell(getattr(self, name), _shift(bounds, axis, -1), name)
-
+    _nested_maps = True
     horiz, vert = (cached_property(lambda g, a=a: _nest(g._maps[a], _shift(g.bounds, a, -1)))
                    for a in range(2))
 
@@ -174,10 +173,7 @@ class TripleComplex(_Grid, Record):
     _laws = {(0,): "d1 squares to zero", (1,): "d2 squares to zero", (2,): "d3 squares to zero",
              (0, 1): "d1 and d2 commute", (0, 2): "d1 and d3 commute", (1, 2): "d2 and d3 commute"}
     bounds = property(attrgetter("P", "Q", "R"))
-
-    def _keyed(self, axis: int, bounds: tuple) -> dict:
-        return getattr(self, self._names[axis])
-
+    _nested_maps = False
     d1, d2, d3 = (cached_property(lambda g, a=a: g._maps[a]) for a in range(3))
 
 
@@ -304,18 +300,22 @@ def _kron(domain: LabeledSpace, codomain: LabeledSpace, *factors: LinearMap) -> 
 
 
 def _tensor_grid(factors: tuple[CochainComplex, ...]):
-    """Cells A^p (x) B^q (x) ... and, per axis, that factor's d tensored with identities."""
-    if any(f.lo != 0 for f in factors):
-        raise ValueError("tensor factors must start in degree 0")
+    """Cells A^p (x) B^q (x) ... and, per axis, the map d of that factor
+    tensored with identities, keyed by the source cell."""
+    for f in factors:
+        if f.lo != 0:
+            raise ValueError("tensor factors must start in degree 0")
     bounds = tuple(f.hi for f in factors)
-    cells = {cell: LabeledSpace(tuple(itertools.product(*(f.space(x).labels
-                                                          for f, x in zip(factors, cell)))))
-             for cell in _points(bounds)}
-    maps = [{cell: _kron(space, cells[_shift(cell, axis)],
-                         *(f.diff(x) if a == axis else LinearMap.identity(g.space(x))
-                           for a, (g, x) in enumerate(zip(factors, cell))))
-             for cell, space in cells.items() if cell[axis] < bounds[axis]}
-            for axis, f in enumerate(factors)]
+    cells = {}
+    for cell in _points(bounds):
+        spaces = [f.space(x).labels for f, x in zip(factors, cell)]
+        cells[cell] = LabeledSpace(tuple(itertools.product(*spaces)))
+    maps = []
+    for axis, f in enumerate(factors):
+        maps.append({cell: _kron(space, cells[_shift(cell, axis)],
+                                 *(f.diff(x) if a == axis else LinearMap.identity(g.space(x))
+                                   for a, (g, x) in enumerate(zip(factors, cell))))
+                     for cell, space in cells.items() if cell[axis] < bounds[axis]})
     return bounds, cells, maps
 
 
