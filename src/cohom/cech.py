@@ -25,7 +25,7 @@ from .linalg import (
     Record,
     check_declared_dim,
     int_from_json,
-    matrix_from_json_shaped,
+    map_from_json,
     matrix_to_json,
     products_agree,
 )
@@ -139,19 +139,22 @@ class SheafOnCover(Record):
 
 def cech_complex(nerve: CoverNerve, sheaf: SheafOnCover) -> CochainComplex:
     """The Cech complex with the alternating-sum coboundary."""
-    spaces, diffs = _cech_cochains(nerve, sheaf)
+    _, spaces, _, diffs = _cech_cochains(nerve, sheaf)
     return CochainComplex(0, nerve.max_dim, spaces, diffs)
 
 
 def _cech_cochains(nerve: CoverNerve, sheaf: SheafOnCover) -> tuple:
-    """(spaces, coboundaries) of the Cech complex, with delta.delta = 0 left
-    to whichever complex or grid is built from them."""
+    """(faces, spaces, offsets, coboundaries) of the Cech complex: per degree p,
+    the sorted faces of dimension p, their direct sum of section spaces, the
+    start of each face's block in it, and delta from degree p, with
+    delta.delta = 0 left to whichever complex or grid is built from them."""
     if sheaf.nerve != nerve:
         raise ValueError("sheaf data belongs to a different nerve")
     faces = [nerve.faces_of_dim(p) for p in range(nerve.max_dim + 1)]
     spaces = tuple(LabeledSpace(tuple((face, lab) for face in fs
                                       for lab in sheaf.space(face).labels)) for fs in faces)
-    offsets = [_offsets(sheaf, fs) for fs in faces]
+    offsets = [list(itertools.accumulate([sheaf.space(f).dim for f in fs], initial=0))
+               for fs in faces]
     diffs = []
     for p in range(len(faces) - 1):
         src_index = {f: i for i, f in enumerate(faces[p])}
@@ -159,12 +162,7 @@ def _cech_cochains(nerve: CoverNerve, sheaf: SheafOnCover) -> tuple:
                   for gi, g in enumerate(faces[p + 1]) for i in range(len(g))]
         diffs.append(LinearMap.from_blocks(spaces[p], spaces[p + 1], offsets[p], offsets[p + 1],
                                            blocks))
-    return spaces, tuple(diffs)
-
-
-def _offsets(sheaf: SheafOnCover, faces: list) -> list:
-    """The start of each face's block in the direct sum of their section spaces."""
-    return list(itertools.accumulate([sheaf.space(f).dim for f in faces], initial=0))
+    return faces, spaces, offsets, tuple(diffs)
 
 
 def cech_cohomology(nerve: CoverNerve, sheaf: SheafOnCover) -> CohomologyReport:
@@ -242,19 +240,17 @@ def cech_sheaf_double_complex(nerve: CoverNerve, sheaves: Sequence[SheafOnCover]
             if m is None or m.domain != sheaves[q].space(face) \
                     or m.codomain != sheaves[q + 1].space(face):
                 raise LevelMapMismatch(f"level map {q} missing or mis-shaped on face {face}")
-    P = nerve.max_dim
-    Q = levels - 1
-    cells = tuple(tuple(cochains[q][0][p] for q in range(Q + 1)) for p in range(P + 1))
-    horiz = tuple(tuple(cochains[q][1][p] for q in range(Q + 1)) for p in range(P))
-
-    def vert(p, q):
-        faces = nerve.faces_of_dim(p)
-        return LinearMap.from_blocks(cells[p][q], cells[p][q + 1], _offsets(sheaves[q], faces),
-                                     _offsets(sheaves[q + 1], faces),
-                                     [(i, i, 1, level_maps[q][f]) for i, f in enumerate(faces)])
-
-    return DoubleComplex(P, Q, cells, horiz,
-                         tuple(tuple(vert(p, q) for q in range(Q)) for p in range(P + 1)))
+    P, Q = nerve.max_dim, levels - 1
+    cells = {(p, q): space for q, (_, spaces, _, _) in enumerate(cochains)
+             for p, space in enumerate(spaces)}
+    horiz = {(p, q): d for q, (_, _, _, diffs) in enumerate(cochains) for p, d in enumerate(diffs)}
+    vert = {}
+    for q, maps in enumerate(level_maps):
+        (faces, _, below, _), (_, _, above, _) = cochains[q], cochains[q + 1]
+        for p, fs in enumerate(faces):
+            vert[p, q] = LinearMap.from_blocks(cells[p, q], cells[p, q + 1], below[p], above[p],
+                                               [(i, i, 1, maps[f]) for i, f in enumerate(fs)])
+    return DoubleComplex._build((P, Q), cells, [horiz, vert])
 
 
 def cech_hyper(nerve: CoverNerve, sheaves: Sequence[SheafOnCover],
@@ -353,9 +349,8 @@ def cover_from_json(data: dict) -> tuple[CoverNerve, SheafOnCover]:
     restrictions, seen = {}, set()
     for n, entry in enumerate(data.get("restrict", [])):
         src, dst, drop = _restriction_drop(entry, n, face_dims, seen)
-        mat = matrix_from_json_shaped(entry["matrix"], spaces[dst].dim, spaces[src].dim,
-                                      f"restrict[{n}].matrix")
-        restrictions[(dst, drop)] = LinearMap(spaces[src], spaces[dst], mat)
+        restrictions[(dst, drop)] = map_from_json(entry["matrix"], spaces[src], spaces[dst],
+                                                  f"restrict[{n}].matrix")
     return nerve, SheafOnCover(nerve, spaces, restrictions)
 
 
@@ -386,11 +381,8 @@ def hyper_from_json(data: dict):
         if len(mats) != levels:
             raise ValueError("need one restriction matrix per level")
         for q in range(levels):
-            restrictions[q][(dst, drop)] = LinearMap(
-                level_spaces[q][src], level_spaces[q][dst],
-                matrix_from_json_shaped(mats[q], level_spaces[q][dst].dim,
-                                        level_spaces[q][src].dim,
-                                        f"restrict[{n}].matrices[{q}]"))
+            restrictions[q][(dst, drop)] = map_from_json(
+                mats[q], level_spaces[q][src], level_spaces[q][dst], f"restrict[{n}].matrices[{q}]")
     sheaves = [SheafOnCover(nerve, level_spaces[q], restrictions[q]) for q in range(levels)]
     level_maps, seen = [{} for _ in range(max(levels - 1, 0))], set()
     for n, entry in enumerate(data.get("level_maps", [])):
@@ -400,9 +392,7 @@ def hyper_from_json(data: dict):
         if len(mats) != levels - 1:
             raise ValueError("need one level map per adjacent level pair")
         for q in range(levels - 1):
-            level_maps[q][face] = LinearMap(
-                level_spaces[q][face], level_spaces[q + 1][face],
-                matrix_from_json_shaped(mats[q], level_spaces[q + 1][face].dim,
-                                        level_spaces[q][face].dim,
-                                        f"level_maps[{n}].maps[{q}]"))
+            level_maps[q][face] = map_from_json(mats[q], level_spaces[q][face],
+                                                level_spaces[q + 1][face],
+                                                f"level_maps[{n}].maps[{q}]")
     return nerve, sheaves, level_maps

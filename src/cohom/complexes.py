@@ -30,7 +30,7 @@ from .linalg import (
     check_declared_dim,
     dims_from_ranks,
     int_from_json,
-    matrix_from_json_shaped,
+    map_from_json,
     matrix_to_json,
     products_agree,
     quotient,
@@ -169,8 +169,6 @@ def complex_from_json(data: dict) -> CochainComplex:
     raw = data["diffs"]
     if len(raw) != hi - lo:
         raise ValueError("diffs length does not match degree range")
-    diffs = []
-    for i, rows in enumerate(raw):
-        mat = matrix_from_json_shaped(rows, dims[i + 1], dims[i], f"differential {lo + i}")
-        diffs.append(LinearMap(spaces[i], spaces[i + 1], mat))
-    return CochainComplex(lo, hi, spaces, tuple(diffs))
+    diffs = tuple(map_from_json(rows, spaces[i], spaces[i + 1], f"differential {lo + i}")
+                  for i, rows in enumerate(raw))
+    return CochainComplex(lo, hi, spaces, diffs)

@@ -116,32 +116,17 @@ def nonzero_d2_double_complex() -> DoubleComplex:
     d z = y and delta z = w at (2,0).  The total cohomology vanishes,
     pages 1 and 2 keep x and w alive, and d_2 [x] = [w].
     """
-    def space(p, q, d):
-        return LabeledSpace(tuple(((p, q), i) for i in range(d)))
-
     dims = {(0, 1): 1, (1, 1): 1, (1, 0): 1, (2, 0): 1}
-    cells = tuple(tuple(space(p, q, dims.get((p, q), 0)) for q in range(2))
-                  for p in range(3))
-    one = ((ONE,),)
-    horiz = []
-    for p in range(2):
-        col = []
-        for q in range(2):
-            if (p, q) == (0, 1) or (p, q) == (1, 0):
-                col.append(LinearMap(cells[p][q], cells[p + 1][q], one))
-            else:
-                col.append(LinearMap.zero(cells[p][q], cells[p + 1][q]))
-        horiz.append(tuple(col))
-    vert = []
-    for p in range(3):
-        col = []
-        for q in range(1):
-            if (p, q) == (1, 0):
-                col.append(LinearMap(cells[p][q], cells[p][q + 1], one))
-            else:
-                col.append(LinearMap.zero(cells[p][q], cells[p][q + 1]))
-        vert.append(tuple(col))
-    return DoubleComplex(2, 1, cells, tuple(horiz), tuple(vert))
+    cells = {(p, q): LabeledSpace(tuple(((p, q), i) for i in range(dims.get((p, q), 0))))
+             for p in range(3) for q in range(2)}
+
+    def maps(dp, dq, ones):
+        """Every map one step (dp, dq) along: the 1 x 1 identity at the cells in ones, else zero."""
+        return {(p, q): LinearMap.sparse(c, cells[p + dp, q + dq], [((0, ONE),)] if (p, q) in ones
+                                         else [()] * cells[p + dp, q + dq].dim)
+                for (p, q), c in cells.items() if (p + dp, q + dq) in cells}
+
+    return DoubleComplex._build((2, 1), cells, [maps(1, 0, {(0, 1), (1, 0)}), maps(0, 1, {(1, 0)})])
 
 
 def permute_cover(sheaf: SheafOnCover, perm: list[int]) -> SheafOnCover:

@@ -27,7 +27,7 @@ from .linalg import (
     ZERO_SPACE,
     check_declared_dim,
     int_from_json,
-    matrix_from_json_shaped,
+    map_from_json,
     matrix_to_json,
     products_agree,
 )
@@ -283,8 +283,7 @@ def double_complex_from_json(data: dict) -> DoubleComplex:
             for (p, q), d in _by_cell(data["dims"], (P, Q), "dims").items()}
     check_declared_dim(sum(dims.values()))
     cells = {x: LabeledSpace(tuple((x, j) for j in range(d))) for x, d in dims.items()}
-    maps = [{x: LinearMap(cells[x], cells[_shift(x, a)], matrix_from_json_shaped(
-                 rows, cells[_shift(x, a)].dim, cells[x].dim, f"{name}[{x[0]}][{x[1]}]"))
+    maps = [{x: map_from_json(rows, cells[x], cells[_shift(x, a)], f"{name}[{x[0]}][{x[1]}]")
              for x, rows in _by_cell(data[name], _shift((P, Q), a, -1), name).items()}
             for a, name in enumerate(DoubleComplex._names)]
     return DoubleComplex._build((P, Q), cells, maps)

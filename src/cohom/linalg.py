@@ -11,7 +11,8 @@ and representatives, the spectral pairing, reduced row echelon forms,
 kernels, solutions, inverses and subquotients read one column reduction
 (`reduce_columns`), whose integer columns are divided by their one scale
 only on output (`quotient`).  A `LinearMap` stores only its nonzero
-entries, row by row; `from_blocks` copies signed blocks at precomputed
+entries, row by row, and a map in a JSON input is read straight into
+them (`map_from_json`); `from_blocks` copies signed blocks at precomputed
 offsets, negating a block of sign -1 as it copies it.  Every law of the
 form g f == h e (d d = 0, commuting squares, cocycles) is decided by one
 kernel, `products_agree`, row by row without building either product.
@@ -89,15 +90,14 @@ def _rat_from_json(x, i: int, j: int):
     """A JSON integer, or a string read to the value Fraction gives it, as a
     stored entry; floats and booleans are refused.  int() reads the integer
     strings Fraction reads; what it refuses (a fraction, or more digits than
-    its limit) goes to Fraction.  Zeros are the shared ZERO, which
-    `_nonzeros` skips by identity."""
+    its limit) goes to Fraction."""
     if isinstance(x, (int, str)) and not isinstance(x, bool):
         try:
-            return int(x) or ZERO
+            return int(x)
         except ValueError:
             pass
         try:
-            return rat(Fraction(x)) or ZERO
+            return rat(Fraction(x))
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"entry at row {i}, column {j} is not an integer or a "
@@ -124,35 +124,6 @@ def check_declared_dim(total: int) -> None:
     if total > MAX_DECLARED_DIM:
         raise ValueError(f"the input declares {total} basis vectors in all, "
                          f"over the limit of {MAX_DECLARED_DIM}")
-
-
-def matrix_from_json(rows: Sequence[Sequence[str]]) -> Matrix:
-    if not isinstance(rows, (list, tuple)) or \
-            not all(isinstance(row, (list, tuple)) for row in rows):
-        raise ValueError("a matrix must be a list of rows")
-    return tuple(tuple(_rat_from_json(x, i, j) for j, x in enumerate(row))
-                 for i, row in enumerate(rows))
-
-
-def matrix_from_json_shaped(rows: Sequence[Sequence[str]], nrows: int, ncols: int,
-                            field: str) -> Matrix:
-    """Parse the matrix at `field` and validate it against the expected shape;
-    a malformed entry or a wrong shape is a ValueError naming the field.
-
-    When either side is zero-dimensional an empty array [] is accepted
-    as shorthand for the degenerate matrix.
-    """
-    try:
-        mat = matrix_from_json(rows)
-    except ValueError as e:
-        raise ValueError(f"{field}: {e}") from None
-    if nrows == 0 or ncols == 0:
-        if any(row for row in mat):
-            raise ValueError(f"{field}: expected a {nrows} x {ncols} matrix, got entries")
-        return tuple(() for _ in range(nrows))
-    if len(mat) != nrows or any(len(r) != ncols for r in mat):
-        raise ValueError(f"{field}: matrix has wrong shape (expected {nrows} x {ncols})")
-    return mat
 
 
 class Record:
@@ -341,6 +312,34 @@ class LinearMap(Record):
         return LinearMap.sparse(other.domain, self.codomain, out)
 
 
+def map_from_json(rows, domain: LabeledSpace, codomain: LabeledSpace,
+                  field: str) -> LinearMap:
+    """The map at `field` of a JSON input, given as a list of rows of entries,
+    stored as the nonzero entries of each row.  A malformed matrix, a malformed
+    entry or a wrong shape, checked in that order, is a ValueError naming the
+    field.  When either side is zero-dimensional, any list of empty rows, such
+    as [], stands for the zero map.
+    """
+    if not isinstance(rows, (list, tuple)) or \
+            not all(isinstance(row, (list, tuple)) for row in rows):
+        raise ValueError(f"{field}: a matrix must be a list of rows")
+    try:
+        nonzero = tuple(tuple((j, y) for j, x in enumerate(row) if (y := _rat_from_json(x, i, j)))
+                        for i, row in enumerate(rows))
+    except ValueError as e:
+        raise ValueError(f"{field}: {e}") from None
+    nrows, ncols = codomain.dim, domain.dim
+    if nrows == 0 or ncols == 0:
+        if any(rows):
+            raise ValueError(f"{field}: expected a {nrows} x {ncols} matrix, got entries")
+        nonzero = ((),) * nrows
+    elif len(rows) != nrows or any(len(row) != ncols for row in rows):
+        raise ValueError(f"{field}: matrix has wrong shape (expected {nrows} x {ncols})")
+    m = LinearMap.__new__(LinearMap)
+    m._store(domain, codomain, nonzero)
+    return m
+
+
 def products_agree(g: Optional[LinearMap], f: Optional[LinearMap],
                    h: Optional[LinearMap] = None, e: Optional[LinearMap] = None) -> bool:
     """Whether g f == h e, decided row by row without building either product;
@@ -379,10 +378,6 @@ class Subspace(Record):
     @property
     def vectors(self) -> list[Vector]:
         return self.basis.columns
-
-    @staticmethod
-    def full(ambient: LabeledSpace) -> "Subspace":
-        return Subspace(ambient, LinearMap.identity(ambient))
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +526,6 @@ def dims_from_ranks(sizes, ranks) -> tuple[int, ...]:
 def kernel_basis(m: LinearMap) -> Subspace:
     """Subspace of the domain spanned by an exact kernel basis: for each
     free column f, e_f minus its coordinates in the pivot columns."""
-    if m.codomain.dim == 0:
-        return Subspace.full(m.domain)
     _, coords = _coordinates(m.transpose().rows)
     vectors = [[(f, ONE)] + [(p, -x) for p, x in c.items()] for f, c in coords.items()]
     dom = LabeledSpace(tuple(("ker", f) for f in coords))
@@ -584,6 +577,8 @@ class SpanBuilder:
 
     def add(self, v: Sequence) -> bool:
         """Add v to the span; True iff it enlarged the span."""
+        if len(v) != self.length:
+            raise ValueError(f"vector of length {len(v)} added to a span of length {self.length}")
         return _reduce(_scaled(_nonzeros(v))[0], {}, self._owner, min)[2] is not None
 
 

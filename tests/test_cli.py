@@ -522,8 +522,23 @@ MALFORMED_MATRICES = [
 ]
 
 
-@pytest.mark.parametrize("command,file,path,value,message", MALFORMED_MATRICES,
-                         ids=[f"{c[0]}:{c[4].split(': ')[0]}" for c in MALFORMED_MATRICES])
+# one wrong shape at every other call site of the matrix reader; a row of zeros
+# is entries to the [] rule for a zero-dimensional side
+WRONG_SHAPES = [
+    ("complex", "complex_seed1.json", ("diffs", 0), [["0"], ["0"]],
+     "differential 0: expected a 2 x 0 matrix, got entries"),
+    ("hyper", "p1_w4.hyper.json", ("restrict", 0, "matrices", 0), [["1"]],
+     "restrict[0].matrices[0]: matrix has wrong shape (expected 9 x 5)"),
+    ("hyper", "p1_w4.hyper.json", ("level_maps", 0, "maps", 0), [["1"]],
+     "level_maps[0].maps[0]: matrix has wrong shape (expected 4 x 5)"),
+    ("spectral", "nonzero_d2.dc.json", ("horiz", 1, 0), [["1", "1"]],
+     "horiz[1][0]: matrix has wrong shape (expected 1 x 1)"),
+]
+
+
+@pytest.mark.parametrize("command,file,path,value,message", MALFORMED_MATRICES + WRONG_SHAPES,
+                         ids=[f"{c[0]}:{c[4].split(': ')[0]}" for c in MALFORMED_MATRICES]
+                         + [f"{c[0]}:{c[4].split(': ')[0]} shape" for c in WRONG_SHAPES])
 def test_malformed_matrix_names_its_field(tmp_path, capsys, command, file, path, value, message):
     data = json.loads((GOLDEN / file).read_text())
     *head, last = path

@@ -99,6 +99,40 @@ def test_every_elimination_runs_the_one_loop():
     assert looped, "_reduce no longer combines vectors"
 
 
+def _calls(path: Path, name: str, outside: str = "") -> list:
+    """The lines of path that call `name` (a bare name or an attribute), except
+    inside a function named `outside`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inside = {id(node) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == outside for node in ast.walk(f)}
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _called_name(node) == name and id(node) not in inside]
+
+
+def test_every_json_matrix_is_read_by_the_one_reader():
+    """A JSON entry is read only inside linalg.map_from_json, which stores it sparse."""
+    stray = [line for path in MODULES for line in _calls(path, "_rat_from_json", "map_from_json")]
+    assert not stray, f"_rat_from_json called outside map_from_json: {stray}"
+    assert _calls(SRC / "linalg.py", "_rat_from_json"), "map_from_json no longer reads entries"
+
+
+def test_the_engine_builds_its_grids_keyed():
+    """No module calls the nested DoubleComplex(...) or TripleComplex(...)
+    constructors, which re-key and re-check their fields; every grid the
+    engine assembles goes through _Grid._build."""
+    stray = [line for path in MODULES for name in ("DoubleComplex", "TripleComplex")
+             for line in _calls(path, name)]
+    assert not stray, f"nested grid constructors called: {stray}"
+
+
+@pytest.mark.parametrize("name", ["complexes.py", "cech.py", "grid.py"])
+def test_loaders_and_grids_build_no_dense_map(name):
+    """These modules read JSON maps with map_from_json and assemble maps
+    sparse, so none calls the dense LinearMap(...) constructor."""
+    stray = _calls(SRC / name, "LinearMap")
+    assert not stray, f"dense LinearMap constructor called: {stray}"
+
+
 def test_grids_assemble_blocks_only_in_the_one_merge():
     """Every total and flattening in grid.py is built by grid._merge, so it is
     the only place there that assembles a map from blocks."""

@@ -25,7 +25,7 @@ from cohom.linalg import (
     image_basis,
     invert,
     kernel_basis,
-    matrix_from_json,
+    map_from_json,
     products_agree,
     rank,
     rat,
@@ -75,6 +75,12 @@ def test_kernel_of_zero_map_is_everything():
     assert kernel_basis(m).dim == 3
 
 
+def test_kernel_of_a_map_into_the_zero_space_is_labelled_like_any_kernel():
+    ker = kernel_basis(LinearMap.zero(LabeledSpace.make("a", 3), LabeledSpace.make("b", 0)))
+    assert ker.basis.domain.labels == (("ker", 0), ("ker", 1), ("ker", 2))
+    assert ker.basis.rows == (((0, 1),), ((1, 1),), ((2, 1),))
+
+
 def test_image_cases():
     assert image_basis(LinearMap.zero(LabeledSpace.make("a", 2), LabeledSpace.make("b", 2))).dim == 0
     assert image_basis(LinearMap.identity(LabeledSpace.make("a", 2))).dim == 2
@@ -109,7 +115,7 @@ def _assert_section_completes_b(z, b, q, sec):
 
 def test_subquotient_plain():
     amb = LabeledSpace.make("a", 3)
-    z = Subspace.full(amb)
+    z = Subspace(amb, LinearMap.identity(amb))
     b = span(amb, [(F(1), F(0), F(0))])
     q, sec = subquotient(z, b)
     assert q.dim == 2
@@ -149,8 +155,16 @@ def test_rational_serialization():
     assert rat_to_str(F(-4, 2)) == "-2"
 
 
+def _read(rows, nrows=None, ncols=None):
+    """The entries map_from_json stores for rows, shaped as given unless told."""
+    nrows = len(rows) if nrows is None else nrows
+    ncols = (len(rows[0]) if rows else 0) if ncols is None else ncols
+    return map_from_json(rows, LabeledSpace.make("d", ncols), LabeledSpace.make("c", nrows),
+                         "m").rows
+
+
 def test_matrix_from_json_accepts_integers_and_rational_strings():
-    assert matrix_from_json([[1, "-2/3"], ["4", 0]]) == ((F(1), F(-2, 3)), (F(4), F(0)))
+    assert _read([[1, "-2/3"], ["4", 0]]) == (((0, F(1)), (1, F(-2, 3))), ((0, F(4)),))
 
 
 def _is_stored_entry(got, value) -> bool:
@@ -159,9 +173,8 @@ def _is_stored_entry(got, value) -> bool:
         and type(got) in (int, Fraction)
 
 
-def test_matrix_from_json_zeros_are_the_shared_zero():
-    ((a, b, c, d, e),) = matrix_from_json([[0, "0/5", "-0", "+0", "0/7"]])
-    assert all(x is ZERO and _is_stored_entry(x, Fraction(0)) for x in (a, b, c, d, e))
+def test_matrix_from_json_stores_no_zero():
+    assert _read([[0, "0/5", "-0", "+0", "0/7"]]) == ((),)
 
 
 @pytest.mark.parametrize("text", ["--5", "+5", " 5 ", "1_0", "\u0663", "-0", "007", "3/6",
@@ -172,18 +185,42 @@ def test_matrix_from_json_strings_parse_as_fraction_does(text):
     try:
         expected = Fraction(text)
     except ValueError:
-        with pytest.raises(ValueError, match="row 0, column 0"):
-            matrix_from_json([[text]])
+        with pytest.raises(ValueError, match="m: entry at row 0, column 0"):
+            _read([[text]])
         return
-    ((got,),) = matrix_from_json([[text]])
-    assert _is_stored_entry(got, expected)
-    assert (got is ZERO) == (expected == 0)
+    (row,) = _read([[text]])
+    if expected == 0:
+        assert row == ()
+    else:
+        ((column, got),) = row
+        assert column == 0 and _is_stored_entry(got, expected)
 
 
 @pytest.mark.parametrize("bad", [0.1, True, False, None, "x", "1/0", [1], 1.0])
 def test_matrix_from_json_names_the_bad_entry(bad):
-    with pytest.raises(ValueError, match="row 1, column 0"):
-        matrix_from_json([["1", "2"], [bad, "3"]])
+    with pytest.raises(ValueError, match="m: entry at row 1, column 0"):
+        _read([["1", "2"], [bad, "3"]])
+
+
+@pytest.mark.parametrize("rows,nrows,ncols", [([], 0, 2), ([], 2, 0), ([[], []], 2, 0)])
+def test_map_from_json_reads_empty_rows_as_a_zero_dimensional_map(rows, nrows, ncols):
+    assert _read(rows, nrows, ncols) == ((),) * nrows
+
+
+@pytest.mark.parametrize("rows,nrows,ncols", [([[0, 0]], 0, 2), ([[0], [0]], 2, 0)])
+def test_map_from_json_refuses_entries_on_a_zero_dimensional_map(rows, nrows, ncols):
+    """The [] rule reads the rows as given, so a row of zeros is still entries."""
+    with pytest.raises(ValueError, match=f"^m: expected a {nrows} x {ncols} matrix, got entries$"):
+        _read(rows, nrows, ncols)
+
+
+def test_map_from_json_checks_rows_then_entries_then_shape():
+    for rows, message in [("x", "m: a matrix must be a list of rows"),
+                          ([["1", "2"], "3"], "m: a matrix must be a list of rows"),
+                          ([["1"], ["x", "2", "3"]], "m: entry at row 1, column 0"),
+                          ([["1", "2"], ["3"]], r"m: matrix has wrong shape \(expected 2 x 2\)")]:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            _read(rows, 2, 2)
 
 
 def test_rat_gives_stored_entries_and_refuses_floats_and_booleans():
@@ -526,6 +563,12 @@ def test_span_builder_refuses_zero_repeated_and_multiple_vectors():
     assert not span.add((2, F(9, 2), 1))
     assert span.add((0, 0, 7))
     assert not span.add((F(5, 7), 1, 1))
+
+
+@pytest.mark.parametrize("v", [(1, 2), (1, 2, 0, 0), ()])
+def test_span_builder_refuses_a_vector_of_another_length(v):
+    with pytest.raises(ValueError, match=f"length {len(v)} added to a span of length 3"):
+        SpanBuilder(3).add(v)
 
 
 class Pair(Record):
