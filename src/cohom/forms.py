@@ -2,20 +2,21 @@ r"""Differential forms with Laurent-polynomial coefficients.
 
 A form is a rational combination of monomial terms z^a dz_I on n
 variables; the first k variables of a TorusSpec may be inverted (poles
-allowed), the rest are polynomial.  The multidegree a + sum_{i in I} e_i
-is preserved by the exterior derivative, so the truncated de Rham
-complex splits into finite pieces indexed by multidegree; within one
-piece the differential is the Koszul map sum m_i dz_i /\ . , which is
-exact whenever m != 0 and has zero differential at m = 0, where the
-basis consists of the logarithmic generators
+allowed), the rest are polynomial.  One function holds each rule of the
+term algebra: _sign, _bump, _sum_terms and the input gate check_closed.
+The multidegree a + sum_{i in I} e_i is preserved by d, so the truncated
+de Rham complex splits into finite pieces indexed by multidegree; within
+one piece the differential is the Koszul map sum m_i dz_i /\ . , exact
+whenever m != 0 and zero at m = 0, where the basis consists of the
+logarithmic generators
 
     w_I = dz_{i1}/z_{i1} /\ ... /\ dz_{iq}/z_{iq},  I subset {1..k}.
 
-The pieces share one cached Koszul skeleton per admissible-axis set, and
-`derham_cohomology` ranks only the first piece of each class of equal
-ranks: pieces with the same admissible axes and the same support S of m
-are diagonal conjugates, D_m = T D_{1_S} T^-1, T e_J = (prod_{a in J & S} m_a) e_J
-(Eisenbud, Commutative Algebra, section 17).
+_koszul_piece builds each piece on one cached Koszul skeleton per
+admissible-axis set, and `derham_cohomology` ranks only the first piece
+of each class of equal ranks: pieces with the same admissible axes and
+the same support S of m are diagonal conjugates, D_m = T D_{1_S} T^-1,
+T e_J = (prod_{a in J & S} m_a) e_J (Eisenbud, Commutative Algebra, section 17).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .linalg import (
     ONE,
     Record,
     WindowExhausted,
-    ZERO,
     _echelon,
     dims_from_ranks,
     rat_to_str,
@@ -56,14 +56,15 @@ class PoleOnNonInvertedAxis(CohomError):
     pass
 
 
-def _sign_insert(i: int, dI: tuple) -> int:
-    """Sign of sorting dz_i into dz_I (i not in I)."""
-    return -1 if sum(1 for j in dI if j < i) % 2 else 1
+def _sign(seq) -> int:
+    """Sign of the permutation that sorts seq, whose entries are distinct:
+    dz_seq = _sign(seq) dz_sorted(seq)."""
+    return -1 if sum(x > y for i, x in enumerate(seq) for y in seq[i + 1:]) % 2 else 1
 
 
-def _sign_remove(i: int, dI: tuple) -> int:
-    """Sign of extracting dz_i from the front of dz_I (i in I)."""
-    return -1 if dI.index(i) % 2 else 1
+def _bump(exps: tuple, axis: int, by: int) -> tuple:
+    """exps with the exponent of the 1-based axis raised by `by`."""
+    return exps[:axis - 1] + (exps[axis - 1] + by,) + exps[axis:]
 
 
 class AlgebraicForm(Record):
@@ -103,9 +104,6 @@ class AlgebraicForm(Record):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def term_dict(self) -> dict:
-        return {(exps, dI): c for exps, dI, c in self.terms}
-
     def __add__(self, other: "AlgebraicForm") -> "AlgebraicForm":
         if other.is_zero():
             return self
@@ -115,10 +113,7 @@ class AlgebraicForm(Record):
             raise VariableCountMismatch("cannot add forms on different variable counts")
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degrees")
-        acc = self.term_dict()
-        for exps, dI, c in other.terms:
-            acc[(exps, dI)] = acc.get((exps, dI), ZERO) + c
-        return AlgebraicForm.build(self.n, self.degree, acc)
+        return _sum_terms(self.n, self.degree, self.terms + other.terms)
 
     def __sub__(self, other: "AlgebraicForm") -> "AlgebraicForm":
         return self + other.scale(-1)
@@ -131,40 +126,35 @@ class AlgebraicForm(Record):
                              tuple((e, d, x * c) for e, d, x in self.terms))
 
 
+def _sum_terms(n: int, degree: int, terms) -> AlgebraicForm:
+    """The form sum c z^exps dz_dI over (exps, dI, c) terms; equal (exps, dI) add up."""
+    acc: dict = {}
+    for exps, dI, c in terms:
+        key = exps, dI
+        acc[key] = acc[key] + c if key in acc else c
+    return AlgebraicForm.build(n, degree, acc)
+
+
 def term_multidegree(exps: tuple, dI: tuple) -> tuple:
     return tuple(e + (1 if i + 1 in dI else 0) for i, e in enumerate(exps))
 
 
 def exterior_derivative(w: AlgebraicForm) -> AlgebraicForm:
     """d(z^a dz_I) = sum_i a_i z^{a - e_i} dz_i /\\ dz_I, normalized."""
-    acc: dict = {}
-    for exps, dI, c in w.terms:
-        for i in range(1, w.n + 1):
-            e = exps[i - 1]
-            if e == 0 or i in dI:
-                continue
-            new_exps = tuple(x - 1 if j == i - 1 else x for j, x in enumerate(exps))
-            new_dI = tuple(sorted(dI + (i,)))
-            coeff = c * e * _sign_insert(i, dI)
-            key = (new_exps, new_dI)
-            acc[key] = acc.get(key, ZERO) + coeff
-    return AlgebraicForm.build(w.n, w.degree + 1, acc)
+    return _sum_terms(w.n, w.degree + 1,
+                      ((_bump(exps, i, -1), tuple(sorted(dI + (i,))), c * e * _sign((i,) + dI))
+                       for exps, dI, c in w.terms for i, e in enumerate(exps, 1)
+                       if e and i not in dI))
 
 
 def wedge(a: AlgebraicForm, b: AlgebraicForm) -> AlgebraicForm:
     if a.n != b.n:
         raise VariableCountMismatch("wedge of forms on different variable counts")
-    acc: dict = {}
-    for e1, I, c1 in a.terms:
-        set_I = set(I)
-        for e2, J, c2 in b.terms:
-            if set_I & set(J):
-                continue
-            inv = sum(1 for i in I for j in J if i > j)
-            sign = -1 if inv % 2 else 1
-            key = (tuple(x + y for x, y in zip(e1, e2)), tuple(sorted(I + J)))
-            acc[key] = acc.get(key, ZERO) + c1 * c2 * sign
-    return AlgebraicForm.build(a.n, a.degree + b.degree, acc)
+    return _sum_terms(a.n, a.degree + b.degree,
+                      ((tuple(x + y for x, y in zip(e1, e2)), tuple(sorted(I + J)),
+                        c1 * c2 * _sign(I + J))
+                       for e1, I, c1 in a.terms for e2, J, c2 in b.terms
+                       if not set(I).intersection(J)))
 
 
 def log_form(n: int, I) -> AlgebraicForm:
@@ -206,6 +196,13 @@ def check_poles(w: AlgebraicForm, spec: TorusSpec) -> None:
                     f"negative exponent on non-inverted variable z{i}")
 
 
+def check_closed(w: AlgebraicForm, spec: TorusSpec) -> None:
+    """The input gate of every reduction: check_poles, then d w = 0."""
+    check_poles(w, spec)
+    if not exterior_derivative(w).is_zero():
+        raise NotClosed("the form is not closed")
+
+
 def _admissible_axes(spec: TorusSpec, m: tuple):
     """Axes that may carry dz_i at m (inverted, or m_i >= 1); None if a polynomial m_i < 0."""
     return None if any(mi < 0 for mi in m[spec.k:]) else \
@@ -225,10 +222,12 @@ def _koszul_skeleton(n: int, pool) -> tuple:
     return bases, rows
 
 
-def _koszul_int_rows(skeleton: tuple, m: tuple) -> tuple:
-    """(bases, rows): rows[q][J] holds the nonzero (column, m_i * sign) entries of d_q."""
-    bases, rows = skeleton
-    return bases, [[[(j, m[a] * s) for j, a, s in row if m[a]] for row in d] for d in rows]
+def _koszul_piece(spec: TorusSpec, m: tuple) -> tuple:
+    """(skeleton, rows) of the multidegree-m piece: the cached skeleton of the
+    admissible axes at m, and rows[q][J], the nonzero (column, m_i * sign) entries of d_q."""
+    skeleton = _koszul_skeleton(spec.n, _admissible_axes(spec, m))
+    return skeleton, [[[(j, m[a] * s) for j, a, s in row if m[a]] for row in d]
+                      for d in skeleton[1]]
 
 
 def _check_koszul_squares(skeletons) -> None:
@@ -254,7 +253,7 @@ def multidegree_complex(spec: TorusSpec, m: tuple) -> CochainComplex:
     """
     from .complexes import CochainComplex
 
-    bases, rows = _koszul_int_rows(_koszul_skeleton(spec.n, _admissible_axes(spec, m)), m)
+    (bases, _), rows = _koszul_piece(spec, m)
     spaces = tuple(LabeledSpace(tuple((m, I) for I in basis)) for basis in bases)
     diffs = tuple(LinearMap.sparse(spaces[q], spaces[q + 1], d) for q, d in enumerate(rows))
     return CochainComplex(0, spec.n, spaces, diffs)
@@ -340,14 +339,13 @@ def derham_cohomology(spec: TorusSpec) -> DerhamReport:
     check_window_budget(spec)
     W = spec.window
     dims = [0] * (spec.n + 1)
-    skeletons = {}  # admissible axes -> the skeleton the loop ranked
+    skeletons = {}  # the skeletons the loop ranked, once each: they come from a cache
     for m in itertools.product(*((-W + 1, 0) if spec.inverted(i) and W > 1 else (0, 1)
                                  for i in range(1, spec.n + 1))):
-        pool = _admissible_axes(spec, m)
-        skeletons[pool] = _koszul_skeleton(spec.n, pool)
-        bases, rows = _koszul_int_rows(skeletons[pool], m)
+        skeleton, rows = _koszul_piece(spec, m)
+        skeletons[id(skeleton)] = skeleton
         ranks = [len(_echelon(d)) for d in rows]
-        part = dims_from_ranks(map(len, bases), ranks)
+        part = dims_from_ranks(map(len, skeleton[0]), ranks)
         if any(m):
             if any(part):
                 raise WindowExhausted(
@@ -395,7 +393,7 @@ def _split_dz_axis(w: AlgebraicForm, axis: int):
     for exps, dI, c in w.terms:
         if axis in dI:
             rest = tuple(i for i in dI if i != axis)
-            alpha[(exps, rest)] = c * _sign_remove(axis, dI)
+            alpha[(exps, rest)] = c * _sign((axis,) + rest)
         else:
             beta[(exps, dI)] = c
     return (AlgebraicForm.build(w.n, max(w.degree - 1, 0), alpha),
@@ -412,17 +410,14 @@ def _pole_parts(w: AlgebraicForm, axis: int):
         if e >= 0:
             holo[(exps, dI)] = c
         else:
-            poles.setdefault(-e, {})[(exps[:axis - 1] + (0,) + exps[axis:], dI)] = c
+            poles.setdefault(-e, {})[(_bump(exps, axis, -e), dI)] = c
     return (AlgebraicForm.build(w.n, w.degree, holo),
             {j: AlgebraicForm.build(w.n, w.degree, t) for j, t in poles.items()})
 
 
 def _shift_axis(w: AlgebraicForm, axis: int, by: int) -> AlgebraicForm:
-    acc: dict = {}
-    for exps, dI, c in w.terms:
-        new = tuple(x + by if j == axis - 1 else x for j, x in enumerate(exps))
-        acc[(new, dI)] = c
-    return AlgebraicForm.build(w.n, w.degree, acc)
+    return AlgebraicForm.build(w.n, w.degree,
+                               {(_bump(exps, axis, by), dI): c for exps, dI, c in w.terms})
 
 
 def pole_reduce(w: AlgebraicForm, spec: TorusSpec, axis: int):
@@ -434,9 +429,7 @@ def pole_reduce(w: AlgebraicForm, spec: TorusSpec, axis: int):
     """
     if not spec.inverted(axis):
         raise PoleOnNonInvertedAxis(f"axis {axis} is not inverted")
-    check_poles(w, spec)
-    if not exterior_derivative(w).is_zero():
-        raise NotClosed("pole reduction needs a closed form")
+    check_closed(w, spec)
 
     alpha, beta = _split_dz_axis(w, axis)
     alpha0, alphas = _pole_parts(alpha, axis)
@@ -481,9 +474,7 @@ def log_representative(w: AlgebraicForm, spec: TorusSpec):
     combination of the w_I; every m != 0 component is killed by the
     Koszul homotopy along the first axis with m_axis != 0.
     """
-    check_poles(w, spec)
-    if not exterior_derivative(w).is_zero():
-        raise NotClosed("log representatives are defined for closed forms")
+    check_closed(w, spec)
     coeffs: dict = {}
     xi = AlgebraicForm.zero(w.n, max(w.degree - 1, 0))
     for m, part in split_by_multidegree(w).items():
@@ -574,79 +565,55 @@ def pole_filtration_dims(spec: TorusSpec, n_max: int) -> PoleFiltrationReport:
 # Text and JSON syntax
 
 
-_COEFF_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-_VAR_RE = re.compile(r"^z(\d+)(\^(-?\d+))?$")
-_DZ_RE = re.compile(r"^dz(\d+)(\^dz\d+)*$")
+_TERM_SPLIT = re.compile(r"(?<=[^\s^*])\s*(?=[+-])")
+_FACTOR_RE = re.compile(r"[+-]?\d+(?:/(\d+))?|z(\d+)(?:\^(-?\d+))?|dz\d+(?:\^dz\d+)*")
 
 
 def parse_form(text: str, n: int) -> AlgebraicForm:
-    """Parse sums of terms like "3/2 * z1^-2 z2^1 dz1^dz3"."""
+    """Parse sums of terms like "3/2 * z1^-2 z2^1 dz1^dz3".
+
+    A + or - starts a term unless the last non-space character before it is
+    ^ or *; a term is one optional sign and at least one factor.  A dz block
+    is sorted with the sign of its permutation, and only nonzero terms fix
+    the form degree, so a form whose terms are all zero is the zero 0-form.
+    """
     text = text.strip()
     if not text:
         raise ValueError("empty form")
-    # split into signed terms; '-' after '^' belongs to an exponent
-    terms: list[str] = []
-    current = []
-    prev_significant = ""
-    for ch in text:
-        if ch in "+-" and prev_significant not in ("", "^", "*"):
-            terms.append("".join(current))
-            current = [ch]
-        else:
-            current.append(ch)
-        if not ch.isspace():
-            prev_significant = ch
-    terms.append("".join(current))
-
-    acc: dict = {}
-    degree = None
-    for raw in terms:
-        raw = raw.strip()
-        sign = ONE
-        while raw and raw[0] in "+-":
-            if raw[0] == "-":
-                sign = -sign
-            raw = raw[1:].strip()
-        if not raw:
+    terms = []
+    for raw in _TERM_SPLIT.split(text):
+        coeff = -ONE if raw[0] == "-" else ONE
+        factors = raw[raw[0] in "+-":].replace("*", " ").split()
+        if not factors:
             raise ValueError("dangling sign in form")
-        coeff = sign
         exps = [0] * n
-        dI: tuple = ()
-        seen_dz = False
-        for tok in raw.replace("*", " ").split():
-            if _COEFF_RE.match(tok):
-                coeff *= Fraction(tok)
-            elif _VAR_RE.match(tok):
-                mvar = _VAR_RE.match(tok)
-                i = int(mvar.group(1))
+        dz: tuple = ()
+        for tok in factors:
+            mt = _FACTOR_RE.fullmatch(tok)
+            if mt is None:
+                raise ValueError(f"cannot parse token {tok!r}")
+            den, var, power = mt.groups()
+            if tok.startswith("dz"):
+                if dz:
+                    raise ValueError("only one dz block per term")
+                dz = tuple(int(s[2:]) for s in tok.split("^"))
+                if any(not 1 <= i <= n for i in dz):
+                    raise ValueError("dz index out of range")
+            elif var:
+                i = int(var)
                 if not 1 <= i <= n:
                     raise ValueError(f"variable z{i} out of range for n={n}")
-                exps[i - 1] += int(mvar.group(3)) if mvar.group(3) else 1
-            elif _DZ_RE.match(tok):
-                if seen_dz:
-                    raise ValueError("only one dz block per term")
-                seen_dz = True
-                idx = [int(s[2:]) for s in tok.split("^")]
-                if any(not 1 <= i <= n for i in idx):
-                    raise ValueError("dz index out of range")
-                if len(set(idx)) != len(idx):
-                    coeff = ZERO  # repeated wedge factor
-                else:
-                    inv = sum(1 for a in range(len(idx)) for b in range(a + 1, len(idx))
-                              if idx[a] > idx[b])
-                    if inv % 2:
-                        coeff = -coeff
-                    dI = tuple(sorted(idx))
+                exps[i - 1] += int(power) if power else 1
+            elif den and not int(den):
+                raise ValueError(f"zero denominator in {tok!r}")
             else:
-                raise ValueError(f"cannot parse token {tok!r}")
-        if degree is None:
-            degree = len(dI)
-        elif degree != len(dI) and coeff != 0:
-            raise ValueError("terms of mixed form degree")
-        if coeff != 0:
-            key = (tuple(exps), dI)
-            acc[key] = acc.get(key, ZERO) + coeff
-    return AlgebraicForm.build(n, degree or 0, acc)
+                coeff *= Fraction(tok)
+        if coeff and len(set(dz)) == len(dz):  # a repeated dz factor makes the term zero
+            terms.append((tuple(exps), tuple(sorted(dz)), coeff * _sign(dz)))
+    degrees = {len(dI) for _, dI, _ in terms}
+    if len(degrees) > 1:
+        raise ValueError("terms of mixed form degree")
+    return _sum_terms(n, max(degrees, default=0), terms)
 
 
 def form_to_text(w: AlgebraicForm) -> str:

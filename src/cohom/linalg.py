@@ -317,8 +317,8 @@ def map_from_json(rows, domain: LabeledSpace, codomain: LabeledSpace,
     """The map at `field` of a JSON input, given as a list of rows of entries,
     stored as the nonzero entries of each row.  A malformed matrix, a malformed
     entry or a wrong shape, checked in that order, is a ValueError naming the
-    field.  When either side is zero-dimensional, any list of empty rows, such
-    as [], stands for the zero map.
+    field.  When either side is zero-dimensional, [] also stands for the zero
+    map; any other list of rows must have the declared shape.
     """
     if not isinstance(rows, (list, tuple)) or \
             not all(isinstance(row, (list, tuple)) for row in rows):
@@ -329,9 +329,9 @@ def map_from_json(rows, domain: LabeledSpace, codomain: LabeledSpace,
     except ValueError as e:
         raise ValueError(f"{field}: {e}") from None
     nrows, ncols = codomain.dim, domain.dim
-    if nrows == 0 or ncols == 0:
-        if any(rows):
-            raise ValueError(f"{field}: expected a {nrows} x {ncols} matrix, got entries")
+    if (nrows == 0 or ncols == 0) and any(rows):
+        raise ValueError(f"{field}: expected a {nrows} x {ncols} matrix, got entries")
+    if not rows and (nrows == 0 or ncols == 0):
         nonzero = ((),) * nrows
     elif len(rows) != nrows or any(len(row) != ncols for row in rows):
         raise ValueError(f"{field}: matrix has wrong shape (expected {nrows} x {ncols})")

@@ -364,7 +364,8 @@ def test_derham_rejects_bad_form(capsys):
 @pytest.mark.parametrize("invert, form, message", [
     ("1", "z1^2", "the form is not closed"),
     ("0", "z1^-1", "negative exponent on non-inverted variable z1"),
-], ids=["not_closed", "pole_off_the_inverted_axes"])
+    ("1", "1/0 dz1", "zero denominator in '1/0'"),
+], ids=["not_closed", "pole_off_the_inverted_axes", "zero_denominator"])
 def test_derham_reduce_refuses_bad_forms_as_input(capsys, fmt, invert, form, message):
     code, out, err = run(capsys, "derham", "--n", "1", "--invert", invert,
                          "--reduce", form, "--format", fmt)

@@ -542,9 +542,38 @@ def test_parse_signs_and_sums():
     assert w == expect
 
 
+def cycle_sign(perm) -> int:
+    """(-1)^(len - number of cycles) of the permutation i -> perm[i - 1]."""
+    seen, cycles = set(), 0
+    for start in perm:
+        cycles += start not in seen
+        while start not in seen:
+            seen.add(start)
+            start = perm[start - 1]
+    return (-1) ** (len(perm) - cycles)
+
+
 def test_parse_unsorted_dz_normalizes_sign():
     assert parse_form("dz2^dz1", 2) == mono(2, -1, (0, 0), (1, 2))
     assert parse_form("dz1^dz1", 2).is_zero()
+    for perm in itertools.permutations((1, 2, 3, 4)):
+        text = "^".join(f"dz{i}" for i in perm)
+        assert parse_form(text, 4) == mono(4, cycle_sign(perm), (0,) * 4, (1, 2, 3, 4)), text
+
+
+@pytest.mark.parametrize("text", ["*", "13-*", "z1 + * *"])
+def test_parse_refuses_a_term_with_no_factor(text):
+    with pytest.raises(ValueError, match="^dangling sign in form$"):
+        parse_form(text, 3)
+
+
+def test_parse_zero_terms_do_not_fix_the_degree():
+    dz1 = mono(2, 1, (0, 0), (1,))
+    assert parse_form("dz1^dz1 + dz1", 2) == parse_form("dz1 + dz1^dz1", 2) == dz1
+    assert parse_form("0 dz1 + z1", 2) == parse_form("z1 + 0 dz1", 2) == mono(2, 1, (1, 0))
+    assert parse_form("0 dz1 - dz2^dz2", 2) == AlgebraicForm.zero(2, 0)
+    with pytest.raises(ValueError, match="^terms of mixed form degree$"):
+        parse_form("0 + dz1 + z1", 2)
 
 
 def test_parse_rejects_junk():

@@ -116,6 +116,22 @@ def test_every_json_matrix_is_read_by_the_one_reader():
     assert _calls(SRC / "linalg.py", "_rat_from_json"), "map_from_json no longer reads entries"
 
 
+def test_every_form_reduction_is_gated_by_check_closed():
+    """forms.check_closed is the one closedness gate: it alone raises NotClosed,
+    cli.py gates --reduce through it rather than calling exterior_derivative
+    or check_poles, and the retired sign helpers and term_dict are gone."""
+    stray = [line for path in MODULES for line in _calls(path, "NotClosed", "check_closed")]
+    stray += [line for name in ("exterior_derivative", "check_poles")
+              for line in _calls(SRC / "cli.py", name)]
+    assert not stray, f"closedness checked outside check_closed: {stray}"
+    assert _calls(SRC / "cli.py", "check_closed"), "cli no longer gates --reduce"
+    retired = ("_sign_insert", "_sign_remove", "term_dict", "_koszul_int_rows")
+    found = [f"{path.name}:{node.lineno}" for path in MODULES
+             for node in ast.walk(ast.parse(path.read_text()))
+             if {getattr(node, a, None) for a in ("name", "id", "attr")} & set(retired)]
+    assert not found, f"retired form helpers: {found}"
+
+
 def test_the_engine_builds_its_grids_keyed():
     """No module calls the nested DoubleComplex(...) or TripleComplex(...)
     constructors, which re-key and re-check their fields; every grid the

@@ -214,6 +214,14 @@ def test_map_from_json_refuses_entries_on_a_zero_dimensional_map(rows, nrows, nc
         _read(rows, nrows, ncols)
 
 
+@pytest.mark.parametrize("rows,nrows,ncols", [([[]], 2, 0), ([[], [], []], 0, 0), ([[]], 0, 2)])
+def test_map_from_json_refuses_a_wrong_count_of_empty_rows(rows, nrows, ncols):
+    """Besides [], a zero-dimensional map takes exactly nrows empty rows."""
+    with pytest.raises(ValueError,
+                       match=rf"^m: matrix has wrong shape \(expected {nrows} x {ncols}\)$"):
+        _read(rows, nrows, ncols)
+
+
 def test_map_from_json_checks_rows_then_entries_then_shape():
     for rows, message in [("x", "m: a matrix must be a list of rows"),
                           ([["1", "2"], "3"], "m: a matrix must be a list of rows"),
