@@ -2,13 +2,17 @@
 
 A cover is its nerve: the downward-closed family of strictly increasing
 index tuples whose intersections are nonempty.  Sheaf data assigns a
-space to every face and a map to every single-index drop; the Cech
-differential is the alternating sum of restricted components,
+space to every face and a map to every single-index drop: restriction
+(face, i) maps F(face minus position i) into F(face), and `_drops` is
+the one place that lists those drops.  The Cech differential is the
+alternating sum of restricted components,
 
     (delta w)_{a0..a_{p+1}} = sum_i (-1)^i w_{a0..^ai..a_{p+1}},
 
 which squares to zero whenever the restriction squares commute.  Sheaf
 data checks those squares (`SheafOnCover.validate`) when it is built.
+The JSON cover readers take one restriction per drop of every face and
+refuse an incomplete cover as malformed input.
 """
 
 from __future__ import annotations
@@ -54,6 +58,11 @@ class LevelMapMismatch(CohomError):
 MAX_DECLARED_FACES = 1024
 
 
+def _drops(face: tuple) -> list:
+    """[(i, face minus position i)] for a face of two or more indices, else []."""
+    return [(i, face[:i] + face[i + 1:]) for i in range(len(face))] if len(face) > 1 else []
+
+
 class CoverNerve(Record):
     """Nerve of a finite cover: opens 0..N-1 and nonempty-intersection faces."""
 
@@ -72,10 +81,8 @@ class CoverNerve(Record):
             if (a,) not in self.faces:
                 raise ValueError(f"singleton face ({a},) missing")
         for f in self.faces:
-            if len(f) > 1:
-                for i in range(len(f)):
-                    if f[:i] + f[i + 1:] not in self.faces:
-                        raise ValueError(f"nerve is not downward closed at {f}")
+            if any(sub not in self.faces for _, sub in _drops(f)):
+                raise ValueError(f"nerve is not downward closed at {f}")
 
     @property
     def max_dim(self) -> int:
@@ -116,11 +123,8 @@ class SheafOnCover(Record):
         for f in self.nerve.faces:
             self.space(f)
         for f in self.nerve.faces:
-            if len(f) < 2:
-                continue
-            for i in range(len(f)):
+            for i, sub in _drops(f):
                 m = self.restriction(f, i)
-                sub = f[:i] + f[i + 1:]
                 if m.domain != self.space(sub) or m.codomain != self.space(f):
                     raise IncompatibleRestrictions(
                         f"restriction into {f} dropping {f[i]} has wrong spaces")
@@ -128,9 +132,7 @@ class SheafOnCover(Record):
         for f in self.nerve.faces:
             if len(f) < 3:
                 continue
-            for i, j in itertools.combinations(range(len(f)), 2):
-                f_i = f[:i] + f[i + 1:]
-                f_j = f[:j] + f[j + 1:]
+            for (i, f_i), (j, f_j) in itertools.combinations(_drops(f), 2):
                 if not products_agree(self.restriction(f, i), self.restriction(f_i, j - 1),
                                       self.restriction(f, j), self.restriction(f_j, i)):
                     raise IncompatibleRestrictions(
@@ -158,8 +160,8 @@ def _cech_cochains(nerve: CoverNerve, sheaf: SheafOnCover) -> tuple:
     diffs = []
     for p in range(len(faces) - 1):
         src_index = {f: i for i, f in enumerate(faces[p])}
-        blocks = [(gi, src_index[g[:i] + g[i + 1:]], -1 if i % 2 else 1, sheaf.restriction(g, i))
-                  for gi, g in enumerate(faces[p + 1]) for i in range(len(g))]
+        blocks = [(gi, src_index[sub], -1 if i % 2 else 1, sheaf.restriction(g, i))
+                  for gi, g in enumerate(faces[p + 1]) for i, sub in _drops(g)]
         diffs.append(LinearMap.from_blocks(spaces[p], spaces[p + 1], offsets[p], offsets[p + 1],
                                            blocks))
     return faces, spaces, offsets, tuple(diffs)
@@ -200,10 +202,7 @@ def function_sheaf(points: Sequence) -> SheafOnCover:
     spaces = {f: LabeledSpace(tuple(sorted(pts))) for f, pts in inter.items()}
     restrictions = {}
     for f in inter:
-        if len(f) < 2:
-            continue
-        for i in range(len(f)):
-            sub = f[:i] + f[i + 1:]
+        for i, sub in _drops(f):
             index = {pt: j for j, pt in enumerate(spaces[sub].labels)}
             rows = [((index[pt], ONE),) for pt in spaces[f].labels]
             restrictions[(f, i)] = LinearMap.sparse(spaces[sub], spaces[f], rows)
@@ -277,19 +276,12 @@ def cech_hyper(nerve: CoverNerve, sheaves: Sequence[SheafOnCover],
 
 
 def cover_to_json(nerve: CoverNerve, sheaf: SheafOnCover) -> dict:
-    faces = [{"idx": list(f), "dim": sheaf.space(f).dim}
-             for f in sorted(nerve.faces, key=lambda f: (len(f), f))]
-    restrict = []
-    for f in sorted(nerve.faces, key=lambda f: (len(f), f)):
-        if len(f) < 2:
-            continue
-        for i in range(len(f)):
-            restrict.append({
-                "from": list(f[:i] + f[i + 1:]),
-                "to": list(f),
-                "matrix": matrix_to_json(sheaf.restriction(f, i).matrix),
-            })
-    return {"opens": nerve.opens, "faces": faces, "restrict": restrict}
+    faces = sorted(nerve.faces, key=lambda f: (len(f), f))
+    return {"opens": nerve.opens,
+            "faces": [{"idx": list(f), "dim": sheaf.space(f).dim} for f in faces],
+            "restrict": [{"from": list(sub), "to": list(f),
+                          "matrix": matrix_to_json(sheaf.restriction(f, i).matrix)}
+                         for f in faces for i, sub in _drops(f)]}
 
 
 def face_from_json(x, field: str) -> tuple:
@@ -309,48 +301,54 @@ def _declared_face(x, field: str, faces) -> tuple:
     return face
 
 
-def _declared_faces(data: dict) -> list:
-    """The `faces` entries, refused past MAX_DECLARED_FACES before any is read."""
-    if len(data["faces"]) > MAX_DECLARED_FACES:
-        raise ValueError(f"faces: {len(data['faces'])} declared, over the limit of "
-                         f"{MAX_DECLARED_FACES}")
-    return data["faces"]
-
-
-def _once(key, seen: set, field: str):
-    """key, recorded in seen; refused if an earlier entry declared it."""
-    if key in seen:
+def _once(key, declared, field: str):
+    """key, refused if an earlier entry declared it."""
+    if key in declared:
         raise ValueError(f"{field}: {key} is declared twice")
-    seen.add(key)
     return key
 
 
-def _restriction_drop(entry: dict, n: int, faces, seen: set) -> tuple:
-    """(source face, target face, dropped position) of restrict[n], each pair declared once."""
-    src = _declared_face(entry["from"], f"restrict[{n}].from", faces)
-    dst = _declared_face(entry["to"], f"restrict[{n}].to", faces)
-    drops = [i for i in range(len(dst)) if dst[:i] + dst[i + 1:] == src]
-    if len(drops) != 1:
-        raise ValueError(f"restriction {src} -> {dst} is not a single index drop")
-    _once((src, dst), seen, f"restrict[{n}]")
-    return src, dst, drops[0]
+def _read_faces(data: dict, read) -> dict:
+    """{face: read(faces[n], n)} over the `faces` entries, each face declared
+    once; refused past MAX_DECLARED_FACES before any entry is read."""
+    if len(data["faces"]) > MAX_DECLARED_FACES:
+        raise ValueError(f"faces: {len(data['faces'])} declared, over the limit of "
+                         f"{MAX_DECLARED_FACES}")
+    faces = {}
+    for n, entry in enumerate(data["faces"]):
+        field = f"faces[{n}].idx"
+        face = _once(face_from_json(entry["idx"], field), faces, field)
+        faces[face] = read(entry, n)
+    return faces
+
+
+def _read_restrictions(data: dict, faces, read) -> dict:
+    """{(face, i): read(restrict[n], n, source, face)}, one entry per drop of
+    every declared face: an entry that is not a single drop between declared
+    faces, a repeated entry and a missing drop are each refused."""
+    given = {}
+    for n, entry in enumerate(data.get("restrict", [])):
+        src = _declared_face(entry["from"], f"restrict[{n}].from", faces)
+        dst = _declared_face(entry["to"], f"restrict[{n}].to", faces)
+        if all(sub != src for _, sub in _drops(dst)):
+            raise ValueError(f"restriction {src} -> {dst} is not a single index drop")
+        key = _once((src, dst), given, f"restrict[{n}]")
+        given[key] = read(entry, n, src, dst)
+    missing = [(sub, f) for f in faces for _, sub in _drops(f) if (sub, f) not in given]
+    if missing:
+        raise ValueError("restrict: no restriction from {} to {}".format(*missing[0]))
+    return {(f, i): given[sub, f] for f in faces for i, sub in _drops(f)}
 
 
 def cover_from_json(data: dict) -> tuple[CoverNerve, SheafOnCover]:
     opens = int_from_json(data["opens"], "opens")
-    face_dims, seen = {}, set()
-    for n, entry in enumerate(_declared_faces(data)):
-        face = _once(face_from_json(entry["idx"], f"faces[{n}].idx"), seen, f"faces[{n}].idx")
-        face_dims[face] = int_from_json(entry["dim"], f"faces[{n}].dim")
+    face_dims = _read_faces(data, lambda entry, n: int_from_json(entry["dim"], f"faces[{n}].dim"))
     check_declared_dim(sum(face_dims.values()))
     nerve = CoverNerve(opens, frozenset(face_dims))
     spaces = {f: LabeledSpace(tuple((f, i) for i in range(d)))
               for f, d in face_dims.items()}
-    restrictions, seen = {}, set()
-    for n, entry in enumerate(data.get("restrict", [])):
-        src, dst, drop = _restriction_drop(entry, n, face_dims, seen)
-        restrictions[(dst, drop)] = map_from_json(entry["matrix"], spaces[src], spaces[dst],
-                                                  f"restrict[{n}].matrix")
+    restrictions = _read_restrictions(data, face_dims, lambda entry, n, src, dst: map_from_json(
+        entry["matrix"], spaces[src], spaces[dst], f"restrict[{n}].matrix"))
     return nerve, SheafOnCover(nerve, spaces, restrictions)
 
 
@@ -359,40 +357,43 @@ def hyper_from_json(data: dict):
 
     opens = int_from_json(data["opens"], "opens")
     levels = int_from_json(data["levels"], "levels")
+    if levels < 1:
+        raise ValueError(f"levels: must be at least 1, got {levels}")
     if levels > MAX_BOUND + 1:  # the grid has one row per level
         raise GridTooLarge(f"levels: {levels} declared, over the limit of {MAX_BOUND + 1}")
-    face_dims, seen = {}, set()
-    for n, entry in enumerate(_declared_faces(data)):
-        face = _once(face_from_json(entry["idx"], f"faces[{n}].idx"), seen, f"faces[{n}].idx")
+
+    def read_dims(entry, n):
         dims = [int_from_json(d, f"faces[{n}].dims[{q}]") for q, d in enumerate(entry["dims"])]
         if len(dims) != levels:
-            raise ValueError(f"face {face} needs one dim per level")
-        face_dims[face] = dims
+            raise ValueError(f"faces[{n}].dims: need one dim per level")
+        return dims
+
+    face_dims = _read_faces(data, read_dims)
     check_declared_dim(sum(map(sum, face_dims.values())))
     nerve = CoverNerve(opens, frozenset(face_dims))
-    level_spaces = []
-    for q in range(levels):
-        level_spaces.append({f: LabeledSpace(tuple((q, f, i) for i in range(d[q])))
-                             for f, d in face_dims.items()})
-    restrictions, seen = [{} for _ in range(levels)], set()
-    for n, entry in enumerate(data.get("restrict", [])):
-        src, dst, drop = _restriction_drop(entry, n, face_dims, seen)
-        mats = entry["matrices"]
-        if len(mats) != levels:
+    level_spaces = [{f: LabeledSpace(tuple((q, f, i) for i in range(d[q])))
+                     for f, d in face_dims.items()} for q in range(levels)]
+
+    def read_matrices(entry, n, src, dst):
+        if len(entry["matrices"]) != levels:
             raise ValueError("need one restriction matrix per level")
-        for q in range(levels):
-            restrictions[q][(dst, drop)] = map_from_json(
-                mats[q], level_spaces[q][src], level_spaces[q][dst], f"restrict[{n}].matrices[{q}]")
-    sheaves = [SheafOnCover(nerve, level_spaces[q], restrictions[q]) for q in range(levels)]
-    level_maps, seen = [{} for _ in range(max(levels - 1, 0))], set()
+        return [map_from_json(m, level_spaces[q][src], level_spaces[q][dst],
+                              f"restrict[{n}].matrices[{q}]")
+                for q, m in enumerate(entry["matrices"])]
+
+    restrictions = _read_restrictions(data, face_dims, read_matrices)
+    sheaves = [SheafOnCover(nerve, level_spaces[q], {k: ms[q] for k, ms in restrictions.items()})
+               for q in range(levels)]
+    face_maps = {}
     for n, entry in enumerate(data.get("level_maps", [])):
         field = f"level_maps[{n}].idx"
-        face = _once(_declared_face(entry["idx"], field, face_dims), seen, field)
-        mats = entry["maps"]
-        if len(mats) != levels - 1:
+        face = _once(_declared_face(entry["idx"], field, face_dims), face_maps, field)
+        if len(entry["maps"]) != levels - 1:
             raise ValueError("need one level map per adjacent level pair")
-        for q in range(levels - 1):
-            level_maps[q][face] = map_from_json(mats[q], level_spaces[q][face],
-                                                level_spaces[q + 1][face],
-                                                f"level_maps[{n}].maps[{q}]")
-    return nerve, sheaves, level_maps
+        face_maps[face] = [map_from_json(m, level_spaces[q][face], level_spaces[q + 1][face],
+                                         f"level_maps[{n}].maps[{q}]")
+                           for q, m in enumerate(entry["maps"])]
+    missing = [f for f in face_dims if f not in face_maps]
+    if levels > 1 and missing:
+        raise ValueError(f"level_maps: no entry for face {missing[0]}")
+    return nerve, sheaves, [{f: ms[q] for f, ms in face_maps.items()} for q in range(levels - 1)]

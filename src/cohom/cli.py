@@ -205,9 +205,11 @@ def cmd_derham(args) -> tuple[dict, list[str]]:
 def cmd_preset(args) -> tuple[dict, list[str]]:
     from .cech import cech_complex
     from .complexes import cohomology
-    from .presets import build_circle, check_p1_window, p1_report, torus_report
+    from .presets import _W_DEFAULT, build_circle, check_p1_window, p1_report, torus_report
 
     name = args.name
+    if args.window is not None and name != "p1":
+        raise InputError(f"--window applies to the p1 preset only, not {name!r}")
     if name == "circle":
         nerve, sheaf = build_circle()
         rep = cohomology(cech_complex(nerve, sheaf))
@@ -235,8 +237,9 @@ def cmd_preset(args) -> tuple[dict, list[str]]:
         ]
         return report, lines
     if name == "p1":
-        check_p1_window(args.window)
-        pr = p1_report(args.window)
+        window = _W_DEFAULT if args.window is None else args.window
+        check_p1_window(window)
+        pr = p1_report(window)
         report = {
             "name": "p1",
             "window": pr.window,
@@ -366,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preset", parents=[common],
                        help="landmark examples: circle | torus:k,n | p1")
     p.add_argument("name")
-    p.add_argument("--window", type=int, default=4)
+    p.add_argument("--window", type=int, default=None, help="p1 only (default 4)")
     p.set_defaults(fn=cmd_preset)
 
     p = sub.add_parser("selftest", parents=[common],

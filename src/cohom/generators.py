@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .cech import CoverNerve, SheafOnCover, function_sheaf
+from .cech import CoverNerve, SheafOnCover, _drops, function_sheaf
 from .complexes import CochainComplex
 from .grid import DoubleComplex, TripleComplex, tensor_double_complex, tensor_triple_complex
 from .linalg import LabeledSpace, LinearMap, ONE, ZERO
@@ -139,9 +139,6 @@ def permute_cover(sheaf: SheafOnCover, perm: list[int]) -> SheafOnCover:
     for f in nerve.faces:
         g = tuple(sorted(perm[a] for a in f))
         spaces[g] = sheaf.space(f)
-        if len(f) < 2:
-            continue
-        for i in range(len(f)):
-            dropped = perm[f[i]]
-            restrictions[(g, g.index(dropped))] = sheaf.restriction(f, i)
+        for i, _ in _drops(f):
+            restrictions[(g, g.index(perm[f[i]]))] = sheaf.restriction(f, i)
     return SheafOnCover(new_nerve, spaces, restrictions)

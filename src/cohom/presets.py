@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .cech import CoverNerve, HyperResult, SheafOnCover, cech_hyper
+from .cech import CoverNerve, HyperResult, SheafOnCover, _drops, cech_hyper
 from .linalg import (LabeledSpace, LawViolation, LinearMap, ONE, Record, WindowExhausted,
                      reduce_columns)
 
@@ -29,12 +29,8 @@ def build_circle():
     faces = frozenset({(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)})
     nerve = CoverNerve(3, faces)
     line = {f: LabeledSpace(((f, "c"),)) for f in faces}
-    restrictions = {}
-    for f in faces:
-        if len(f) == 2:
-            for i in range(2):
-                sub = f[:i] + f[i + 1:]
-                restrictions[(f, i)] = LinearMap(line[sub], line[f], ((ONE,),))
+    restrictions = {(f, i): LinearMap(line[sub], line[f], ((ONE,),))
+                    for f in faces for i, sub in _drops(f)}
     return nerve, SheafOnCover(nerve, line, restrictions)
 
 
@@ -197,13 +193,5 @@ def trivial_cover_hyper(spec: TorusSpec) -> HyperResult:
 
     nerve = CoverNerve(1, frozenset({(0,)}))
     cx = truncated_de_rham_complex(spec)
-    face = (0,)
-    sheaves = []
-    for q in range(spec.n + 1):
-        space = LabeledSpace(tuple((face, lab) for lab in cx.space(q).labels))
-        sheaves.append(SheafOnCover(nerve, {face: space}, {}))
-    maps = []
-    for q in range(spec.n):
-        dom, cod = sheaves[q].space(face), sheaves[q + 1].space(face)
-        maps.append({face: LinearMap.sparse(dom, cod, cx.diff(q).rows)})
-    return cech_hyper(nerve, sheaves, maps)
+    sheaves = [SheafOnCover(nerve, {(0,): space}, {}) for space in cx.spaces]
+    return cech_hyper(nerve, sheaves, [{(0,): d} for d in cx.diffs])

@@ -1,4 +1,6 @@
+import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,8 @@ from cohom.cech import (
     function_sheaf,
 )
 from cohom.complexes import cohomology
-from cohom.generators import permute_cover, random_function_sheaf, random_cochain_complex
+from cohom.generators import (permute_cover, random_cochain_complex, random_function_sheaf,
+                              random_invertible)
 from cohom.grid import InvariantViolation
 from cohom.linalg import LabeledSpace, LinearMap, freeze_matrix
 
@@ -280,3 +283,80 @@ def test_cover_json_roundtrip():
     nerve2, sheaf2 = cover_from_json(data)
     assert nerve2.faces == nerve.faces
     assert cech_cohomology(nerve2, sheaf2).dims == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the coboundary, entry by entry
+
+
+def _without(face, i):
+    """face with the index at position i left out (the oracle's own drop)."""
+    return tuple(a for a in face if a != face[i])
+
+
+def _matmul(a, b):
+    return [[sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+            for row in a]
+
+
+def _conjugated(sheaf, rng):
+    """The sheaf with each face's basis changed by a random invertible matrix
+    m_f: restriction (f, i) becomes m_f r m_sub^-1, so it is no 0/1 pattern."""
+    change = {f: [m.matrix for m in random_invertible(rng, sheaf.space(f).dim)]
+              for f in sheaf.nerve.faces}
+    restrictions = {}
+    for (f, i), r in sheaf.restrictions.items():
+        rows = _matmul(_matmul(change[f][0], r.matrix), change[_without(f, i)][1])
+        restrictions[f, i] = LinearMap(r.domain, r.codomain, freeze_matrix(rows))
+    return SheafOnCover(sheaf.nerve, dict(sheaf.spaces), restrictions)
+
+
+def _check_coboundary(sheaf, labels_of, restriction_of):
+    """cech_complex(sheaf)'s delta against (delta w)_g = sum_i (-1)^i r_(g,i) w_(g minus i),
+    with the faces' labels and restriction matrices given by the two callables."""
+    cx = cech_complex(sheaf.nerve, sheaf)
+    for p in range(cx.hi):
+        src, dst = cx.space(p).labels, cx.space(p + 1).labels
+        want = [[Fraction(0)] * len(src) for _ in dst]
+        for g in (f for f in sheaf.nerve.faces if len(f) == p + 2):
+            for i in range(len(g)):
+                sub = _without(g, i)
+                for r, row in enumerate(restriction_of(g, i)):
+                    for c, x in enumerate(row):
+                        want[dst.index((g, labels_of(g)[r]))][src.index((sub, labels_of(sub)[c]))] \
+                            += (-1) ** i * x
+        assert [list(row) for row in cx.diff(p).matrix] == want, f"delta from degree {p}"
+
+
+def test_coboundary_matches_the_alternating_sum_entry_by_entry():
+    """On conjugated random covers, on a permutation of each, and through the
+    JSON cover format, delta is the textbook alternating sum entry by entry."""
+    rng = random.Random(38)
+    for _ in range(60):
+        sheaf = _conjugated(random_function_sheaf(rng, max_opens=4, max_points=5), rng)
+        nerve = sheaf.nerve
+        labels = {f: sheaf.space(f).labels for f in nerve.faces}
+        _check_coboundary(sheaf, labels.get, lambda f, i: sheaf.restriction(f, i).matrix)
+
+        perm = list(range(nerve.opens))
+        rng.shuffle(perm)
+        inverse = [perm.index(a) for a in range(nerve.opens)]
+
+        def back(g):
+            return tuple(sorted(inverse[a] for a in g))
+
+        def moved(g, j):
+            """The original restriction carried to position j of the permuted face g."""
+            f = back(g)
+            return sheaf.restriction(f, f.index(inverse[g[j]])).matrix
+
+        permuted = permute_cover(sheaf, perm)
+        assert permuted.nerve.faces == {tuple(sorted(perm[a] for a in f)) for f in nerve.faces}
+        _check_coboundary(permuted, lambda g: labels[back(g)], moved)
+
+        nerve2, sheaf2 = cover_from_json(json.loads(json.dumps(cover_to_json(nerve, sheaf))))
+        assert nerve2 == nerve
+        assert all(sheaf2.space(f).dim == sheaf.space(f).dim for f in nerve.faces)
+        assert sheaf2.restrictions.keys() == sheaf.restrictions.keys()
+        assert all(sheaf2.restriction(f, i).matrix == m.matrix
+                   for (f, i), m in sheaf.restrictions.items())

@@ -205,6 +205,33 @@ def test_bad_faces_are_malformed(tmp_path, capsys, command, data, field):
     assert f"malformed input: {field}" in err
 
 
+@pytest.mark.parametrize("command, data, message", [
+    ("cech", {"opens": 2, "faces": [*_PAIR, {"idx": [0, 1], "dim": 1}],
+              "restrict": [{"from": [0], "to": [0, 1], "matrix": [["1"]]}]},
+     "restrict: no restriction from (1,) to (0, 1)"),
+    ("hyper", {"opens": 2, "levels": 1,
+               "faces": [{"idx": [0], "dims": [1]}, {"idx": [1], "dims": [1]},
+                         {"idx": [0, 1], "dims": [1]}],
+               "restrict": [{"from": [1], "to": [0, 1], "matrices": [[["1"]]]}]},
+     "restrict: no restriction from (0,) to (0, 1)"),
+    ("hyper", {"opens": 1, "levels": 2, "faces": [{"idx": [0], "dims": [1, 1]}]},
+     "level_maps: no entry for face (0,)"),
+    ("hyper", {"opens": 2, "levels": 2,
+               "faces": [{"idx": [0], "dims": [1, 1]}, {"idx": [1], "dims": [1, 1]}],
+               "level_maps": [{"idx": [1], "maps": [[["1"]]]}]},
+     "level_maps: no entry for face (0,)"),
+    ("hyper", {"opens": 1, "levels": 0, "faces": [{"idx": [0], "dims": []}]},
+     "levels: must be at least 1, got 0"),
+], ids=["cech_missing_restriction", "hyper_missing_restriction", "hyper_no_level_maps",
+        "hyper_missing_level_map", "hyper_zero_levels"])
+def test_incomplete_covers_are_malformed(tmp_path, capsys, command, data, message):
+    """A cover missing a drop or a level map, or with no level, is malformed
+    input (exit 1, naming the missing item), not a violated law."""
+    code, out, err = run(capsys, command, write(tmp_path, "incomplete.json", data))
+    assert (code, out) == (1, "")
+    assert err == f"error: malformed input: {message}\n"
+
+
 def _declaring(command, n):
     """The smallest input of each loader whose spaces hold n basis vectors in all."""
     return {
@@ -388,7 +415,7 @@ def test_preset_circle_and_p1(capsys):
     code, jout, _ = run(capsys, "preset", "p1", "--format", "json")
     assert code == 0
     report = json.loads(jout)
-    assert report["dims"] == [1, 0, 1]
+    assert (report["window"], report["dims"]) == (4, [1, 0, 1])
     pattern = {(e["p"], e["q"]): e["dim"] for e in report["e1_second"] if e["dim"]}
     assert pattern == {(0, 0): 1, (1, 1): 1}
 
@@ -405,6 +432,15 @@ def test_preset_out_of_range_is_malformed(capsys, argv):
     code, out, err = run(capsys, "preset", *argv)
     assert code == 1 and out == ""
     assert "Traceback" not in err and "invariant violation" not in err
+
+
+@pytest.mark.parametrize("name", ["circle", "torus:2,2", "torus:0,0"])
+def test_preset_window_is_p1_only(capsys, name):
+    """Only p1 has a window; --window on any other preset is a usage error."""
+    code, out, err = run(capsys, "preset", name, "--window", "4")
+    assert (code, out) == (1, "")
+    assert err == f"error: --window applies to the p1 preset only, not {name!r}\n"
+    assert run(capsys, "preset", name)[0] == 0
 
 
 def test_selftest_deterministic(capsys):

@@ -301,3 +301,41 @@ def test_the_layer_tracer_sees_a_subcommand_call(tmp_path):
         assert proc.returncode == 0, proc.stderr
         calls = json.loads(summary.read_text())["calls"]
         assert {name: calls.get(name) for name in expected} == expected
+
+
+def _is_drop_slice(node) -> bool:
+    """Whether node is `x[:i] + x[i + 1:]`, a tuple with position i left out."""
+    def part(sub, lower):
+        return isinstance(sub, ast.Subscript) and isinstance(sub.slice, ast.Slice) \
+            and (sub.slice.lower is None) != lower and (sub.slice.upper is None) == lower
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) \
+        and part(node.left, False) and part(node.right, True)
+
+
+def _function(path: Path, name: str) -> ast.FunctionDef:
+    return next(f for f in ast.walk(ast.parse(path.read_text()))
+                if isinstance(f, ast.FunctionDef) and f.name == name)
+
+
+def test_the_cover_layer_drops_a_face_index_in_one_place():
+    """cech._drops alone writes the face-drop rule; the cover loaders share
+    one face reader and one restriction reader, and the per-loader helpers
+    they replaced are gone."""
+    stray = []
+    for name in ("cech.py", "presets.py", "generators.py"):
+        tree = ast.parse((SRC / name).read_text())
+        inside = {id(node) for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and f.name == "_drops" for node in ast.walk(f)}
+        stray += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if _is_drop_slice(node) and id(node) not in inside]
+    assert not stray, f"face drops written outside cech._drops: {stray}"
+    assert any(_is_drop_slice(node) for node in ast.walk(_function(SRC / "cech.py", "_drops")))
+    retired = ("_declared_faces", "_restriction_drop")
+    found = [f"{path.name}:{node.lineno}" for path in MODULES
+             for node in ast.walk(ast.parse(path.read_text()))
+             if {getattr(node, a, None) for a in ("name", "id", "attr")} & set(retired)]
+    assert not found, f"retired cover readers: {found}"
+    for loader in ("cover_from_json", "hyper_from_json"):
+        called = {_called_name(node) for node in ast.walk(_function(SRC / "cech.py", loader))
+                  if isinstance(node, ast.Call)}
+        assert {"_read_faces", "_read_restrictions"} <= called, f"{loader} reads covers its own way"
