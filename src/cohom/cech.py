@@ -308,9 +308,9 @@ def _once(key, declared, field: str):
     return key
 
 
-def _read_faces(data: dict, read) -> dict:
-    """{face: read(faces[n], n)} over the `faces` entries, each face declared
-    once; refused past MAX_DECLARED_FACES before any entry is read."""
+def _read_faces(data: dict, opens: int, read) -> dict:
+    """{face: read(faces[n], n)} over the `faces` entries, each a nonempty face of
+    opens 0..opens-1 declared once; refused past MAX_DECLARED_FACES before any is read."""
     if len(data["faces"]) > MAX_DECLARED_FACES:
         raise ValueError(f"faces: {len(data['faces'])} declared, over the limit of "
                          f"{MAX_DECLARED_FACES}")
@@ -318,6 +318,10 @@ def _read_faces(data: dict, read) -> dict:
     for n, entry in enumerate(data["faces"]):
         field = f"faces[{n}].idx"
         face = _once(face_from_json(entry["idx"], field), faces, field)
+        if not face:
+            raise ValueError(f"{field}: a face needs at least one open")
+        if face[-1] >= opens:
+            raise ValueError(f"{field}: open {face[-1]} is out of range for {opens} opens")
         faces[face] = read(entry, n)
     return faces
 
@@ -342,7 +346,7 @@ def _read_restrictions(data: dict, faces, read) -> dict:
 
 def cover_from_json(data: dict) -> tuple[CoverNerve, SheafOnCover]:
     opens = int_from_json(data["opens"], "opens")
-    face_dims = _read_faces(data, lambda entry, n: int_from_json(entry["dim"], f"faces[{n}].dim"))
+    face_dims = _read_faces(data, opens, lambda e, n: int_from_json(e["dim"], f"faces[{n}].dim"))
     check_declared_dim(sum(face_dims.values()))
     nerve = CoverNerve(opens, frozenset(face_dims))
     spaces = {f: LabeledSpace(tuple((f, i) for i in range(d)))
@@ -368,7 +372,7 @@ def hyper_from_json(data: dict):
             raise ValueError(f"faces[{n}].dims: need one dim per level")
         return dims
 
-    face_dims = _read_faces(data, read_dims)
+    face_dims = _read_faces(data, opens, read_dims)
     check_declared_dim(sum(map(sum, face_dims.values())))
     nerve = CoverNerve(opens, frozenset(face_dims))
     level_spaces = [{f: LabeledSpace(tuple((q, f, i) for i in range(d[q])))

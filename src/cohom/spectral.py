@@ -15,16 +15,17 @@ nonzero rows ("lows"), and every basis index of Tot^n is exactly one of
 A page is a filter on this pairing.  E_r^{p,q} is spanned by the
 essentials at p plus the sources and targets at p whose pair distance
 is >= r (`SpectralPage.span`), and d_r is the matching at distance
-exactly r: it sends each source to its target.  One sweep over the
-pairing reads off E_1 and files every source, and every cell holding a
-pair, by distance.  E_{r+1} then rebuilds only the cells that d_r
-touches and shares every other cell's index list with E_r, and each
-page builds its d_r once, from the sources at distance r
-(`SpectralPage.d`, read by `d_pairs`).  Page dims are therefore lengths
-of index lists and the rank of d_r is its number of distinct targets.
-Representatives are V_j for essentials and sources and R_j for the
-target of source j, kept as ints with the one scale V_j[j] that
-`SpectralPage.representatives` divides them by.
+exactly r: it sends each source to its target.  E_{r+1} rebuilds only
+the cells that d_r touches.  Page dims are lengths of index lists, and
+the rank of d_r is its number of distinct targets.  Representatives are
+V_j for essentials and sources and R_j for the target of source j, kept
+as ints with the one scale V_j[j] that `SpectralPage.representatives`
+divides them by.
+
+The convergence certificate builds no page: `_check_pairing` checks the
+page laws of every r in one pass over the pairing, E_inf^{p,n-p} counts
+the essentials at level p in Tot^n, and every d_r past the longest pair
+distance is zero.  Pages are built only for output; each checks its laws.
 
 The row filtration is read from the same total complex, with q in place
 of p as the filtration degree: x -> (-1)^{pq} x carries Tot(K) filtered
@@ -53,12 +54,6 @@ class SpectralPage(Record):
     gens: list  # the _pairs pairing, shared by every page of one filtration
     d: dict     # (p, q) -> d_pairs(p, q), for the cells where d_r is nonzero
 
-    def __init__(self, r: int, span: dict, gens: list, d: dict):
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "span", span)
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "d", d)
-
     def dim(self, p: int, q: int) -> int:
         return len(self.span.get((p, q), ()))
 
@@ -73,10 +68,6 @@ class SpectralPage(Record):
         """Dense vectors of Tot^{p+q}: V_j for essentials and sources, R_j for targets."""
         gens = self.gens[p + q]
         return [_dense(*gens[i][1], len(gens)) for i in self.span[(p, q)]]
-
-
-def _rank(pairs: list) -> int:
-    return len({t for _, t in pairs})
 
 
 class ConvergenceCertificate(Record):
@@ -126,16 +117,43 @@ def _pairs(tot: CochainComplex, axis: int) -> tuple[list, list]:
     return level, gens
 
 
-def _compute_pages(k: DoubleComplex, tot: CochainComplex, r_max: int,
-                   axis: int) -> list[SpectralPage]:
-    """Pages E_1..E_r_max of total(k) = tot filtered by label position axis.
+def _check_pairing(level: list, gens: list) -> tuple[list, int]:
+    """Check a pairing from _pairs for the page laws of every r at once: the target
+    of a source lies at its level plus their distance, is no source, is no other
+    source's target and records the same distance, and every target has a source.
+    The same pass returns what the certificate reads: (count, longest), with
+    count[n][a] essentials at level a in Tot^n and the longest pair distance."""
+    count = [[0] * (n + 1) for n in range(len(gens))]  # level a <= n in Tot^n
+    claimed, longest = set(), 0  # claimed: the targets in Tot^n of sources in Tot^{n-1}
+    for n, (lv, g, row) in enumerate(zip(level, gens, count)):
+        nxt, targets, sources = (gens[n + 1] if n + 1 < len(gens) else ()), 0, set()
+        for i, (dist, _, t) in enumerate(g):
+            if dist is None:
+                row[lv[i]] += 1
+            elif t is None:
+                targets += 1
+            else:
+                if not (0 <= t < len(nxt) and level[n + 1][t] == lv[i] + dist):
+                    raise LawViolation("d_r has bidegree (r, 1-r)", f"source {i} of Tot^{n}")
+                if nxt[t][2] is not None:
+                    raise LawViolation("d_r squares to zero", f"source {i} of Tot^{n}")
+                if nxt[t][0] != dist or t in sources:
+                    raise LawViolation("E_{r+1} = ker d_r / im d_r", f"source {i} of Tot^{n}")
+                sources.add(t)
+                longest = max(longest, dist)
+        if targets != len(claimed):
+            raise LawViolation("E_{r+1} = ker d_r / im d_r", f"a target in Tot^{n} has no source")
+        claimed = sources
+    return count, longest
+
+
+def _compute_pages(k: DoubleComplex, pairing: tuple, r_max: int, axis: int) -> list[SpectralPage]:
+    """Pages E_1..E_r_max of a total of k from its checked pairing by label position axis.
 
     Page entry (a, b) sits at filtration level a in total degree a + b.
     E_{r+1} rebuilds the cells in dying[r] and shares the others with E_r.
     """
-    if not 1 <= r_max <= k.P + k.Q + 2:
-        raise ValueError("r_max out of range")
-    level, gens = _pairs(tot, axis)
+    level, gens = pairing
     A, B = (k.P, k.Q) if axis == 0 else (k.Q, k.P)
     cells: dict = {(a, b): [] for a in range(A + 1) for b in range(B + 1)}
     dying: dict = {}    # r -> cells with an index at distance r, rebuilt on E_{r+1}
@@ -165,9 +183,8 @@ def _compute_pages(k: DoubleComplex, tot: CochainComplex, r_max: int,
 
 
 def _d_r(r: int, span: dict, sources: dict) -> dict:
-    """{(p, q): d_pairs(p, q)} of page r from its sources at distance r,
-    {(p, q): [(source, target)]}; each target must be alive on
-    E_r^{p+r, q-r+1}."""
+    """{(p, q): d_pairs(p, q)} of page r from its sources {(p, q): [(source, target)]}
+    at distance r; each target must be alive on E_r^{p+r, q-r+1}."""
     d = {}
     for (p, q), pairs in sources.items():
         pos = {i: j for j, i in enumerate(span[(p, q)])}
@@ -188,69 +205,71 @@ def _check_page(page: SpectralPage, prev: Optional[SpectralPage]) -> None:
     if prev is not None:
         want = {pq: len(idx) for pq, idx in prev.span.items()}
         for (p, q), pairs in prev.d.items():
-            want[(p, q)] -= _rank(pairs)
-            want[(p + prev.r, q - prev.r + 1)] -= _rank(pairs)
+            rank = len({t for _, t in pairs})
+            want[(p, q)] -= rank
+            want[(p + prev.r, q - prev.r + 1)] -= rank
         for (p, q), idx in page.span.items():
             if len(idx) != want[(p, q)]:
-                raise LawViolation("E_{r+1} = ker d_r / im d_r",
-                                   f"page {r} entry {(p, q)}")
+                raise LawViolation("E_{r+1} = ker d_r / im d_r", f"page {r} entry {(p, q)}")
+
+
+def _pages(k: DoubleComplex, r_max: int, axis: int) -> list[SpectralPage]:
+    if not 1 <= r_max <= k.P + k.Q + 2:
+        raise ValueError("r_max out of range")
+    pairing = _pairs(total(k), axis)
+    _check_pairing(*pairing)
+    return _compute_pages(k, pairing, r_max, axis)
 
 
 def first_pages(k: DoubleComplex, r_max: int) -> list[SpectralPage]:
     """Pages E_1..E_r_max of the column filtration (E_1 = vertical cohomology)."""
-    return _compute_pages(k, total(k), r_max, 0)
+    return _pages(k, r_max, 0)
 
 
 def second_pages(k: DoubleComplex, r_max: int) -> list[SpectralPage]:
-    """Pages of the row filtration (E_1 = horizontal cohomology).
-
-    Page entry (p, q) is cell (q, p) of the input double complex; the
-    representatives lie in total(k).
-    """
-    return _compute_pages(k, total(k), r_max, 1)
+    """Pages of the row filtration (E_1 = horizontal cohomology): page entry (p, q)
+    is cell (q, p) of the input double complex, and representatives lie in total(k)."""
+    return _pages(k, r_max, 1)
 
 
-def _einf_sums(pages: list[SpectralPage], P: int, Q: int) -> dict:
-    last = pages[-1]
-    return {k: tuple(((p, k - p), last.dim(p, k - p)) for p in range(max(0, k - Q), min(P, k) + 1))
-            for k in range(P + Q + 1)}
-
-
-def _degeneration_page(pages: list[SpectralPage]) -> int:
-    """The first r from which every d_r is zero, given the pages E_1, E_2, ..."""
-    return next((page.r + 1 for page in reversed(pages) if page.d), 1)
-
-
-def _analyse(k: DoubleComplex, tot: CochainComplex, total_dims: tuple):
-    """Both page sequences out to E_inf, and their certificate against total_dims.
-
-    tot is total(k); total_dims come from cohomology_dims(tot), whose rank
-    elimination is independent of the page reduction, so the certificate
-    cross-checks two computations.
-    """
-    r_inf = max(k.P, k.Q) + 2
-    first = _compute_pages(k, tot, r_inf, 0)
-    second = _compute_pages(k, tot, r_inf, 1)
-    first_sums = _einf_sums(first, k.P, k.Q)
-    second_sums = _einf_sums(second, k.Q, k.P)
+def _certify(k: DoubleComplex, total_dims: tuple, readings: list) -> ConvergenceCertificate:
+    """Both filtrations' E_inf against total_dims, from the (count, longest) that
+    _check_pairing read off each pairing: E_inf^{a,n-a} is count[n][a], and
+    the degeneration page is one past the longest pair distance."""
+    einf = [{n: tuple([((a, n - a), count[n][a]) for a in range(max(0, n - B), min(A, n) + 1)])
+             for n in range(A + B + 1)}
+            for (count, _), (A, B) in zip(readings, ((k.P, k.Q), (k.Q, k.P)))]
     for deg, h in enumerate(total_dims):
-        for name, sums in (("first", first_sums), ("second", second_sums)):
+        for name, sums in zip(("first", "second"), einf):
             s = sum(d for _, d in sums[deg])
             if s != h:
                 raise ConvergenceFailure(f"{name} filtration E_inf sum {s} != dim H^{deg} = {h}")
-    cert = ConvergenceCertificate(tuple(total_dims), first_sums, second_sums,
-                                  _degeneration_page(first), _degeneration_page(second))
+    return ConvergenceCertificate(tuple(total_dims), *einf, *(r + 1 for _, r in readings))
+
+
+def _analyse(k: DoubleComplex, tot: CochainComplex, total_dims: tuple):
+    """Both page sequences out to E_inf and their certificate, from one pairing of
+    tot = total(k) per filtration; total_dims come from cohomology_dims(tot), whose
+    row echelon is independent of the pairing, so the certificate cross-checks the two."""
+    pairings = [_pairs(tot, axis) for axis in (0, 1)]
+    cert = _certify(k, total_dims, [_check_pairing(*pairing) for pairing in pairings])
+    r_inf = max(k.P, k.Q) + 2
+    first, second = (_compute_pages(k, pair, r_inf, axis) for axis, pair in enumerate(pairings))
+    for pages, einf in ((first, cert.first_einf), (second, cert.second_einf)):
+        if pages[-1].dims() != {pq: d for cells in einf.values() for pq, d in cells if d}:
+            raise LawViolation("the last page is E_inf", f"page {r_inf}")
     return first, second, cert
 
 
 def certify_convergence(k: DoubleComplex) -> ConvergenceCertificate:
-    """Check both filtrations' E_infinity against the total cohomology."""
+    """Check both filtrations' E_infinity, read off their checked pairings,
+    against the total cohomology; no page is built."""
     tot = total(k)
-    return _analyse(k, tot, cohomology_dims(tot))[2]
+    return _certify(k, cohomology_dims(tot), [_check_pairing(*_pairs(tot, a)) for a in (0, 1)])
 
 
 def page_to_json(page: SpectralPage) -> dict:
     dims = [{"p": p, "q": q, "dim": len(idx)} for (p, q), idx in sorted(page.span.items())]
-    ranks = [{"p": p, "q": q, "rank": _rank(page.d_pairs(p, q))}
+    ranks = [{"p": p, "q": q, "rank": len({t for _, t in page.d_pairs(p, q)})}
              for p, q in sorted(page.span) if (p + page.r, q - page.r + 1) in page.span]
     return {"r": page.r, "dims": dims, "d_r_ranks": ranks}

@@ -232,6 +232,26 @@ def test_incomplete_covers_are_malformed(tmp_path, capsys, command, data, messag
     assert err == f"error: malformed input: {message}\n"
 
 
+@pytest.mark.parametrize("command, face, message", [
+    ("cech", [5], "faces[1].idx: open 5 is out of range for 1 opens"),
+    ("cech", [], "faces[1].idx: a face needs at least one open"),
+    ("hyper", [3], "faces[1].idx: open 3 is out of range for 1 opens"),
+    ("hyper", [], "faces[1].idx: a face needs at least one open"),
+], ids=["cech_past_opens", "cech_empty", "hyper_past_opens", "hyper_empty"])
+def test_a_face_lies_in_the_cover(tmp_path, capsys, command, face, message):
+    """A face index past `opens`, or a face with no index, is refused by the
+    loader naming its entry, not left to the nerve."""
+    if command == "cech":
+        data = {"opens": 1, "faces": [{"idx": [0], "dim": 1}, {"idx": face, "dim": 1}],
+                "restrict": []}
+    else:
+        data = {"opens": 1, "levels": 1,
+                "faces": [{"idx": [0], "dims": [1]}, {"idx": face, "dims": [1]}]}
+    code, out, err = run(capsys, command, write(tmp_path, "face.json", data))
+    assert (code, out) == (1, "")
+    assert err == f"error: malformed input: {message}\n"
+
+
 def _declaring(command, n):
     """The smallest input of each loader whose spaces hold n basis vectors in all."""
     return {

@@ -5,14 +5,17 @@ from fractions import Fraction
 import pytest
 
 import cohom.spectral as spectral
+from cohom.cech import cech_sheaf_double_complex
 from cohom.cli import main
-from cohom.complexes import CochainComplex, cohomology
+from cohom.complexes import CochainComplex, cohomology, cohomology_dims
 from cohom.generators import (
     nonzero_d2_double_complex,
+    random_function_sheaf,
     random_tensor_double_complex,
 )
-from cohom.grid import DoubleComplex, total
-from cohom.linalg import LabeledSpace, LinearMap, freeze_matrix
+from cohom.grid import DoubleComplex, double_complex_from_json, total
+from cohom.linalg import LabeledSpace, LawViolation, LinearMap, freeze_matrix
+from cohom.presets import build_p1
 from cohom.spectral import certify_convergence, first_pages, second_pages
 
 F = Fraction
@@ -388,6 +391,11 @@ def _target_off_its_cell(gens):
     gens[0][0] = (dist, column, 5)  # Tot^1 has one index, so 5 lies on no cell
 
 
+def _target_below_the_first_index(gens):
+    dist, column, _ = gens[0][0]
+    gens[0][0] = (dist, column, -1)  # no index, though Python would read it as the last
+
+
 # two one-dimensional copies of LINE's first map side by side: two sources
 # in Tot^0, each paired with its own target in Tot^1 at distance 1
 TWO_LINES = {"P": 1, "Q": 0, "dims": [[2], [2]], "horiz": [[[["1", "0"], ["0", "1"]]]],
@@ -399,18 +407,43 @@ def _two_sources_share_a_target(gens):
     gens[0][1] = (dist, column, gens[0][0][2])
 
 
-@pytest.mark.parametrize("grid, mutate, pages, law", [
+def _two_sources_share_a_target_and_no_other(gens):
+    _two_sources_share_a_target(gens)
+    _, column, _ = gens[1][1 - gens[0][0][2]]
+    gens[1][1 - gens[0][0][2]] = (None, column, None)  # the other target turns essential
+
+
+# a square: K^{0,0} -> K^{1,0} the identity and every other map zero, so
+# Tot^1 holds the target at level 1 and an essential of K^{0,1} at level 0
+SQUARE = {"P": 1, "Q": 1, "dims": [[1, 1], [1, 1]], "horiz": [[[["1"]], [["0"]]]],
+          "vert": [[[["0"]]], [[["0"]]]]}
+
+
+def _target_off_its_level(gens):
+    dist, column, target = gens[0][0]
+    gens[0][0] = (dist, column, 1 - target)
+
+
+def _target_without_a_source(gens):
+    _, column, _ = gens[0][0]
+    gens[0][0] = (None, column, None)  # the source turns essential, its target stays a target
+
+
+MUTATIONS = pytest.mark.parametrize("grid, mutate, pages, law", [
     (LINE, _target_also_a_source, "1", "d_r squares to zero"),
     (LINE, _target_farther_than_its_source, "2", "E_{r+1} = ker d_r / im d_r"),
     (LINE, _target_off_its_cell, "1", "d_r has bidegree (r, 1-r)"),
+    (LINE, _target_below_the_first_index, "1", "d_r has bidegree (r, 1-r)"),
     (TWO_LINES, _two_sources_share_a_target, "2", "E_{r+1} = ker d_r / im d_r"),
-], ids=["target_is_a_source", "distance_mismatch", "target_off_its_cell", "shared_target"])
-def test_mutated_pairing_fails_its_page_law(tmp_path, capsys, monkeypatch, grid, mutate,
-                                            pages, law):
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps(grid))
-    assert main(["spectral", str(path), "--pages", pages]) == 0
-    capsys.readouterr()
+    (TWO_LINES, _two_sources_share_a_target_and_no_other, "2", "E_{r+1} = ker d_r / im d_r"),
+    (SQUARE, _target_off_its_level, "1", "d_r has bidegree (r, 1-r)"),
+    (LINE, _target_without_a_source, "2", "E_{r+1} = ker d_r / im d_r"),
+], ids=["target_is_a_source", "distance_mismatch", "target_off_its_cell", "negative_target",
+        "shared_target", "shared_target_no_other", "target_off_its_level",
+        "target_without_a_source"])
+
+
+def _mutate_pairs(monkeypatch, mutate):
     pairs = spectral._pairs
 
     def mutated(tot, axis):
@@ -419,5 +452,116 @@ def test_mutated_pairing_fails_its_page_law(tmp_path, capsys, monkeypatch, grid,
         return level, gens
 
     monkeypatch.setattr(spectral, "_pairs", mutated)
+
+
+@MUTATIONS
+def test_mutated_pairing_fails_its_page_law(tmp_path, capsys, monkeypatch, grid, mutate,
+                                            pages, law):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    assert main(["spectral", str(path), "--pages", pages]) == 0
+    capsys.readouterr()
+    _mutate_pairs(monkeypatch, mutate)
     assert main(["spectral", str(path), "--pages", pages]) == 2
     assert f"law '{law}' fails" in capsys.readouterr().err
+
+
+@MUTATIONS
+def test_mutated_pairing_fails_the_same_law_everywhere(tmp_path, capsys, monkeypatch, grid,
+                                                       mutate, pages, law):
+    """The pages of `cohom spectral`, the library certificate and cech_hyper's
+    pages-and-certificate all read one checked pairing, so a broken pairing
+    fails the same named law through each of them."""
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    dc = double_complex_from_json(grid)
+    tot = total(dc)
+    spectral._analyse(dc, tot, cohomology_dims(tot))
+    certify_convergence(dc)
+    _mutate_pairs(monkeypatch, mutate)
+    assert main(["spectral", str(path), "--pages", pages]) == 2
+    assert f"law '{law}' fails" in capsys.readouterr().err
+    for entry in (lambda: certify_convergence(dc),
+                  lambda: spectral._analyse(dc, tot, cohomology_dims(tot))):
+        with pytest.raises(LawViolation) as failure:
+            entry()
+        assert failure.value.law == law
+
+
+def test_hyper_pages_end_on_the_certificate(monkeypatch):
+    """cech_hyper prints pages out to E_inf; its last page must be the E_inf
+    that the certificate reads off the pairing."""
+    compute = spectral._compute_pages
+    monkeypatch.setattr(spectral, "_compute_pages", lambda *args: compute(*args)[:1])
+    dc = nonzero_d2_double_complex()
+    tot = total(dc)
+    with pytest.raises(LawViolation) as failure:
+        spectral._analyse(dc, tot, cohomology_dims(tot))
+    assert failure.value.law == "the last page is E_inf"
+
+
+def _cover_grids(rng, count):
+    """Cech-sheaf grids of random function sheaves, with one to three levels
+    of one sheaf joined by identity or zero level maps (never two identities
+    in a row, so the level maps compose to zero)."""
+    grids = []
+    for _ in range(count):
+        sheaf = random_function_sheaf(rng, max_opens=4, max_points=5)
+        maps, ident = [], False
+        for _ in range(rng.randint(0, 2)):
+            ident = not ident and rng.random() < 0.7
+            level = {}
+            for f in sheaf.nerve.faces:
+                space = sheaf.space(f)
+                level[f] = LinearMap.identity(space) if ident else LinearMap.zero(space, space)
+            maps.append(level)
+        grids.append(cech_sheaf_double_complex(sheaf.nerve, [sheaf] * (len(maps) + 1), maps))
+    return grids
+
+
+def _certificate_off_pages(dc):
+    """(E_inf sums, degeneration page) of each filtration, read off its pages
+    built out to E_inf: E_inf is the last page, and the degeneration page is
+    the page after the last one whose d_r is nonzero."""
+    r_inf = max(dc.P, dc.Q) + 2
+    out = []
+    for pages, (A, B) in ((first_pages(dc, r_inf), (dc.P, dc.Q)),
+                          (second_pages(dc, r_inf), (dc.Q, dc.P))):
+        last = pages[-1]
+        einf = {n: tuple(((a, n - a), last.dim(a, n - a))
+                         for a in range(max(0, n - B), min(A, n) + 1))
+                for n in range(A + B + 1)}
+        nonzero = [page.r for page in pages if any(d_rank(page, *pq) for pq in page.span)]
+        out.append((einf, max(nonzero, default=0) + 1))
+    return out
+
+
+def test_certificate_matches_the_pages():
+    """certify_convergence reads E_inf and the degeneration page off the
+    pairing without building a page; both agree with the built pages."""
+    rng = random.Random(2028)
+    grids = [random_tensor_double_complex(rng, max_bound=b)[0]
+             for b in (1, 2, 3, 4) for _ in range(60)]
+    grids += [nonzero_d2_double_complex(), cech_sheaf_double_complex(*build_p1(4))]
+    grids += _cover_grids(rng, 60)
+    assert len(grids) >= 300
+    for dc in grids:
+        cert = certify_convergence(dc)
+        (first, first_r), (second, second_r) = _certificate_off_pages(dc)
+        assert cert.total_dims == cohomology(total(dc)).dims
+        assert (cert.first_einf, cert.first_degeneration) == (first, first_r)
+        assert (cert.second_einf, cert.second_degeneration) == (second, second_r)
+
+
+def test_a_certificate_builds_no_page(monkeypatch):
+    """certify_convergence reads the checked pairing alone: pages are built
+    only where they are printed."""
+    def fail(*args, **kwargs):
+        pytest.fail("a page was built")
+
+    grids = [nonzero_d2_double_complex(), cech_sheaf_double_complex(*build_p1(4)),
+             *(random_tensor_double_complex(random.Random(seed))[0] for seed in range(5))]
+    monkeypatch.setattr(spectral, "_compute_pages", fail)
+    monkeypatch.setattr(spectral.SpectralPage, "__init__", fail)
+    for dc in grids:
+        certify_convergence(dc)
