@@ -21,18 +21,9 @@ import itertools
 from typing import TYPE_CHECKING, Sequence
 
 from .complexes import CochainComplex, CohomologyReport, cohomology, cohomology_dims
-from .linalg import (
-    CohomError,
-    LabeledSpace,
-    LinearMap,
-    ONE,
-    Record,
-    check_declared_dim,
-    int_from_json,
-    map_from_json,
-    matrix_to_json,
-    products_agree,
-)
+from .exact import ONE, CohomError, Record
+from .linalg import (LabeledSpace, LinearMap, check_declared_dim, int_from_json, map_from_json,
+                     matrix_to_json, products_agree)
 
 if TYPE_CHECKING:
     from .grid import DoubleComplex

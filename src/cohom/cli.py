@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import __version__
-from .linalg import CohomError, rat_to_str
+from .exact import CohomError, rat_to_str
 
 SCHEMA_VERSION = "1"
 

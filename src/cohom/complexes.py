@@ -7,36 +7,22 @@ ker d_k / im d_{k-1}.
 
 Two entry points compute it.  `cohomology` returns explicit
 lifted-cocycle representatives, read off one fraction-free column
-reduction of each d_k (`linalg.reduce_columns`); `cohom complex` and
+reduction of each d_k (`exact.reduce_columns`); `cohom complex` and
 `cohom cech` print them.  `cohomology_dims` counts dimensions by rank
 alone (dim K^k - rank d_k - rank d_{k-1}) and serves the callers that
 read dimensions only: `cohom hyper` and the convergence certificate.
 `cohom derham` counts its Koszul pieces with the same rule,
-`linalg.dims_from_ranks`, from integer rows that `forms` ranks directly.
+`exact.dims_from_ranks`, from integer rows that `forms` ranks directly.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .linalg import (
-    CohomError,
-    LabeledSpace,
-    LawViolation,
-    LinearMap,
-    Record,
-    ZERO_SPACE,
-    _echelon,
-    check_declared_dim,
-    dims_from_ranks,
-    int_from_json,
-    map_from_json,
-    matrix_to_json,
-    products_agree,
-    quotient,
-    rank,
-    reduce_columns,
-)
+from .exact import (CohomError, LawViolation, Record, _echelon, dims_from_ranks, quotient,
+                    reduce_columns)
+from .linalg import (ZERO_SPACE, LabeledSpace, LinearMap, check_declared_dim, int_from_json,
+                     map_from_json, matrix_to_json, products_agree, rank)
 
 
 class NotAComplex(CohomError):

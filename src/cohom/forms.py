@@ -27,18 +27,8 @@ import re
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .linalg import (
-    CohomError,
-    LabeledSpace,
-    LawViolation,
-    LinearMap,
-    ONE,
-    Record,
-    WindowExhausted,
-    _echelon,
-    dims_from_ranks,
-    rat_to_str,
-)
+from .exact import (ONE, CohomError, LawViolation, Record, WindowExhausted, _echelon,
+                    dims_from_ranks, rat_to_str)
 
 if TYPE_CHECKING:
     from .complexes import CochainComplex
@@ -252,6 +242,7 @@ def multidegree_complex(spec: TorusSpec, m: tuple) -> CochainComplex:
     Koszul map determined by m.
     """
     from .complexes import CochainComplex
+    from .linalg import LabeledSpace, LinearMap
 
     (bases, _), rows = _koszul_piece(spec, m)
     spaces = tuple(LabeledSpace(tuple((m, I) for I in basis)) for basis in bases)
@@ -370,6 +361,7 @@ def truncated_de_rham_complex(spec: TorusSpec) -> CochainComplex:
     Degree-q labels are (m, I) pairs, so vectors translate back to forms.
     """
     from .complexes import CochainComplex
+    from .linalg import LabeledSpace, LinearMap
 
     components = [multidegree_complex(spec, m) for m in multidegree_window(spec)]
     spaces = tuple(LabeledSpace(tuple(lab for cx in components for lab in cx.space(q).labels))
@@ -585,7 +577,7 @@ def parse_form(text: str, n: int) -> AlgebraicForm:
         coeff = -ONE if raw[0] == "-" else ONE
         factors = raw[raw[0] in "+-":].replace("*", " ").split()
         if not factors:
-            raise ValueError("dangling sign in form")
+            raise ValueError("dangling sign in form" if raw[0] in "+-" else "term with no factor")
         exps = [0] * n
         dz: tuple = ()
         for tok in factors:

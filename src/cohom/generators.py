@@ -14,7 +14,8 @@ import random
 from .cech import CoverNerve, SheafOnCover, _drops, function_sheaf
 from .complexes import CochainComplex
 from .grid import DoubleComplex, TripleComplex, tensor_double_complex, tensor_triple_complex
-from .linalg import LabeledSpace, LinearMap, ONE, ZERO
+from .exact import ONE, ZERO
+from .linalg import LabeledSpace, LinearMap
 
 
 def random_invertible(rng: random.Random, n: int) -> tuple:

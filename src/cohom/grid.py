@@ -18,19 +18,9 @@ from operator import attrgetter
 from typing import Optional
 
 from .complexes import CochainComplex
-from .linalg import (
-    CohomError,
-    LabeledSpace,
-    LinearMap,
-    ONE,
-    Record,
-    ZERO_SPACE,
-    check_declared_dim,
-    int_from_json,
-    map_from_json,
-    matrix_to_json,
-    products_agree,
-)
+from .exact import ONE, CohomError, Record
+from .linalg import (ZERO_SPACE, LabeledSpace, LinearMap, check_declared_dim, int_from_json,
+                     map_from_json, matrix_to_json, products_agree)
 
 MAX_BOUND = 16
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .cech import CoverNerve, HyperResult, SheafOnCover, _drops, cech_hyper
-from .linalg import (LabeledSpace, LawViolation, LinearMap, ONE, Record, WindowExhausted,
-                     reduce_columns)
+from .exact import ONE, LawViolation, Record, WindowExhausted, reduce_columns
+from .linalg import LabeledSpace, LinearMap
 
 if TYPE_CHECKING:
     from .forms import TorusSpec

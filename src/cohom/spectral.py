@@ -3,7 +3,7 @@
 All pages come from one filtered column reduction of the total complex
 (the persistence view of a spectral sequence).  For each degree n the
 differential D : Tot^n -> Tot^{n+1} is reduced once by
-`linalg.reduce_columns`, with columns and rows ordered by (-p, index) so
+`exact.reduce_columns`, with columns and rows ordered by (-p, index) so
 that a column only ever receives columns from its own filtration step
 F_p = sum_{p' >= p} K^{p', n-p'}.  The result R = D V has unique lowest
 nonzero rows ("lows"), and every basis index of Tot^n is exactly one of
@@ -41,7 +41,7 @@ from typing import Optional
 
 from .complexes import CochainComplex, cohomology_dims
 from .grid import DoubleComplex, total
-from .linalg import CohomError, LawViolation, Record, ZERO, quotient, reduce_columns
+from .exact import ZERO, CohomError, LawViolation, Record, quotient, reduce_columns
 
 
 class ConvergenceFailure(CohomError):

@@ -346,7 +346,7 @@ def test_failed_self_check_exits_2_naming_the_law(capsys, monkeypatch):
     """A broken column reducer, which reports every column as a zero column
     with V_j = e_j, makes the cocycle self-check fail: exit 2, no traceback."""
     import cohom.complexes
-    from cohom.linalg import ONE
+    from cohom.exact import ONE
 
     monkeypatch.setattr(cohom.complexes, "reduce_columns",
                         lambda m, order, key=None: [(j, {}, {j: ONE}, None) for j in order])
@@ -412,7 +412,8 @@ def test_derham_rejects_bad_form(capsys):
     ("1", "z1^2", "the form is not closed"),
     ("0", "z1^-1", "negative exponent on non-inverted variable z1"),
     ("1", "1/0 dz1", "zero denominator in '1/0'"),
-], ids=["not_closed", "pole_off_the_inverted_axes", "zero_denominator"])
+    ("1", "*", "term with no factor"),
+], ids=["not_closed", "pole_off_the_inverted_axes", "zero_denominator", "no_factor"])
 def test_derham_reduce_refuses_bad_forms_as_input(capsys, fmt, invert, form, message):
     code, out, err = run(capsys, "derham", "--n", "1", "--invert", invert,
                          "--reduce", form, "--format", fmt)

@@ -35,7 +35,7 @@ from cohom.forms import (
     truncated_de_rham_complex,
     wedge,
 )
-from cohom.linalg import LawViolation, WindowExhausted
+from cohom.exact import LawViolation, WindowExhausted
 
 F = Fraction
 
@@ -561,10 +561,15 @@ def test_parse_unsorted_dz_normalizes_sign():
         assert parse_form(text, 4) == mono(4, cycle_sign(perm), (0,) * 4, (1, 2, 3, 4)), text
 
 
-@pytest.mark.parametrize("text", ["*", "13-*", "z1 + * *"])
-def test_parse_refuses_a_term_with_no_factor(text):
-    with pytest.raises(ValueError, match="^dangling sign in form$"):
-        parse_form(text, 3)
+NO_FACTOR = [("*", 3, "term with no factor"), ("* *", 1, "term with no factor"),
+             ("z1 -", 3, "dangling sign in form"), ("13-*", 3, "dangling sign in form"),
+             ("z1 + * *", 3, "dangling sign in form")]
+
+
+@pytest.mark.parametrize("text,n,message", NO_FACTOR, ids=[text for text, _, _ in NO_FACTOR])
+def test_parse_refuses_a_term_with_no_factor(text, n, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_form(text, n)
 
 
 def test_parse_zero_terms_do_not_fix_the_degree():

@@ -185,8 +185,9 @@ def _generated_maps(seed):
     return maps
 
 
-@pytest.mark.parametrize("name", ["complex_seed1.json", "cover_seed3.json", "nonzero_d2.dc.json",
-                                  "tensor_seed12.dc.json", "p1_w4.hyper.json"])
+@pytest.mark.parametrize("name", ["complex_seed1.json", "complex_half.json", "cover_seed3.json",
+                                  "nonzero_d2.dc.json", "tensor_seed12.dc.json",
+                                  "p1_w4.hyper.json"])
 def test_golden_inputs_build_maps_of_canonical_entries(name):
     maps = _golden_input_maps(name)
     assert maps and all(_entries_are_canonical(m) for m in maps)

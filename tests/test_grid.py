@@ -24,7 +24,8 @@ from cohom.grid import (
     total,
     totals_agree,
 )
-from cohom.linalg import LabeledSpace, LinearMap, freeze_matrix, rat
+from cohom.exact import rat
+from cohom.linalg import LabeledSpace, LinearMap, freeze_matrix
 
 F = Fraction
 

@@ -3,11 +3,13 @@
 A stdlib `ast` scan checks that every imported name is used, so deleting
 a function must not leave behind an import that only it needed.  Child
 processes check that each subcommand and each module import loads only
-its own modules, and that the benchmark's layer tracer still sees the
-calls they make.
+its own modules, that `fractions` loads only for a non-integral entry,
+that no entry point loads more source lines than its pinned budget, and
+that the benchmark's layer tracer still sees the calls they make.
 """
 
 import ast
+import functools
 import json
 import os
 import subprocess
@@ -41,7 +43,7 @@ def test_every_import_is_used(path):
 
 def test_spectral_pages_are_counted_not_eliminated():
     """Page dims and d_r ranks are counts on the pairing, which spectral.py
-    takes from the shared column reducer linalg.reduce_columns; it imports
+    takes from the shared column reducer exact.reduce_columns; it imports
     no other elimination routine, so the convergence certificate still
     cross-checks the pages against the separate rank count of
     complexes.cohomology_dims."""
@@ -54,7 +56,7 @@ def test_spectral_pages_are_counted_not_eliminated():
 
 
 def test_cohomology_representatives_come_from_the_column_reducer():
-    """complexes.cohomology reads its representatives off linalg.reduce_columns,
+    """complexes.cohomology reads its representatives off exact.reduce_columns,
     not off the dense Gauss-Jordan family."""
     names = _imported_names(ast.parse((SRC / "complexes.py").read_text()))
     assert not names & {"kernel_basis", "image_basis", "subquotient", "rref", "Subspace"}
@@ -63,7 +65,7 @@ def test_cohomology_representatives_come_from_the_column_reducer():
 
 def test_no_entry_is_divided_with_a_true_division():
     """Entries are ints or Fractions; `/` on two ints gives a float, so every
-    division of entries is written as `Fraction(a, b)` or `linalg.quotient`."""
+    division of entries is written as `Fraction(a, b)` or `exact.quotient`."""
     stray = []
     for path in MODULES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -78,7 +80,7 @@ def _called_name(call: ast.Call):
 
 
 def test_every_elimination_runs_the_one_loop():
-    """linalg._reduce is the only function that combines two vectors, and the
+    """exact._reduce is the only function that combines two vectors, and the
     retired elimination helpers _cancel and _primitive are gone."""
     stray, retired, looped = [], [], 0
     for path in MODULES:
@@ -201,7 +203,7 @@ def _child(*argv: str) -> subprocess.CompletedProcess:
 
 
 def test_no_module_generates_code():
-    """Value types are linalg.Records: no module imports dataclasses, whose
+    """Value types are exact.Records: no module imports dataclasses, whose
     import alone loads inspect, ast, dis and tokenize, and none compiles
     code at run time with exec, eval or compile."""
     stray = []
@@ -223,67 +225,137 @@ def test_no_module_generates_code():
 
 # stdlib modules that only code generation or introspection needs
 HEAVY = ["ast", "dataclasses", "dis", "inspect", "tokenize"]
+# stdlib modules that only a non-integral entry needs (`fractions` imports `decimal`)
+RATIONAL = ["decimal", "fractions"]
+CLI = "import cohom.cli\nout = cohom.cli.main(sys.argv[1:])"
 
 
-def _footprint(statement: str, *argv: str) -> list:
+@functools.cache
+def _footprint(statement: str, *argv: str) -> dict:
     """Run `statement` in a fresh child with stdout captured; return the value
-    it leaves in `out`, the `cohom.*` modules loaded (short names, sorted)
-    and the HEAVY modules the statement added."""
+    it leaves in `out`, the `cohom.*` modules loaded (short names, sorted),
+    the HEAVY and the RATIONAL modules the statement added, and its stdout."""
     body = "".join(f"    {line}\n" for line in statement.splitlines())
     code = ("import contextlib, io, json, sys\n"
-            "before, out = set(sys.modules), None\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "before, out, stdout = set(sys.modules), None, io.StringIO()\n"
+            "with contextlib.redirect_stdout(stdout):\n"
             f"{body}"
             "added = set(sys.modules) - before\n"
-            "print(json.dumps([out, sorted(m[6:] for m in sys.modules if m.startswith('cohom.')),\n"
-            f"                  sorted(added & set({HEAVY!r}))]))")
+            "print(json.dumps({'out': out, 'stdout': stdout.getvalue(),\n"
+            "                  'loaded': sorted(m[6:] for m in sys.modules if m.startswith('cohom.')),\n"
+            f"                  'heavy': sorted(added & set({HEAVY!r})),\n"
+            f"                  'rational': sorted(added & set({RATIONAL!r}))}}))")
     proc = _child("-c", code, *argv)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
-@pytest.mark.parametrize("argv,loaded", [
-    (["derham", "--n", "2", "--invert", "2", "--window", "2"],
-     ["cli", "forms", "linalg"]),
-    (["hyper", "tests/golden/p1_w4.hyper.json"],
-     ["cech", "cli", "complexes", "grid", "linalg", "spectral"]),
-    (["cech", "tests/golden/cover_seed3.json"],
-     ["cech", "cli", "complexes", "linalg"]),
-    (["complex", "tests/golden/complex_seed1.json"],
-     ["cli", "complexes", "linalg"]),
-    (["spectral", "tests/golden/nonzero_d2.dc.json"],
-     ["cli", "complexes", "grid", "linalg", "spectral"]),
-    (["preset", "circle"],
-     ["cech", "cli", "complexes", "linalg", "presets"]),
-    (["preset", "p1"],
-     ["cech", "cli", "complexes", "grid", "linalg", "presets", "spectral"]),
-], ids=["derham", "hyper", "cech", "complex", "spectral", "preset-circle", "preset-p1"])
-def test_a_subcommand_loads_only_its_own_modules(argv, loaded):
-    statement = "import cohom.cli\nout = cohom.cli.main(sys.argv[1:])"
-    assert _footprint(statement, *argv) == [0, loaded, []]
+# what each subcommand loads: the kernel `exact` always, the map layer
+# `linalg` wherever maps are built, and never the dense family
+SUBCOMMANDS = {
+    "derham": (["derham", "--n", "2", "--invert", "2", "--window", "2"],
+               ["cli", "exact", "forms"]),
+    "hyper": (["hyper", "tests/golden/p1_w4.hyper.json"],
+              ["cech", "cli", "complexes", "exact", "grid", "linalg", "spectral"]),
+    "cech": (["cech", "tests/golden/cover_seed3.json"],
+             ["cech", "cli", "complexes", "exact", "linalg"]),
+    "complex": (["complex", "tests/golden/complex_seed1.json"],
+                ["cli", "complexes", "exact", "linalg"]),
+    "spectral": (["spectral", "tests/golden/nonzero_d2.dc.json"],
+                 ["cli", "complexes", "exact", "grid", "linalg", "spectral"]),
+    "preset-circle": (["preset", "circle"],
+                      ["cech", "cli", "complexes", "exact", "linalg", "presets"]),
+    "preset-p1": (["preset", "p1"],
+                  ["cech", "cli", "complexes", "exact", "grid", "linalg", "presets", "spectral"]),
+}
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_a_subcommand_loads_only_its_own_modules(name):
+    argv, loaded = SUBCOMMANDS[name]
+    footprint = _footprint(CLI, *argv)
+    assert [footprint[k] for k in ("out", "loaded", "heavy")] == [0, loaded, []]
 
 
 # what `import cohom.<module>` loads: Cech data without de Rham forms and
 # without grids or pages until hypercohomology asks for them, forms
-# without complexes, and random builders without forms
+# without complexes or maps, random builders without forms, and the
+# dense family only for itself
 LAYERS = {
     "__init__": [],
-    "linalg": ["linalg"],
-    "complexes": ["complexes", "linalg"],
-    "grid": ["complexes", "grid", "linalg"],
-    "spectral": ["complexes", "grid", "linalg", "spectral"],
-    "cech": ["cech", "complexes", "linalg"],
-    "forms": ["forms", "linalg"],
-    "presets": ["cech", "complexes", "linalg", "presets"],
-    "generators": ["cech", "complexes", "generators", "grid", "linalg"],
-    "cli": ["cli", "linalg"],
+    "exact": ["exact"],
+    "linalg": ["exact", "linalg"],
+    "dense": ["dense", "exact", "linalg"],
+    "complexes": ["complexes", "exact", "linalg"],
+    "grid": ["complexes", "exact", "grid", "linalg"],
+    "spectral": ["complexes", "exact", "grid", "linalg", "spectral"],
+    "cech": ["cech", "complexes", "exact", "linalg"],
+    "forms": ["exact", "forms"],
+    "presets": ["cech", "complexes", "exact", "linalg", "presets"],
+    "generators": ["cech", "complexes", "exact", "generators", "grid", "linalg"],
+    "cli": ["cli", "exact"],
 }
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_importing_a_module_loads_only_its_layers(path):
     module = "cohom" if path.stem == "__init__" else f"cohom.{path.stem}"
-    assert _footprint(f"import {module}")[1:] == [LAYERS[path.stem], []]
+    footprint = _footprint(f"import {module}")
+    assert [footprint["loaded"], footprint["heavy"]] == [LAYERS[path.stem], []]
+
+
+# the dense names perfbench/tracer.py binds as cohom.linalg.<name>
+@pytest.mark.parametrize("name", ["rref", "kernel_basis", "image_basis", "solve", "invert",
+                                  "SpanBuilder", "subquotient"])
+def test_a_dense_name_loads_dense_on_first_access(name):
+    footprint = _footprint("import cohom.linalg\n"
+                           "out = ['cohom.dense' in sys.modules]\n"
+                           f"out.append(cohom.linalg.{name} is sys.modules['cohom.dense'].{name})")
+    assert [footprint["out"], footprint["loaded"]] == [[False, True], ["dense", "exact", "linalg"]]
+
+
+@pytest.mark.parametrize("case,rational", [
+    ("hyper_p1_w4", []), ("complex_seed1", []),
+    ("complex_half", RATIONAL), ("derham_n2_reduce_half", RATIONAL),
+])
+def test_fractions_load_only_for_a_non_integral_entry(case, rational):
+    """An integral input never builds a Fraction, so `fractions` and `decimal`
+    stay unloaded; a "1/2" loads them, and the output is the golden one."""
+    golden = ROOT / "tests" / "golden"
+    argv = [str(golden / a) if a.endswith(".json") else a
+            for a in json.loads((golden / "cases.json").read_text())[case]]
+    footprint = _footprint(CLI, *argv, "--format", "json")
+    assert [footprint["out"], footprint["rational"]] == [0, rational]
+    assert footprint["stdout"] == (golden / f"{case}.out.json").read_text()
+
+
+# Source lines of the `cohom` modules each entry point loads, pinned at their
+# present sums: a fresh child with no cached bytecode compiles them all, so a
+# chain that grows (a benchmark set-up among them) fails here first.  Raise a
+# budget only for a reason that is worth the start-up it costs.
+LINE_BUDGETS = {
+    "derham": (CLI, SUBCOMMANDS["derham"][0], 1241),
+    "hyper": (CLI, SUBCOMMANDS["hyper"][0], 2049),
+    "cech": (CLI, SUBCOMMANDS["cech"][0], 1455),
+    "complex": (CLI, SUBCOMMANDS["complex"][0], 1061),
+    "spectral": (CLI, SUBCOMMANDS["spectral"][0], 1655),
+    "preset-circle": (CLI, SUBCOMMANDS["preset-circle"][0], 1652),
+    "preset-p1": (CLI, SUBCOMMANDS["preset-p1"][0], 2246),
+    "preset-torus": (CLI, ["preset", "torus:2,2"], 2882),
+    "selftest": (CLI, ["selftest"], 2830),
+    "setup-p1_hyper": ("import cohom.presets", [], 1249),
+    "setup-derham_forms": ("import cohom.forms", [], 838),
+    "setup-small_batch": ("from cohom import cech, complexes, generators, grid, linalg, spectral",
+                          [], 1791),
+}
+
+
+@pytest.mark.parametrize("entry", LINE_BUDGETS)
+def test_an_entry_point_compiles_no_more_lines_than_its_budget(entry):
+    statement, argv, budget = LINE_BUDGETS[entry]
+    loaded = _footprint(statement, *argv)["loaded"]
+    lines = sum(len((SRC / f"{m}.py").read_text().splitlines()) for m in loaded)
+    assert lines <= budget, f"{entry} loads {lines} lines of cohom ({loaded}), over {budget}"
 
 
 def test_the_layer_tracer_sees_a_subcommand_call(tmp_path):

@@ -12,15 +12,14 @@ from cohom.generators import (
     random_invertible,
     random_tensor_double_complex,
 )
+from cohom.exact import ZERO, Record, rat, rat_to_str, reduce_columns
 from cohom.linalg import (
     AmbientMismatch,
     ContainmentViolated,
     LabeledSpace,
     LinearMap,
-    Record,
     SpanBuilder,
     Subspace,
-    ZERO,
     freeze_matrix,
     image_basis,
     invert,
@@ -28,9 +27,6 @@ from cohom.linalg import (
     map_from_json,
     products_agree,
     rank,
-    rat,
-    rat_to_str,
-    reduce_columns,
     rref,
     solve,
     subquotient,

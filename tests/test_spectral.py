@@ -14,7 +14,8 @@ from cohom.generators import (
     random_tensor_double_complex,
 )
 from cohom.grid import DoubleComplex, double_complex_from_json, total
-from cohom.linalg import LabeledSpace, LawViolation, LinearMap, freeze_matrix
+from cohom.exact import LawViolation
+from cohom.linalg import LabeledSpace, LinearMap, freeze_matrix
 from cohom.presets import build_p1
 from cohom.spectral import certify_convergence, first_pages, second_pages
 
