@@ -302,6 +302,8 @@ def _once(key, declared, field: str):
 def _read_faces(data: dict, opens: int, read) -> dict:
     """{face: read(faces[n], n)} over the `faces` entries, each a nonempty face of
     opens 0..opens-1 declared once; refused past MAX_DECLARED_FACES before any is read."""
+    if not isinstance(data["faces"], list):
+        raise ValueError("faces: must be a list")
     if len(data["faces"]) > MAX_DECLARED_FACES:
         raise ValueError(f"faces: {len(data['faces'])} declared, over the limit of "
                          f"{MAX_DECLARED_FACES}")

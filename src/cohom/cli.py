@@ -33,10 +33,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(path: str) -> dict:
-    """JSON text is UTF-8 (RFC 8259 section 8.1), whatever the locale."""
+    """The JSON object in the file, read as UTF-8 (RFC 8259 section 8.1) whatever the locale."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}")
     except UnicodeDecodeError as e:
@@ -45,6 +45,9 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path}:{e.lineno}:{e.colno}: invalid JSON ({e.msg})")
     except RecursionError:
         raise InputError(f"{path}: JSON nested too deeply")
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: the top level must be a JSON object")
+    return data
 
 
 def _rep_listing(report) -> list:

@@ -85,10 +85,10 @@ def kernel_basis(m: LinearMap) -> Subspace:
 
 def image_basis(m: LinearMap) -> Subspace:
     """Span of the columns of m; basis = earliest independent columns."""
-    columns = m.columns
+    columns = m.transpose().rows
     kept = [columns[j] for j in sorted(_echelon(m.rows))]
     dom = LabeledSpace(tuple(("im", i) for i in range(len(kept))))
-    return Subspace(m.codomain, LinearMap.from_columns(dom, m.codomain, kept))
+    return Subspace(m.codomain, LinearMap.sparse_columns(dom, m.codomain, kept))
 
 
 def solve(m: LinearMap, target: Sequence) -> Optional[Vector]:

@@ -24,11 +24,10 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .exact import (ONE, CohomError, LawViolation, Record, WindowExhausted, _echelon,
-                    dims_from_ranks, rat_to_str)
+                    _fraction, dims_from_ranks, quotient, rat, rat_to_str)
 
 if TYPE_CHECKING:
     from .complexes import CochainComplex
@@ -62,7 +61,7 @@ class AlgebraicForm(Record):
 
     n: int
     degree: int
-    terms: tuple  # sorted tuple of (exps tuple, dI tuple, int or Fraction), no zeros
+    terms: tuple  # sorted (exps, dI, coefficient) triples, no zeros; exact.rat entries
 
     def __post_init__(self):
         for exps, dI, c in self.terms:
@@ -77,7 +76,7 @@ class AlgebraicForm(Record):
 
     @staticmethod
     def build(n: int, degree: int, term_map: dict) -> "AlgebraicForm":
-        items = tuple(sorted((exps, dI, c) for (exps, dI), c in term_map.items() if c != 0))
+        items = tuple(sorted((exps, dI, rat(c)) for (exps, dI), c in term_map.items() if c != 0))
         return AlgebraicForm(n, degree, items)
 
     @staticmethod
@@ -86,10 +85,7 @@ class AlgebraicForm(Record):
 
     @staticmethod
     def monomial(n: int, coeff, exps, dI=()) -> "AlgebraicForm":
-        c = Fraction(coeff)
-        if c == 0:
-            return AlgebraicForm.zero(n, len(dI))
-        return AlgebraicForm(n, len(dI), ((tuple(exps), tuple(dI), c),))
+        return AlgebraicForm.build(n, len(dI), {(tuple(exps), tuple(dI)): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -109,11 +105,7 @@ class AlgebraicForm(Record):
         return self + other.scale(-1)
 
     def scale(self, c) -> "AlgebraicForm":
-        c = Fraction(c)
-        if c == 0:
-            return AlgebraicForm.zero(self.n, self.degree)
-        return AlgebraicForm(self.n, self.degree,
-                             tuple((e, d, x * c) for e, d, x in self.terms))
+        return AlgebraicForm.build(self.n, self.degree, {(e, d): x * c for e, d, x in self.terms})
 
 
 def _sum_terms(n: int, degree: int, terms) -> AlgebraicForm:
@@ -435,7 +427,7 @@ def pole_reduce(w: AlgebraicForm, spec: TorusSpec, axis: int):
     theta = AlgebraicForm.zero(w.n, max(w.degree - 1, 0))
     for j, aj in alphas.items():
         if j > 1:
-            theta = theta - _shift_axis(aj, axis, -(j - 1)).scale(Fraction(1, j - 1))
+            theta = theta - _shift_axis(aj, axis, -(j - 1)).scale(quotient(1, j - 1))
 
     # the closedness relations forced by d w = 0
     if not exterior_derivative(a1).is_zero():
@@ -477,7 +469,7 @@ def log_representative(w: AlgebraicForm, spec: TorusSpec):
         axis = next(i for i in range(1, spec.n + 1) if m[i - 1] != 0)
         # the Koszul homotopy: contract dz_axis, raise the axis exponent by one
         alpha, _ = _split_dz_axis(part, axis)
-        xi_m = _shift_axis(alpha, axis, 1).scale(Fraction(1, m[axis - 1]))
+        xi_m = _shift_axis(alpha, axis, 1).scale(quotient(1, m[axis - 1]))
         if exterior_derivative(xi_m) != part:
             raise WindowExhausted(
                 f"cannot certify exactness of the multidegree {m} component")
@@ -599,7 +591,7 @@ def parse_form(text: str, n: int) -> AlgebraicForm:
             elif den and not int(den):
                 raise ValueError(f"zero denominator in {tok!r}")
             else:
-                coeff *= Fraction(tok)
+                coeff *= _fraction()(tok) if den else int(tok)
         if coeff and len(set(dz)) == len(dz):  # a repeated dz factor makes the term zero
             terms.append((tuple(exps), tuple(sorted(dz)), coeff * _sign(dz)))
     degrees = {len(dI) for _, dI, _ in terms}

@@ -158,11 +158,6 @@ class LinearMap(Record):
         return LinearMap.sparse(space, space, [((i, ONE),) for i in range(space.dim)])
 
     @staticmethod
-    def from_columns(domain: LabeledSpace, codomain: LabeledSpace,
-                     columns: Sequence[Vector]) -> "LinearMap":
-        return LinearMap(codomain, domain, columns).transpose()
-
-    @staticmethod
     def from_blocks(domain: LabeledSpace, codomain: LabeledSpace, src_offsets: Sequence[int],
                     dst_offsets: Sequence[int], blocks: Iterable[tuple]) -> "LinearMap":
         """Block map from blocks (i, j, sign, m), sign 1 or -1 and m a map from

@@ -116,6 +116,16 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, command):
     assert err == f"error: {path}: JSON nested too deeply\n"
 
 
+@pytest.mark.parametrize("command", ["complex", "cech", "hyper", "spectral"])
+def test_a_file_that_is_not_a_json_object_is_malformed(tmp_path, capsys, command):
+    """Every loader reads fields of one object: a top-level list is refused
+    naming the file, not by a failed subscript deep in the loader."""
+    path = write(tmp_path, "list.json", [1])
+    code, out, err = run(capsys, command, path)
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: the top level must be a JSON object\n"
+
+
 def test_schema_error_exit_code_1(tmp_path, capsys):
     data = {"lo": 0, "hi": 1, "dims": [1, 1], "diffs": [[["1", "2"]]]}  # wrong shape
     path = write(tmp_path, "shape.json", data)
@@ -192,11 +202,13 @@ _PAIR = [{"idx": [0], "dim": 1}, {"idx": [1], "dim": 1}]
     ("hyper", {"opens": 1, "levels": 2, "faces": [{"idx": [0], "dims": [1, 1]}],
                "level_maps": [{"idx": [0], "maps": [[["0"]]]}, {"idx": [0], "maps": [[["1"]]]}]},
      "level_maps[1].idx: (0,) is declared twice"),
+    ("cech", {"opens": 1, "faces": 5, "restrict": []}, "faces: must be a list\n"),
+    ("hyper", {"opens": 1, "levels": 1, "faces": 5}, "faces: must be a list\n"),
 ], ids=["cech_string_idx", "cech_boolean_idx", "cech_float_idx", "cech_unsorted_idx",
         "cech_undeclared_to", "cech_string_from", "hyper_undeclared_level_map",
         "cech_empty_cover", "hyper_empty_cover", "cech_repeated_face",
         "cech_repeated_restriction", "hyper_repeated_face", "hyper_repeated_restriction",
-        "hyper_repeated_level_map"])
+        "hyper_repeated_level_map", "cech_faces_not_a_list", "hyper_faces_not_a_list"])
 def test_bad_faces_are_malformed(tmp_path, capsys, command, data, field):
     path = write(tmp_path, "bad.json", data)
     code, out, err = run(capsys, command, path)

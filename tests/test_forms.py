@@ -588,6 +588,33 @@ def test_parse_rejects_junk():
         parse_form("z5", 2)
 
 
+def _int_first(c) -> bool:
+    """Whether c is stored as exact.rat stores an entry: an int when integral,
+    a Fraction otherwise."""
+    return type(c) is (int if c.denominator == 1 else F)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(1, 1), (2, 2), (2, 3), (3, 3)]))
+@settings(max_examples=60, deadline=None)
+def test_every_stored_coefficient_is_an_int_when_integral(seed, kn):
+    """parse_form, +, scale, d, wedge, pole_reduce and log_representative store
+    each coefficient as exact.rat does, also where halves add, multiply or
+    scale to an integer."""
+    rng = random.Random(seed)
+    k, n = kn
+    spec = TorusSpec(n, k, 3)
+    a = random_form(rng, spec, rng.randint(0, n))
+    b = random_form(rng, spec, a.degree)
+    c = random_form(rng, spec, rng.randint(0, n - a.degree))
+    phi = random_closed_form(rng, spec, rng.randint(1, n))
+    reduced = pole_reduce(phi, spec, rng.randint(1, k))
+    coeffs, xi = log_representative(phi, spec)
+    built = [parse_form(form_to_text(a), n), a + b, a.scale(2), a.scale(F(1, 2)),
+             a.scale(F(2)), d(a), wedge(a, c), *reduced, xi]
+    stored = [x for w in built for _, _, x in w.terms] + list(coeffs.values())
+    assert all(map(_int_first, stored)), stored
+
+
 def test_split_by_multidegree_partitions_terms():
     rng = random.Random(47)
     spec = TorusSpec(2, 2, 3)

@@ -202,6 +202,13 @@ def _child(*argv: str) -> subprocess.CompletedProcess:
                           env=env, cwd=ROOT, timeout=60)
 
 
+def _imported_modules(node) -> list:
+    """The modules an import statement names; none for any other node."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    return [node.module] if isinstance(node, ast.ImportFrom) else []
+
+
 def test_no_module_generates_code():
     """Value types are exact.Records: no module imports dataclasses, whose
     import alone loads inspect, ast, dis and tokenize, and none compiles
@@ -210,17 +217,21 @@ def test_no_module_generates_code():
     for path in MODULES:
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                modules = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module]
-            else:
-                modules = []
             builtin = isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
                 and node.func.id in ("exec", "eval", "compile")
-            if builtin or "dataclasses" in modules:
+            if builtin or "dataclasses" in _imported_modules(node):
                 stray.append(f"{path.name}:{node.lineno}")
     assert not stray, f"code generation in the package: {stray}"
+
+
+def test_only_the_kernel_imports_fractions():
+    """exact.rat and exact.quotient are the one rule for how an entry is
+    stored, so no other module imports `fractions`: a layer that reads a
+    "p/q" reaches the class through exact._fraction()."""
+    stray = [f"{path.name}:{node.lineno}" for path in MODULES if path.name != "exact.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if "fractions" in _imported_modules(node)]
+    assert not stray, f"fractions imported outside exact.py: {stray}"
 
 
 # stdlib modules that only code generation or introspection needs
@@ -317,6 +328,7 @@ def test_a_dense_name_loads_dense_on_first_access(name):
 @pytest.mark.parametrize("case,rational", [
     ("hyper_p1_w4", []), ("complex_seed1", []),
     ("complex_half", RATIONAL), ("derham_n2_reduce_half", RATIONAL),
+    ("derham_n2_reduce_int", []),
 ])
 def test_fractions_load_only_for_a_non_integral_entry(case, rational):
     """An integral input never builds a Fraction, so `fractions` and `decimal`
@@ -334,19 +346,19 @@ def test_fractions_load_only_for_a_non_integral_entry(case, rational):
 # chain that grows (a benchmark set-up among them) fails here first.  Raise a
 # budget only for a reason that is worth the start-up it costs.
 LINE_BUDGETS = {
-    "derham": (CLI, SUBCOMMANDS["derham"][0], 1241),
+    "derham": (CLI, SUBCOMMANDS["derham"][0], 1236),
     "hyper": (CLI, SUBCOMMANDS["hyper"][0], 2049),
     "cech": (CLI, SUBCOMMANDS["cech"][0], 1455),
-    "complex": (CLI, SUBCOMMANDS["complex"][0], 1061),
-    "spectral": (CLI, SUBCOMMANDS["spectral"][0], 1655),
+    "complex": (CLI, SUBCOMMANDS["complex"][0], 1059),
+    "spectral": (CLI, SUBCOMMANDS["spectral"][0], 1653),
     "preset-circle": (CLI, SUBCOMMANDS["preset-circle"][0], 1652),
     "preset-p1": (CLI, SUBCOMMANDS["preset-p1"][0], 2246),
-    "preset-torus": (CLI, ["preset", "torus:2,2"], 2882),
-    "selftest": (CLI, ["selftest"], 2830),
-    "setup-p1_hyper": ("import cohom.presets", [], 1249),
-    "setup-derham_forms": ("import cohom.forms", [], 838),
+    "preset-torus": (CLI, ["preset", "torus:2,2"], 2874),
+    "selftest": (CLI, ["selftest"], 2822),
+    "setup-p1_hyper": ("import cohom.presets", [], 1246),
+    "setup-derham_forms": ("import cohom.forms", [], 830),
     "setup-small_batch": ("from cohom import cech, complexes, generators, grid, linalg, spectral",
-                          [], 1791),
+                          [], 1788),
 }
 
 

@@ -99,7 +99,7 @@ def test_solve_underdetermined_substitutes_back():
 
 def span(amb, vectors):
     """The subspace of amb spanned by the earliest independent vectors."""
-    return image_basis(LinearMap.from_columns(LabeledSpace.make("v", len(vectors)), amb, vectors))
+    return image_basis(LinearMap(amb, LabeledSpace.make("v", len(vectors)), vectors).transpose())
 
 
 def _assert_section_completes_b(z, b, q, sec):
