@@ -22,8 +22,8 @@ from typing import TYPE_CHECKING, Sequence
 
 from .complexes import CochainComplex, CohomologyReport, cohomology, cohomology_dims
 from .exact import ONE, CohomError, Record
-from .linalg import (LabeledSpace, LinearMap, check_declared_dim, int_from_json, map_from_json,
-                     matrix_to_json, products_agree)
+from .linalg import (LabeledSpace, LinearMap, check_declared_dim, field, int_from_json,
+                     map_from_json, matrix_to_json, products_agree)
 
 if TYPE_CHECKING:
     from .grid import DoubleComplex
@@ -112,17 +112,14 @@ class SheafOnCover(Record):
 
     def validate(self) -> None:
         for f in self.nerve.faces:
-            self.space(f)
-        for f in self.nerve.faces:
+            space = self.space(f)
             for i, sub in _drops(f):
                 m = self.restriction(f, i)
-                if m.domain != self.space(sub) or m.codomain != self.space(f):
+                if m.domain != self.space(sub) or m.codomain != space:
                     raise IncompatibleRestrictions(
                         f"restriction into {f} dropping {f[i]} has wrong spaces")
-        # codimension-2 commutation: both drop orders agree
-        for f in self.nerve.faces:
-            if len(f) < 3:
-                continue
+        # codimension-2 commutation on faces of three or more indices: both drop orders agree
+        for f in [f for f in self.nerve.faces if len(f) > 2]:
             for (i, f_i), (j, f_j) in itertools.combinations(_drops(f), 2):
                 if not products_agree(self.restriction(f, i), self.restriction(f_i, j - 1),
                                       self.restriction(f, j), self.restriction(f_j, i)):
@@ -137,25 +134,22 @@ def cech_complex(nerve: CoverNerve, sheaf: SheafOnCover) -> CochainComplex:
 
 
 def _cech_cochains(nerve: CoverNerve, sheaf: SheafOnCover) -> tuple:
-    """(faces, spaces, offsets, coboundaries) of the Cech complex: per degree p,
-    the sorted faces of dimension p, their direct sum of section spaces, the
-    start of each face's block in it, and delta from degree p, with
-    delta.delta = 0 left to whichever complex or grid is built from them."""
+    """(faces, spaces, offsets, coboundaries) of the Cech complex: per degree p
+    the sorted faces of dimension p, their direct sum of section spaces and delta
+    from degree p; offsets[face] starts the face's block in its degree's sum.
+    delta.delta = 0 is left to whichever complex or grid is built from them."""
     if sheaf.nerve != nerve:
         raise ValueError("sheaf data belongs to a different nerve")
     faces = [nerve.faces_of_dim(p) for p in range(nerve.max_dim + 1)]
     spaces = tuple(LabeledSpace(tuple((face, lab) for face in fs
                                       for lab in sheaf.space(face).labels)) for fs in faces)
-    offsets = [list(itertools.accumulate([sheaf.space(f).dim for f in fs], initial=0))
-               for fs in faces]
-    diffs = []
-    for p in range(len(faces) - 1):
-        src_index = {f: i for i, f in enumerate(faces[p])}
-        blocks = [(gi, src_index[sub], -1 if i % 2 else 1, sheaf.restriction(g, i))
-                  for gi, g in enumerate(faces[p + 1]) for i, sub in _drops(g)]
-        diffs.append(LinearMap.from_blocks(spaces[p], spaces[p + 1], offsets[p], offsets[p + 1],
-                                           blocks))
-    return faces, spaces, offsets, tuple(diffs)
+    offsets = {f: o for fs in faces for f, o in
+               zip(fs, itertools.accumulate([sheaf.space(f).dim for f in fs], initial=0))}
+    diffs = tuple(LinearMap.from_blocks(spaces[p], spaces[p + 1], offsets, offsets,
+                                        [(g, sub, -1 if i % 2 else 1, sheaf.restriction(g, i))
+                                         for g in faces[p + 1] for i, sub in _drops(g)])
+                  for p in range(len(faces) - 1))
+    return faces, spaces, offsets, diffs
 
 
 def cech_cohomology(nerve: CoverNerve, sheaf: SheafOnCover) -> CohomologyReport:
@@ -173,22 +167,13 @@ def function_sheaf(points: Sequence) -> SheafOnCover:
     n = len(sets)
     if any(not s for s in sets):
         raise ValueError("every open must contain at least one point")
-    inter: dict = {}
-    for size in range(1, n + 1):
-        added = False
-        for face in itertools.combinations(range(n), size):
-            if size == 1:
-                val = sets[face[0]]
-            else:
-                prev = inter.get(face[:-1])
-                if prev is None:
-                    continue
-                val = prev & sets[face[-1]]
-            if val:
-                inter[face] = val
-                added = True
-        if not added:
+    inter = {(i,): s for i, s in enumerate(sets)}  # face -> its nonempty intersection
+    for size in range(2, n + 1):  # a face meets only if its first size - 1 opens do
+        grown = {f: v for f in itertools.combinations(range(n), size)
+                 if f[:-1] in inter and (v := inter[f[:-1]] & sets[f[-1]])}
+        if not grown:
             break
+        inter.update(grown)
     nerve = CoverNerve(n, frozenset(inter))
     spaces = {f: LabeledSpace(tuple(sorted(pts))) for f, pts in inter.items()}
     restrictions = {}
@@ -238,8 +223,8 @@ def cech_sheaf_double_complex(nerve: CoverNerve, sheaves: Sequence[SheafOnCover]
     for q, maps in enumerate(level_maps):
         (faces, _, below, _), (_, _, above, _) = cochains[q], cochains[q + 1]
         for p, fs in enumerate(faces):
-            vert[p, q] = LinearMap.from_blocks(cells[p, q], cells[p, q + 1], below[p], above[p],
-                                               [(i, i, 1, maps[f]) for i, f in enumerate(fs)])
+            vert[p, q] = LinearMap.from_blocks(cells[p, q], cells[p, q + 1], below, above,
+                                               [(f, f, 1, maps[f]) for f in fs])
     return DoubleComplex._build((P, Q), cells, [horiz, vert])
 
 
@@ -275,46 +260,43 @@ def cover_to_json(nerve: CoverNerve, sheaf: SheafOnCover) -> dict:
                          for f in faces for i, sub in _drops(f)]}
 
 
-def face_from_json(x, field: str) -> tuple:
-    """A face: a list of non-negative JSON integers, strictly increasing."""
-    if not isinstance(x, list):
-        raise ValueError(f"{field} must be a list of integers, got {x!r}")
-    face = tuple(int_from_json(a, f"{field}[{i}]") for i, a in enumerate(x))
+def face_from_json(obj, name: str, path: str) -> tuple:
+    """The face at path.name: a list of non-negative JSON integers, strictly increasing."""
+    x, at = field(obj, name, path), f"{path}.{name}"
+    face = tuple(int_from_json(a, f"{at}[{i}]") for i, a in enumerate(x))
     if any(a >= b for a, b in zip(face, face[1:])):
-        raise ValueError(f"{field} must be strictly increasing, got {x!r}")
+        raise ValueError(f"{at} must be strictly increasing, got {x!r}")
     return face
 
 
-def _declared_face(x, field: str, faces) -> tuple:
-    face = face_from_json(x, field)
+def _declared_face(obj, name: str, path: str, faces) -> tuple:
+    face = face_from_json(obj, name, path)
     if face not in faces:
-        raise ValueError(f"{field}: face {face} is not declared")
+        raise ValueError(f"{path}.{name}: face {face} is not declared")
     return face
 
 
-def _once(key, declared, field: str):
+def _once(key, declared, at: str):
     """key, refused if an earlier entry declared it."""
     if key in declared:
-        raise ValueError(f"{field}: {key} is declared twice")
+        raise ValueError(f"{at}: {key} is declared twice")
     return key
 
 
 def _read_faces(data: dict, opens: int, read) -> dict:
     """{face: read(faces[n], n)} over the `faces` entries, each a nonempty face of
     opens 0..opens-1 declared once; refused past MAX_DECLARED_FACES before any is read."""
-    if not isinstance(data["faces"], list):
-        raise ValueError("faces: must be a list")
-    if len(data["faces"]) > MAX_DECLARED_FACES:
-        raise ValueError(f"faces: {len(data['faces'])} declared, over the limit of "
-                         f"{MAX_DECLARED_FACES}")
+    entries = field(data, "faces")
+    if len(entries) > MAX_DECLARED_FACES:
+        raise ValueError(f"faces: {len(entries)} declared, over the limit of {MAX_DECLARED_FACES}")
     faces = {}
-    for n, entry in enumerate(data["faces"]):
-        field = f"faces[{n}].idx"
-        face = _once(face_from_json(entry["idx"], field), faces, field)
+    for n, entry in enumerate(entries):
+        at = f"faces[{n}].idx"
+        face = _once(face_from_json(entry, "idx", f"faces[{n}]"), faces, at)
         if not face:
-            raise ValueError(f"{field}: a face needs at least one open")
+            raise ValueError(f"{at}: a face needs at least one open")
         if face[-1] >= opens:
-            raise ValueError(f"{field}: open {face[-1]} is out of range for {opens} opens")
+            raise ValueError(f"{at}: open {face[-1]} is out of range for {opens} opens")
         faces[face] = read(entry, n)
     return faces
 
@@ -324,9 +306,8 @@ def _read_restrictions(data: dict, faces, read) -> dict:
     every declared face: an entry that is not a single drop between declared
     faces, a repeated entry and a missing drop are each refused."""
     given = {}
-    for n, entry in enumerate(data.get("restrict", [])):
-        src = _declared_face(entry["from"], f"restrict[{n}].from", faces)
-        dst = _declared_face(entry["to"], f"restrict[{n}].to", faces)
+    for n, entry in enumerate(field(data, "restrict") if "restrict" in data else []):
+        src, dst = (_declared_face(entry, end, f"restrict[{n}]", faces) for end in ("from", "to"))
         if all(sub != src for _, sub in _drops(dst)):
             raise ValueError(f"restriction {src} -> {dst} is not a single index drop")
         key = _once((src, dst), given, f"restrict[{n}]")
@@ -338,29 +319,31 @@ def _read_restrictions(data: dict, faces, read) -> dict:
 
 
 def cover_from_json(data: dict) -> tuple[CoverNerve, SheafOnCover]:
-    opens = int_from_json(data["opens"], "opens")
-    face_dims = _read_faces(data, opens, lambda e, n: int_from_json(e["dim"], f"faces[{n}].dim"))
+    opens = field(data, "opens", kind=int)
+    face_dims = _read_faces(data, opens, lambda e, n: field(e, "dim", f"faces[{n}]", int))
     check_declared_dim(sum(face_dims.values()))
     nerve = CoverNerve(opens, frozenset(face_dims))
     spaces = {f: LabeledSpace(tuple((f, i) for i in range(d)))
               for f, d in face_dims.items()}
     restrictions = _read_restrictions(data, face_dims, lambda entry, n, src, dst: map_from_json(
-        entry["matrix"], spaces[src], spaces[dst], f"restrict[{n}].matrix"))
+        field(entry, "matrix", f"restrict[{n}]"), spaces[src], spaces[dst],
+        f"restrict[{n}].matrix"))
     return nerve, SheafOnCover(nerve, spaces, restrictions)
 
 
 def hyper_from_json(data: dict):
     from .grid import MAX_BOUND, GridTooLarge
 
-    opens = int_from_json(data["opens"], "opens")
-    levels = int_from_json(data["levels"], "levels")
+    opens = field(data, "opens", kind=int)
+    levels = field(data, "levels", kind=int)
     if levels < 1:
         raise ValueError(f"levels: must be at least 1, got {levels}")
     if levels > MAX_BOUND + 1:  # the grid has one row per level
         raise GridTooLarge(f"levels: {levels} declared, over the limit of {MAX_BOUND + 1}")
 
     def read_dims(entry, n):
-        dims = [int_from_json(d, f"faces[{n}].dims[{q}]") for q, d in enumerate(entry["dims"])]
+        dims = [int_from_json(d, f"faces[{n}].dims[{q}]")
+                for q, d in enumerate(field(entry, "dims", f"faces[{n}]"))]
         if len(dims) != levels:
             raise ValueError(f"faces[{n}].dims: need one dim per level")
         return dims
@@ -372,24 +355,26 @@ def hyper_from_json(data: dict):
                      for f, d in face_dims.items()} for q in range(levels)]
 
     def read_matrices(entry, n, src, dst):
-        if len(entry["matrices"]) != levels:
+        matrices = field(entry, "matrices", f"restrict[{n}]")
+        if len(matrices) != levels:
             raise ValueError("need one restriction matrix per level")
         return [map_from_json(m, level_spaces[q][src], level_spaces[q][dst],
                               f"restrict[{n}].matrices[{q}]")
-                for q, m in enumerate(entry["matrices"])]
+                for q, m in enumerate(matrices)]
 
     restrictions = _read_restrictions(data, face_dims, read_matrices)
     sheaves = [SheafOnCover(nerve, level_spaces[q], {k: ms[q] for k, ms in restrictions.items()})
                for q in range(levels)]
     face_maps = {}
-    for n, entry in enumerate(data.get("level_maps", [])):
-        field = f"level_maps[{n}].idx"
-        face = _once(_declared_face(entry["idx"], field, face_dims), face_maps, field)
-        if len(entry["maps"]) != levels - 1:
+    for n, entry in enumerate(field(data, "level_maps") if "level_maps" in data else []):
+        at = f"level_maps[{n}]"
+        face = _once(_declared_face(entry, "idx", at, face_dims), face_maps, f"{at}.idx")
+        maps = field(entry, "maps", at)
+        if len(maps) != levels - 1:
             raise ValueError("need one level map per adjacent level pair")
         face_maps[face] = [map_from_json(m, level_spaces[q][face], level_spaces[q + 1][face],
-                                         f"level_maps[{n}].maps[{q}]")
-                           for q, m in enumerate(entry["maps"])]
+                                         f"{at}.maps[{q}]")
+                           for q, m in enumerate(maps)]
     missing = [f for f in face_dims if f not in face_maps]
     if levels > 1 and missing:
         raise ValueError(f"level_maps: no entry for face {missing[0]}")

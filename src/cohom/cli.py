@@ -81,8 +81,7 @@ def _dims_line(name: str, dims) -> str:
 def cmd_complex(args) -> tuple[dict, list[str]]:
     from .complexes import cohomology, complex_from_json
 
-    data = _load_json(args.file)
-    cx = complex_from_json(data)
+    cx = complex_from_json(_load_json(args.file))
     rep = cohomology(cx)
     report = {
         "lo": cx.lo,
@@ -208,7 +207,8 @@ def cmd_derham(args) -> tuple[dict, list[str]]:
 def cmd_preset(args) -> tuple[dict, list[str]]:
     from .cech import cech_complex
     from .complexes import cohomology
-    from .presets import _W_DEFAULT, build_circle, check_p1_window, p1_report, torus_report
+    from .presets import (_W_DEFAULT, MAX_P1_WINDOW, ParameterOutOfRange, build_circle,
+                          build_torus, check_p1_window, p1_report, torus_report)
 
     name = args.name
     if args.window is not None and name != "p1":
@@ -224,6 +224,10 @@ def cmd_preset(args) -> tuple[dict, list[str]]:
             k, n = (int(x) for x in name[len("torus:"):].split(","))
         except ValueError:
             raise InputError("torus preset syntax: torus:k,n")
+        try:
+            build_torus(k, n)
+        except ParameterOutOfRange:
+            raise InputError(f"torus:k,n needs 0 <= k <= n <= 3, got {name}") from None
         tr = torus_report(k, n)
         report = {
             "name": "torus",
@@ -241,7 +245,10 @@ def cmd_preset(args) -> tuple[dict, list[str]]:
         return report, lines
     if name == "p1":
         window = _W_DEFAULT if args.window is None else args.window
-        check_p1_window(window)
+        try:
+            check_p1_window(window)
+        except ParameterOutOfRange:
+            raise InputError(f"--window must be in 3..{MAX_P1_WINDOW}, got {window}") from None
         pr = p1_report(window)
         report = {
             "name": "p1",
@@ -339,23 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("complex", parents=[common],
-                       help="cohomology of a cochain complex from JSON")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_complex)
+    for name, fn, text in [("complex", cmd_complex, "cohomology of a cochain complex from JSON"),
+                           ("cech", cmd_cech, "Cech cohomology of a cover from JSON"),
+                           ("hyper", cmd_hyper, "Cech hypercohomology of a complex of sheaves")]:
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.add_argument("file")
+        p.set_defaults(fn=fn)
 
-    p = sub.add_parser("cech", parents=[common],
-                       help="Cech cohomology of a cover from JSON")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_cech)
-
-    p = sub.add_parser("hyper", parents=[common],
-                       help="Cech hypercohomology of a complex of sheaves")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_hyper)
-
-    p = sub.add_parser("spectral", parents=[common],
-                       help="spectral pages of a double complex")
+    p = sub.add_parser("spectral", parents=[common], help="spectral pages of a double complex")
     p.add_argument("file")
     p.add_argument("--pages", type=int, default=2)
     p.add_argument("--filtration", choices=("first", "second"), default="first")

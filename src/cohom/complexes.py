@@ -21,8 +21,8 @@ from typing import Sequence
 
 from .exact import (CohomError, LawViolation, Record, _echelon, dims_from_ranks, quotient,
                     reduce_columns)
-from .linalg import (ZERO_SPACE, LabeledSpace, LinearMap, check_declared_dim, int_from_json,
-                     map_from_json, matrix_to_json, products_agree, rank)
+from .linalg import (ZERO_SPACE, LabeledSpace, LinearMap, check_declared_dim, field,
+                     int_from_json, map_from_json, matrix_to_json, products_agree, rank)
 
 
 class NotAComplex(CohomError):
@@ -144,15 +144,15 @@ def complex_to_json(k: CochainComplex) -> dict:
 
 
 def complex_from_json(data: dict) -> CochainComplex:
-    lo = int_from_json(data["lo"], "lo", signed=True)
-    hi = int_from_json(data["hi"], "hi", signed=True)
-    dims = [int_from_json(d, f"dims[{i}]") for i, d in enumerate(data["dims"])]
+    lo = field(data, "lo", kind=int, signed=True)
+    hi = field(data, "hi", kind=int, signed=True)
+    dims = [int_from_json(d, f"dims[{i}]") for i, d in enumerate(field(data, "dims"))]
     if len(dims) != hi - lo + 1:
         raise ValueError("dims length does not match degree range")
     check_declared_dim(sum(dims))
     spaces = tuple(LabeledSpace(tuple((lo + i, j) for j in range(d)))
                    for i, d in enumerate(dims))
-    raw = data["diffs"]
+    raw = field(data, "diffs")
     if len(raw) != hi - lo:
         raise ValueError("diffs length does not match degree range")
     diffs = tuple(map_from_json(rows, spaces[i], spaces[i + 1], f"differential {lo + i}")

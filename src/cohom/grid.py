@@ -19,8 +19,8 @@ from typing import Optional
 
 from .complexes import CochainComplex
 from .exact import ONE, CohomError, Record
-from .linalg import (ZERO_SPACE, LabeledSpace, LinearMap, check_declared_dim, int_from_json,
-                     map_from_json, matrix_to_json, products_agree)
+from .linalg import (ZERO_SPACE, LabeledSpace, LinearMap, check_declared_dim, field,
+                     int_from_json, map_from_json, matrix_to_json, products_agree)
 
 MAX_BOUND = 16
 
@@ -170,37 +170,28 @@ class TripleComplex(_Grid, Record):
 def _merge(grid: _Grid, axis: int, nest: bool) -> tuple:
     """Merge axes axis and axis + 1 of a grid: cell y sums the cells x with
     x[axis] + x[axis + 1] = y[axis], by ascending x[axis], labelled (x, label)
-    if nest, else (*x, label), with d_axis + (-1)^{x[axis]} d_{axis+1} on x
-    along the merged axis and block-diagonal maps along the others, each map
-    written in one pass from block offsets computed once per cell.  Returns
-    the merged bounds, the cells and, per merged axis, the maps, keyed by cell."""
-    bounds, spaces, stored = grid.bounds, grid._cells, grid._maps
-    lo, hi = bounds[axis], bounds[axis + 1]
-    merged = bounds[:axis] + (lo + hi,) + bounds[axis + 2:]
-    cells, parts = {}, {}
-    for y in _points(merged):
-        n, pre, post = y[axis], y[:axis], y[axis + 1:]
-        xs = [pre + (i, n - i) + post for i in range(max(0, n - hi), min(lo, n) + 1)]
-        cells[y] = LabeledSpace(tuple([(x, lab) if nest else (*x, lab)
-                                       for x in xs for lab in spaces[x].labels]))
-        parts[y] = xs, list(itertools.accumulate([spaces[x].dim for x in xs], initial=0))
-    d0, d1 = stored[axis], stored[axis + 1]
-    maps = []
-    for a in range(len(merged)):
-        steps, kept = {}, stored[a + (a > axis)]
-        for y, (xs, offsets) in parts.items():
-            if y[a] == merged[a]:
-                continue
-            z = _shift(y, a)
-            if a != axis:  # the kept axis a + (a > axis) of x, block-diagonal
-                blocks = [(k, k, 1, kept[x]) for k, x in enumerate(xs) if x in kept]
-            else:  # x at k in y's antidiagonal; z's starts one cell later when y[axis] >= hi
-                late = y[axis] >= hi
-                blocks = [(k + 1 - late, k, 1, d0[x]) for k, x in enumerate(xs) if x in d0] + \
-                    [(k - late, k, -1 if x[axis] % 2 else 1, d1[x])
-                     for k, x in enumerate(xs) if x in d1]
-            steps[y] = LinearMap.from_blocks(cells[y], cells[z], offsets, parts[z][1], blocks)
-        maps.append(steps)
+    if nest, else (*x, label).  One offset table places each x in its merged
+    cell, and every stored map is one block of a merged map, keyed by its
+    source and target cells: d_axis + (-1)^{x[axis]} d_{axis+1} on x along the
+    merged axis, block-diagonal along the others.  Returns the merged bounds,
+    the cells and, per merged axis, the maps, keyed by cell."""
+    bounds, spaces = grid.bounds, grid._cells
+    merged = bounds[:axis] + (bounds[axis] + bounds[axis + 1],) + bounds[axis + 2:]
+    labels, home, offset = {}, {}, {}
+    for x in _points(bounds):  # row-major, so each merged cell gets its x by ascending x[axis]
+        home[x] = y = x[:axis] + (x[axis] + x[axis + 1],) + x[axis + 2:]
+        got = labels.setdefault(y, [])
+        offset[x] = len(got)
+        got += [(x, lab) if nest else (*x, lab) for lab in spaces[x].labels]
+    cells = {y: LabeledSpace(tuple(labels[y])) for y in _points(merged)}
+    blocks: list = [{} for _ in merged]
+    for b, stored in enumerate(grid._maps):
+        for x, m in stored.items():
+            sign = -1 if b == axis + 1 and x[axis] % 2 else 1
+            blocks[b - (b > axis)].setdefault(home[x], []).append((_shift(x, b), x, sign, m))
+    maps = [{y: LinearMap.from_blocks(cells[y], cells[_shift(y, a)], offset, offset,
+                                      blocks[a].get(y, ()))
+             for y in cells if y[a] < merged[a]} for a in range(len(merged))]
     return merged, cells, maps
 
 
@@ -267,14 +258,14 @@ def double_complex_to_json(k: DoubleComplex) -> dict:
 
 
 def double_complex_from_json(data: dict) -> DoubleComplex:
-    P, Q = int_from_json(data["P"], "P"), int_from_json(data["Q"], "Q")
+    P, Q = field(data, "P", kind=int), field(data, "Q", kind=int)
     _check_bounds((P, Q))
     dims = {(p, q): int_from_json(d, f"dims[{p}][{q}]")
-            for (p, q), d in _by_cell(data["dims"], (P, Q), "dims").items()}
+            for (p, q), d in _by_cell(field(data, "dims"), (P, Q), "dims").items()}
     check_declared_dim(sum(dims.values()))
     cells = {x: LabeledSpace(tuple((x, j) for j in range(d))) for x, d in dims.items()}
     maps = [{x: map_from_json(rows, cells[x], cells[_shift(x, a)], f"{name}[{x[0]}][{x[1]}]")
-             for x, rows in _by_cell(data[name], _shift((P, Q), a, -1), name).items()}
+             for x, rows in _by_cell(field(data, name), _shift((P, Q), a, -1), name).items()}
             for a, name in enumerate(DoubleComplex._names)]
     return DoubleComplex._build((P, Q), cells, maps)
 

@@ -5,12 +5,12 @@ de Rham forms) reduces to maps between labelled spaces, with entries and
 elimination from the kernel in `exact`.  A `LinearMap` stores only its
 nonzero entries, row by row, and a map in a JSON input is read straight
 into them (`map_from_json`); `from_blocks` copies signed blocks at
-precomputed offsets, negating a block of sign -1 as it copies it.  Every
-law of the form g f == h e (d d = 0, commuting squares, cocycles) is
-decided by one kernel, `products_agree`, row by row without building
-either product.  A map is densified (`LinearMap.matrix`) only for JSON
-output.  The dense functions the benchmark tracer still binds live in
-`dense`, which a name of theirs read here loads on first use.
+offsets indexed by block key, negating a block of sign -1 as it copies
+it.  Every law of the form g f == h e (d d = 0, commuting squares,
+cocycles) is decided by one kernel, `products_agree`, row by row without
+building either product.  A map is densified (`LinearMap.matrix`) only
+for JSON output.  The dense functions the benchmark tracer still binds
+live in `dense`, which a name of theirs read here loads on first use.
 """
 
 from __future__ import annotations
@@ -61,6 +61,21 @@ def int_from_json(x, field: str, signed: bool = False) -> int:
         return x
     kind = "an integer" if signed else "a non-negative integer"
     raise ValueError(f"{field} must be {kind}, got {x!r}")
+
+
+def field(obj, name: str, path: str = "", kind: type = list, signed: bool = False):
+    """obj[name] of a JSON input, obj being the object at path: a list, or for kind
+    int an integer as int_from_json reads it; else a ValueError naming path.name."""
+    at = f"{path}.{name}" if path else name
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path or 'the input'}: must be an object")
+    if name not in obj:
+        raise ValueError(f"{at}: missing")
+    if kind is int:
+        return int_from_json(obj[name], at, signed)
+    if not isinstance(obj[name], (list, tuple)):
+        raise ValueError(f"{at}: must be a list")
+    return obj[name]
 
 
 # Most basis vectors one JSON input may declare in all.  Measured with Python
@@ -158,12 +173,12 @@ class LinearMap(Record):
         return LinearMap.sparse(space, space, [((i, ONE),) for i in range(space.dim)])
 
     @staticmethod
-    def from_blocks(domain: LabeledSpace, codomain: LabeledSpace, src_offsets: Sequence[int],
-                    dst_offsets: Sequence[int], blocks: Iterable[tuple]) -> "LinearMap":
+    def from_blocks(domain: LabeledSpace, codomain: LabeledSpace, src_offsets, dst_offsets,
+                    blocks: Iterable[tuple]) -> "LinearMap":
         """Block map from blocks (i, j, sign, m), sign 1 or -1 and m a map from
         source block j, at column src_offsets[j] of the domain, to target
         block i, at row dst_offsets[i] of the codomain; absent blocks are zero.
-        """
+        The offsets are indexed by block key: a grid cell, a face or a position."""
         rows: list = [[] for _ in range(codomain.dim)]
         for i, j, sign, block in blocks:
             c0 = src_offsets[j]

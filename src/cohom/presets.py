@@ -132,14 +132,8 @@ class P1Report(Record):
 def p1_report(weight_window: int = _W_DEFAULT) -> P1Report:
     """Hypercohomology of the p1 preset with the stability guard."""
     check_p1_window(weight_window)
-    dims_by_window = {}
-    results = {}
-    for W in (weight_window, weight_window + 2):
-        nerve, sheaves, maps = build_p1(W)
-        res = cech_hyper(nerve, sheaves, maps)
-        dims_by_window[W] = res.dims
-        results[W] = res
-    if dims_by_window[weight_window] != dims_by_window[weight_window + 2]:
+    results = {W: cech_hyper(*build_p1(W)) for W in (weight_window, weight_window + 2)}
+    if results[weight_window].dims != results[weight_window + 2].dims:
         raise WindowExhausted(
             f"p1 dims changed between windows {weight_window} and {weight_window + 2}")
     res = results[weight_window]

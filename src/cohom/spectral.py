@@ -15,12 +15,12 @@ nonzero rows ("lows"), and every basis index of Tot^n is exactly one of
 A page is a filter on this pairing.  E_r^{p,q} is spanned by the
 essentials at p plus the sources and targets at p whose pair distance
 is >= r (`SpectralPage.span`), and d_r is the matching at distance
-exactly r: it sends each source to its target.  E_{r+1} rebuilds only
-the cells that d_r touches.  Page dims are lengths of index lists, and
-the rank of d_r is its number of distinct targets.  Representatives are
-V_j for essentials and sources and R_j for the target of source j, kept
-as ints with the one scale V_j[j] that `SpectralPage.representatives`
-divides them by.
+exactly r: it sends each source to its target.  Each page is one such
+filter of the pairing, built on its own.  Page dims are lengths of index
+lists, and the rank of d_r is its number of distinct targets.
+Representatives are V_j for essentials and sources and R_j for the
+target of source j, kept as ints with the one scale V_j[j] that
+`SpectralPage.representatives` divides them by.
 
 The convergence certificate builds no page: `_check_pairing` checks the
 page laws of every r in one pass over the pairing, E_inf^{p,n-p} counts
@@ -150,32 +150,25 @@ def _check_pairing(level: list, gens: list) -> tuple[list, int]:
 def _compute_pages(k: DoubleComplex, pairing: tuple, r_max: int, axis: int) -> list[SpectralPage]:
     """Pages E_1..E_r_max of a total of k from its checked pairing by label position axis.
 
-    Page entry (a, b) sits at filtration level a in total degree a + b.
-    E_{r+1} rebuilds the cells in dying[r] and shares the others with E_r.
+    Page entry (a, b) sits at filtration level a in total degree a + b.  Each
+    E_r is one filter of the pairing: the indices whose distance is None or >= r.
     """
     level, gens = pairing
     A, B = (k.P, k.Q) if axis == 0 else (k.Q, k.P)
     cells: dict = {(a, b): [] for a in range(A + 1) for b in range(B + 1)}
-    dying: dict = {}    # r -> cells with an index at distance r, rebuilt on E_{r+1}
     sources: dict = {}  # r -> {cell: [(source, target)]} at distance r
     for n, g in enumerate(gens):
         for i, (dist, _, target) in enumerate(g):
             if dist == 0:
                 continue  # a pair at distance 0 lies inside one cell and is gone from E_1
             a = level[n][i]
-            cells[(a, n - a)].append(i)
-            if dist is not None:
-                dying.setdefault(dist, set()).add((a, n - a))
-                if target is not None:
-                    sources.setdefault(dist, {}).setdefault((a, n - a), []).append((i, target))
-    span = {ab: tuple(idx) for ab, idx in cells.items()}
+            cells[(a, n - a)].append((i, dist))
+            if target is not None:
+                sources.setdefault(dist, {}).setdefault((a, n - a), []).append((i, target))
     pages: list[SpectralPage] = []
     for r in range(1, r_max + 1):
-        if pages:
-            span = dict(span)
-            for a, b in dying.get(r - 1, ()):
-                g = gens[a + b]
-                span[(a, b)] = tuple(i for i in span[(a, b)] if g[i][0] != r - 1)
+        span = {ab: tuple([i for i, dist in idx if dist is None or dist >= r])
+                for ab, idx in cells.items()}
         page = SpectralPage(r, span, gens, _d_r(r, span, sources.get(r, {})))
         _check_page(page, pages[-1] if pages else None)
         pages.append(page)

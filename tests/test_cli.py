@@ -218,6 +218,34 @@ def test_bad_faces_are_malformed(tmp_path, capsys, command, data, field):
 
 
 @pytest.mark.parametrize("command, data, message", [
+    ("hyper", GOLDEN / "cover_seed3.json", "levels: missing"),
+    ("cech", {"opens": 1, "faces": [{"idx": [0]}], "restrict": []}, "faces[0].dim: missing"),
+    ("complex", {"lo": 0, "hi": 0, "dims": [1]}, "diffs: missing"),
+    ("spectral", {"P": 0, "Q": 0, "dims": [[1]], "horiz": []}, "vert: missing"),
+    ("hyper", {"opens": 1, "levels": 2, "faces": [{"idx": [0], "dims": [1, 1]}],
+               "level_maps": [{"idx": [0]}]}, "level_maps[0].maps: missing"),
+    ("complex", {"lo": 0, "hi": 0, "dims": 5, "diffs": []}, "dims: must be a list"),
+    ("cech", {"opens": 1, "faces": [5], "restrict": []}, "faces[0]: must be an object"),
+    ("cech", {"opens": 1, "faces": [{"idx": [0], "dim": 1}], "restrict": [7]},
+     "restrict[0]: must be an object"),
+    ("cech", {"opens": 1, "faces": [{"idx": [0], "dim": 1}], "restrict": {}},
+     "restrict: must be a list"),
+    ("complex", {"lo": 0, "hi": 0, "dims": [1], "diffs": {}}, "diffs: must be a list"),
+], ids=["hyper_no_levels", "cech_face_no_dim", "complex_no_diffs", "spectral_no_vert",
+        "hyper_level_map_no_maps", "complex_dims_not_a_list", "cech_face_not_an_object",
+        "cech_restriction_not_an_object", "cech_restrict_not_a_list",
+        "complex_diffs_not_a_list"])
+def test_a_missing_or_mistyped_field_names_its_path(tmp_path, capsys, command, data, message):
+    """Every required field is read through linalg.field: a missing field, a
+    value of the wrong kind and an entry that is not an object exit 1 naming
+    the field's path."""
+    path = str(data) if isinstance(data, Path) else write(tmp_path, "field.json", data)
+    code, out, err = run(capsys, command, path)
+    assert (code, out) == (1, "")
+    assert err == f"error: malformed input: {message}\n"
+
+
+@pytest.mark.parametrize("command, data, message", [
     ("cech", {"opens": 2, "faces": [*_PAIR, {"idx": [0, 1], "dim": 1}],
               "restrict": [{"from": [0], "to": [0, 1], "matrix": [["1"]]}]},
      "restrict: no restriction from (1,) to (0, 1)"),
@@ -458,13 +486,19 @@ def test_preset_unknown_name(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("argv", [["torus:3,1"], ["p1", "--window", "2"], ["torus:4,4"],
-                                  ["torus:1,-1"]],
-                         ids=["torus_3_1", "p1_window_2", "torus_4_4", "torus_1_-1"])
-def test_preset_out_of_range_is_malformed(capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    (["torus:3,1"], "torus:k,n needs 0 <= k <= n <= 3, got torus:3,1"),
+    (["p1", "--window", "2"], "--window must be in 3..128, got 2"),
+    (["torus:4,4"], "torus:k,n needs 0 <= k <= n <= 3, got torus:4,4"),
+    (["torus:1,-1"], "torus:k,n needs 0 <= k <= n <= 3, got torus:1,-1"),
+    (["p1", "--window", "129"], "--window must be in 3..128, got 129"),
+], ids=["torus_3_1", "p1_window_2", "torus_4_4", "torus_1_-1", "p1_window_129"])
+def test_preset_out_of_range_is_malformed(capsys, argv, message):
+    """A preset parameter out of range is a usage error naming the parameter
+    and the value given, as --pages is."""
     code, out, err = run(capsys, "preset", *argv)
-    assert code == 1 and out == ""
-    assert "Traceback" not in err and "invariant violation" not in err
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("name", ["circle", "torus:2,2", "torus:0,0"])

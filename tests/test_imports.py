@@ -346,19 +346,19 @@ def test_fractions_load_only_for_a_non_integral_entry(case, rational):
 # chain that grows (a benchmark set-up among them) fails here first.  Raise a
 # budget only for a reason that is worth the start-up it costs.
 LINE_BUDGETS = {
-    "derham": (CLI, SUBCOMMANDS["derham"][0], 1236),
-    "hyper": (CLI, SUBCOMMANDS["hyper"][0], 2049),
-    "cech": (CLI, SUBCOMMANDS["cech"][0], 1455),
-    "complex": (CLI, SUBCOMMANDS["complex"][0], 1059),
-    "spectral": (CLI, SUBCOMMANDS["spectral"][0], 1653),
-    "preset-circle": (CLI, SUBCOMMANDS["preset-circle"][0], 1652),
-    "preset-p1": (CLI, SUBCOMMANDS["preset-p1"][0], 2246),
-    "preset-torus": (CLI, ["preset", "torus:2,2"], 2874),
-    "selftest": (CLI, ["selftest"], 2822),
-    "setup-p1_hyper": ("import cohom.presets", [], 1246),
+    "derham": (CLI, SUBCOMMANDS["derham"][0], 1234),
+    "hyper": (CLI, SUBCOMMANDS["hyper"][0], 2031),
+    "cech": (CLI, SUBCOMMANDS["cech"][0], 1453),
+    "complex": (CLI, SUBCOMMANDS["complex"][0], 1072),
+    "spectral": (CLI, SUBCOMMANDS["spectral"][0], 1650),
+    "preset-circle": (CLI, SUBCOMMANDS["preset-circle"][0], 1644),
+    "preset-p1": (CLI, SUBCOMMANDS["preset-p1"][0], 2222),
+    "preset-torus": (CLI, ["preset", "torus:2,2"], 2850),
+    "selftest": (CLI, ["selftest"], 2804),
+    "setup-p1_hyper": ("import cohom.presets", [], 1240),
     "setup-derham_forms": ("import cohom.forms", [], 830),
     "setup-small_batch": ("from cohom import cech, complexes, generators, grid, linalg, spectral",
-                          [], 1788),
+                          [], 1772),
 }
 
 

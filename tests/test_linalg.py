@@ -395,7 +395,10 @@ def test_negated_block_is_the_entrywise_negation():
                                      [(0, 0, 1, m), (0, 1, -1, m)])
         assert both == LinearMap(dom, m.codomain,
                                  tuple(row + tuple(-x for x in row) for row in m.matrix))
-        assert _stored_canonically(negated) and _stored_canonically(both)
+        keyed = LinearMap.from_blocks(dom, m.codomain, {(0, 1): 0, (1, 0): ncols}, {(0, 0): 0},
+                                      [((0, 0), (1, 0), -1, m), ((0, 0), (0, 1), 1, m)])
+        assert keyed == both  # offsets keyed by cell, as grid._merge keys them
+        assert all(map(_stored_canonically, (negated, both, keyed)))
 
 
 sparse_entries = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), small_fractions)

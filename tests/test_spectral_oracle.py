@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from spectral_oracle import oracle_pages, transpose
-from test_spectral import identity_cone, nullhomotopic_cone
+from test_spectral import _cover_grids, identity_cone, nullhomotopic_cone
 
 from cohom.cech import cech_sheaf_double_complex
 from cohom.generators import (
@@ -105,6 +105,15 @@ def _identity_cones():
     return [identity_cone(rng)[0] for _ in range(10)]
 
 
+def _cover_grids_with_a_2_face():
+    """Cech-sheaf grids of seeded function-sheaf covers whose nerve has a 2-face
+    (P >= 2), so a block of delta keyed by a 2-face meets its three signed drops."""
+    rng, grids = random.Random(34), []
+    while len(grids) < 6:
+        grids += [dc for dc in _cover_grids(rng, 1) if dc.P >= 2]
+    return grids
+
+
 FAMILIES = {
     "tensor_grids": _tensor_grids,
     "nonzero_d2": lambda: [nonzero_d2_double_complex()],
@@ -112,6 +121,7 @@ FAMILIES = {
     "identity_cones": _identity_cones,
     "zigzag_grids": _zigzag_grids,
     "p1_w4": lambda: [cech_sheaf_double_complex(*build_p1(4))],
+    "cech_2_faces": _cover_grids_with_a_2_face,
 }
 
 
